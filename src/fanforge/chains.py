@@ -14,10 +14,11 @@ then -1, then the remaining slice elements grouped by depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import gf2
-from .errors import NotAFanError, StructuralError
+from .errors import NotAFanError, ResourceLimitError, StructuralError
 from .ternary import (
     Character,
     DEFAULT_ENUMERATION_CAP,
@@ -25,6 +26,10 @@ from .ternary import (
     Violation,
     require_fan,
 )
+
+#: Largest character space a chain may have; every character-space
+#: construction enumerates it, so this bounds time and memory up front.
+MAX_CHARACTERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,18 @@ class FanChain:
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def transitions(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Row matrix of every composite transition (d, e), d <= e."""
+        out = {}
+        for d in range(1, self.n + 1):
+            rows = gf2.identity_rows(self.dims[d - 1])
+            out[(d, d)] = rows
+            for e in range(d + 1, self.n + 1):
+                rows = gf2.compose(self.taus[e - 2], rows)
+                out[(d, e)] = rows
+        return out
 
 
 class ChainChar(NamedTuple):
@@ -104,24 +121,20 @@ def transition(c: FanChain, d: int, e: int) -> tuple[int, ...]:
     """Row matrix of the composite transition from depth d to depth e (d <= e)."""
     if not 1 <= d <= e <= c.n:
         raise ValueError(f"need 1 <= d <= e <= {c.n}, got d={d}, e={e}")
-    rows = gf2.identity_rows(c.dims[d - 1])
-    for step in range(d, e):
-        rows = gf2.compose(c.taus[step - 1], rows)
-    return rows
-
-
-def pull_functional(c: FanChain, lam: int, e: int, d: int) -> int:
-    """Functional at depth e pulled to depth d <= e (composition with taus)."""
-    if not 1 <= d <= e <= c.n:
-        raise ValueError(f"need 1 <= d <= e <= {c.n}, got d={d}, e={e}")
-    for step in range(e - 1, d - 1, -1):
-        lam = gf2.pullback(lam, c.taus[step - 1])
-    return lam
+    return c.transitions[(d, e)]
 
 
 def chain_characters(c: FanChain) -> tuple[ChainChar, ...]:
-    """All characters: per depth d, the functionals sending minus_d to 1."""
+    """All characters: per depth d, the functionals sending minus_d to 1.
+
+    Raises ResourceLimitError, before enumerating, when the chain has
+    more than MAX_CHARACTERS characters.
+    """
     _require_valid(c)
+    count = sum(1 << (k - 1) for k in c.dims)
+    if count > MAX_CHARACTERS:
+        raise ResourceLimitError(
+            f"chain has {count} characters, bound is {MAX_CHARACTERS}")
     out = []
     for d, k in enumerate(c.dims, start=1):
         minus = c.minus[d - 1]
@@ -175,8 +188,7 @@ def chain_to_table(c: FanChain) -> TernaryTable:
     _require_valid(c)
     elements = chain_elements(c)
     index = {el: i for i, el in enumerate(elements)}
-    # Cache composite transitions once; products only move shallower vectors down.
-    trans = {(d, e): transition(c, d, e) for d in range(1, c.n + 1) for e in range(d, c.n + 1)}
+    trans = c.transitions
     m = len(elements)
     mul = []
     for a in elements:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .chains import ChainChar
-from .levels import PropertyReport, basis_of, closure, extend_basis, is_dependent
+from .levels import PropertyReport, closure, extend_basis, is_dependent
 from .spectral import FanSpace
 
 
@@ -76,18 +76,19 @@ def _under(space: FanSpace, members, h: ChainChar) -> list[ChainChar]:
     return [g for g in members if space.successor(g, k) == h]
 
 
-def fiber_tower_basis(space: FanSpace, h0: ChainChar, level: int,
+def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
                       policy: "_Policy") -> tuple[ChainChar, ...]:
     """Basis of the level-`level` characters under h0, adapted to depth reach.
 
-    For every j the members reaching depth j form a basis of that part
-    of the fiber; built by extending upward from the deepest stratum.
+    h0=None means the whole level.  For every j the members reaching
+    depth j form a basis of that part of the fiber; built by extending
+    upward from the deepest stratum.
     """
-    n = space.length
-    fiber = lambda j: _under(space, space.stratum_members("S", level, j), h0)
-    basis = basis_of(space, fiber(n), order=policy.order(fiber(n)))
-    for j in range(n - 1, level - 1, -1):
-        members = fiber(j)
+    basis: tuple[ChainChar, ...] = ()
+    for j in range(space.length, level - 1, -1):
+        members = space.stratum_members("S", level, j)
+        if h0 is not None:
+            members = _under(space, members, h0)
         basis = extend_basis(space, basis, members, order=policy.order(members))
     return basis
 
@@ -144,11 +145,7 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     n = space.length
     provenance: list[tuple[ChainChar, tuple]] = []
 
-    basis = basis_of(space, space.stratum_members("S", 1, n),
-                     order=policy.order(space.stratum_members("S", 1, n)))
-    for j in range(n - 1, 0, -1):
-        members = space.stratum_members("S", 1, j)
-        basis = extend_basis(space, basis, members, order=policy.order(members))
+    basis = fiber_tower_basis(space, None, 1, policy)
     provenance += [(g, ("tower", space.deep(g))) for g in basis]
     bases = [basis]
     steps = [LevelStep(h0=None, block=basis, lifts=())]

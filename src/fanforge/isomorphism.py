@@ -23,7 +23,7 @@ from .chains import (
 )
 from .errors import OrderMismatchError, ResourceLimitError
 from .generators import _Policy, fiber_tower_basis, standard_generating_system
-from .levels import basis_of, extend_basis, is_dependent
+from .levels import is_dependent
 from .spectral import FanSpace, Forest
 from .ternary import SIGNS, Violation
 
@@ -137,7 +137,9 @@ def is_ars_morphism(space1: FanSpace, space2: FanSpace,
 
     Checks same-level triple preservation and monotonicity, plus the
     global triple criterion; the report records that the two routes
-    agree (they must, which is asserted).
+    agree (they must, which is asserted).  Cubic in the number of
+    characters: it is the independent oracle for brute_force_isomorphism
+    and the tests, and build_isomorphism does not call it.
     """
     if set(mapping) != set(space1.chars):
         raise ValueError("mapping must be total on the source characters")
@@ -203,9 +205,64 @@ def _match_stages(space1: FanSpace, part1, space2: FanSpace, part2, fmap: dict) 
     for j in depths:
         stage1 = [g for g in part1 if space1.deep(g) == j]
         stage2 = [g for g in part2 if space2.deep(g) == j]
-        assert len(stage1) == len(stage2), f"stage {j} dimension mismatch"
+        if len(stage1) != len(stage2):
+            raise RuntimeError(f"stage {j} dimension mismatch")
         fmap.update(zip(stage1, stage2))
-    assert len({space2.deep(g) for g in part2} - set(depths)) == 0
+    if {space2.deep(g) for g in part2} - set(depths):
+        raise RuntimeError("target basis has a stage the source basis lacks")
+
+
+def _affine(pairs, hom_bit: int) -> bool:
+    """Whether x -> y is the restriction of an affine map.
+
+    One elimination pass over the homogenized sources with the images
+    carried along: every source that depends on earlier ones is an odd
+    XOR of them, and its image must be the XOR of their images.
+    """
+    solver = gf2.Solver()
+    images: list[int] = []
+    for x, y in pairs:
+        combo = solver.solve(x | hom_bit)
+        if combo is None:
+            solver.add(x | hom_bit)
+            images.append(y)
+            continue
+        image = 0
+        for i in gf2.bits(combo):
+            image ^= images[i]
+        if image != y:
+            return False
+    return True
+
+
+def _certify_isomorphism(space1: FanSpace, space2: FanSpace,
+                         mapping: dict[ChainChar, ChainChar]) -> None:
+    """Raise RuntimeError unless mapping is an isomorphism of fans.
+
+    By the morphism criterion a map is a morphism exactly when it
+    preserves same-level triples and is monotone.  So it suffices that
+    every level maps bijectively and affinely onto the target level and
+    that the map commutes with parent edges; the inverse then has the
+    same properties.  Linear in the number of characters times the
+    level dimension.
+    """
+    if set(mapping) != set(space1.chars):
+        raise RuntimeError("map is not total on the source characters")
+    if space1.length != space2.length:
+        raise RuntimeError("source and target have different level counts")
+    for d in range(1, space1.length + 1):
+        level = space1.level(d)
+        images = [mapping[h] for h in level]
+        if len(set(images)) != len(images) or set(images) != set(space2.level(d)):
+            raise RuntimeError(f"map is not a bijection on level {d}")
+        pairs = [(h.mask, g.mask) for h, g in zip(level, images)]
+        if not _affine(pairs, 1 << space1.dim(d)):
+            raise RuntimeError(f"map is not affine on level {d}")
+    for g in space1.chars:
+        if g.depth > 1:
+            up = g.depth - 1
+            if space2.successor(mapping[g], up) != mapping[space1.successor(g, up)]:
+                raise RuntimeError(f"map does not commute with the parent edge at {g}")
 
 
 def build_isomorphism(space1: FanSpace, space2: FanSpace,
@@ -215,7 +272,8 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     Raises OrderMismatchError when the forests differ.  Otherwise a
     generating system of the source is mirrored onto the target level by
     level, each level bijection is extended linearly, and the resulting
-    map is verified in both directions before being returned.
+    map is checked by a linear per-level certificate before being
+    returned; a map that fails it raises RuntimeError.
     """
     code1 = forest_canonical(space1.forest)
     code2 = forest_canonical(space2.forest)
@@ -227,18 +285,15 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     gs1 = standard_generating_system(space1, seed)
     fmap: dict[ChainChar, ChainChar] = {}
 
-    members2 = space2.stratum_members("S", 1, n)
-    basis2 = basis_of(space2, members2, order=policy.order(members2))
-    for j in range(n - 1, 0, -1):
-        members2 = space2.stratum_members("S", 1, j)
-        basis2 = extend_basis(space2, basis2, members2, order=policy.order(members2))
+    basis2 = fiber_tower_basis(space2, None, 1, policy)
     _match_stages(space1, gs1.level_basis(1), space2, basis2, fmap)
 
     for k in range(1, n):
         step = gs1.steps[k]
         h0_img = fmap[step.h0]
         block2 = fiber_tower_basis(space2, h0_img, k + 1, policy)
-        assert len(block2) == len(step.block), f"block dimension mismatch at level {k + 1}"
+        if len(block2) != len(step.block):
+            raise RuntimeError(f"block dimension mismatch at level {k + 1}")
         _match_stages(space1, step.block, space2, block2, fmap)
         for h, gh in step.lifts:
             jh = space1.deep(gh)
@@ -250,23 +305,22 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     for k in range(1, n + 1):
         b1 = gs1.level_basis(k)
         b2 = [fmap[g] for g in b1]
-        assert not is_dependent(space2, b2), f"image of level-{k} basis is dependent"
+        if is_dependent(space2, b2):
+            raise RuntimeError(f"image of level-{k} basis is dependent")
         hom_bit = 1 << space1.dim(k)
         solver = gf2.Solver()
         for g in b1:
             solver.add(g.mask | hom_bit)
         for h in space1.level(k):
             combo = solver.solve(h.mask | hom_bit)
-            assert combo is not None, f"level-{k} basis does not span its level"
+            if combo is None:
+                raise RuntimeError(f"level-{k} basis does not span its level")
             mask2 = 0
             for i in gf2.bits(combo):
                 mask2 ^= b2[i].mask
             full[h] = ChainChar(k, mask2)
 
-    assert is_ars_morphism(space1, space2, full).ok
-    inverse = {v: k for k, v in full.items()}
-    assert len(inverse) == len(full)
-    assert is_ars_morphism(space2, space1, inverse).ok
+    _certify_isomorphism(space1, space2, full)
     return full
 
 

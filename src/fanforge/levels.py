@@ -153,6 +153,10 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
     automorphism, self-inverse, successor transport g1 -> g2, fixed
     common specializations, and permutation of every stratum.  Per level
     pair d' <= d: compatibility with specialization.
+
+    The map is a translation of an affine GF(2) set, so it preserves
+    same-level triple products whenever it maps the level onto itself;
+    the automorphism check is therefore the bijectivity test alone.
     """
     report = PropertyReport()
     dmin = min(g1.depth, g2.depth)
@@ -162,10 +166,8 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
         level = space.level(d)
         members = {h.mask for h in level}
         shift = shifts[d]
-        image = {m ^ shift for m in members}
-        bijective = image == members
-        preserves = space.translation_preserves_triples(d, shift)
-        report.add(f"automorphism(level {d})", bijective and preserves, (shift,))
+        report.add(f"automorphism(level {d})",
+                   {m ^ shift for m in members} == members, (shift,))
         report.add(
             f"involution(level {d})",
             all((m ^ shift) ^ shift == m for m in members), (shift,))
@@ -210,10 +212,7 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
 
 def predecessor_fan(space: FanSpace, h: ChainChar) -> tuple[ChainChar, ...]:
     """Everything specializing to h; closed under triple products."""
-    preds = space.predecessors(h)
-    pool = set(preds)
-    assert all(space.triple(a, b, c) in pool for a in preds for b in preds for c in preds)
-    return preds
+    return space.predecessors(h)
 
 
 def embed_predecessors(space: FanSpace, h1: ChainChar, h2: ChainChar, j: int,

@@ -15,7 +15,6 @@ from functools import cached_property
 from . import gf2
 from .chains import ChainChar, FanChain, chain_characters, validate_chain
 from .errors import StructuralError
-from .ternary import Violation
 
 
 @dataclass(frozen=True)
@@ -152,15 +151,6 @@ class Forest:
         return Forest(tuple(self.depths[i] for i in keep), tuple(parents))
 
 
-def validate_forest(depths, parents) -> list[Violation]:
-    """Structural report for candidate forest data (ids assumed dense)."""
-    try:
-        Forest(tuple(depths), tuple(parents))
-    except StructuralError as exc:
-        return [Violation("forest-structure", str(exc))]
-    return []
-
-
 @dataclass(frozen=True)
 class Stratum:
     kind: str
@@ -191,7 +181,6 @@ class FanSpace:
             for d in range(h.depth - 1, 0, -1):
                 lam = gf2.pullback(lam, chain.taus[d - 1])
                 self._succ[(h, d)] = ChainChar(d, lam)
-        self._triple_ok: dict[tuple[int, int], bool] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -207,9 +196,6 @@ class FanSpace:
 
     def minus(self, d: int) -> int:
         return self.chain.minus[d - 1]
-
-    def depth(self, h: ChainChar) -> int:
-        return h.depth
 
     def node(self, h: ChainChar) -> int:
         return self._node[h]
@@ -253,15 +239,6 @@ class FanSpace:
                 ^ self._succ[(h3, d)].mask)
         return ChainChar(d, mask)
 
-    def odd_product(self, chars: tuple[ChainChar, ...]) -> ChainChar:
-        if len(chars) % 2 == 0:
-            raise ValueError("need an odd number of factors")
-        d = min(h.depth for h in chars)
-        mask = 0
-        for h in chars:
-            mask ^= self._succ[(h, d)].mask
-        return ChainChar(d, mask)
-
     @cached_property
     def forest(self) -> Forest:
         depths = tuple(h.depth for h in self.chars)
@@ -269,9 +246,6 @@ class FanSpace:
             None if h.depth == 1 else self._node[self.successor(h, h.depth - 1)]
             for h in self.chars)
         return Forest(depths, parents)
-
-    def root_system(self) -> Forest:
-        return self.forest
 
     def deep(self, h: ChainChar) -> int:
         """Deepest depth among the predecessors of h."""
@@ -304,25 +278,3 @@ class FanSpace:
         """
         nodes = self.forest.pred_nodes(self._node[h], j1, j2, kind)
         return tuple(self.chars[i] for i in nodes)
-
-    # -- memoized level facts -------------------------------------------
-
-    def translation_preserves_triples(self, d: int, shift: int) -> bool:
-        """Whether h -> h^shift preserves triple products on level d.
-
-        Always true (the level product is affine), but checked honestly
-        over all same-level triples and memoized per (depth, shift).
-        """
-        key = (d, shift)
-        hit = self._triple_ok.get(key)
-        if hit is None:
-            members = [h.mask for h in self.level(d)]
-            hit = all(
-                (a ^ b ^ c) ^ shift == (a ^ shift) ^ (b ^ shift) ^ (c ^ shift)
-                for a in members for b in members for c in members)
-            self._triple_ok[key] = hit
-        return hit
-
-
-def space_from_chain(chain: FanChain) -> FanSpace:
-    return FanSpace(chain)

@@ -130,6 +130,14 @@ def test_realize_resource_bound(capsys):
     assert main(["realize", str(DATA / "impossible2.forest")]) == 3
 
 
+def test_character_bound(tmp_path, capsys):
+    # dim=40 would mean 2^39 characters; refused before enumeration
+    big = tmp_path / "big.fan"
+    big.write_text("fanchain n=1\nlevel d=1 dim=40 minus=" + "1" + "0" * 39 + "\n")
+    assert main(["chars", str(big)]) == 3
+    assert "bound is 16384" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     for sub in ("a", "b"):
         assert main(["gen", "--seed", "5", "--count", "3",

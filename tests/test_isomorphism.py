@@ -5,6 +5,7 @@ import pytest
 from fanforge.chains import ChainChar, SliceElement, chain_elements
 from fanforge.errors import OrderMismatchError, ResourceLimitError
 from fanforge.isomorphism import (
+    _certify_isomorphism,
     brute_force_isomorphism,
     build_isomorphism,
     check_forest,
@@ -226,6 +227,108 @@ def test_build_isomorphism_on_rebased_fans():
         s1, s2 = FanSpace(chain), FanSpace(other)
         mapping = build_isomorphism(s1, s2, seed=None if trial % 2 else trial)
         assert is_ars_morphism(s1, s2, mapping).ok
+
+
+def _certificate_accepts(s1, s2, mapping) -> bool:
+    try:
+        _certify_isomorphism(s1, s2, mapping)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _oracle_accepts(s1, s2, mapping) -> bool:
+    inverse = {v: k for k, v in mapping.items()}
+    if len(inverse) != len(mapping) or set(inverse) != set(s2.chars):
+        return False
+    return is_ars_morphism(s1, s2, mapping).ok and is_ars_morphism(s2, s1, inverse).ok
+
+
+def _corrupted(space, mapping):
+    """Two images swapped on the deepest level with two characters, and a
+    3-cycle of images on the deepest level with eight or more (never affine:
+    it fixes a number of points that is not a power of 2)."""
+    out = []
+    for d in range(space.length, 0, -1):
+        level = space.level(d)
+        if len(level) >= 2:
+            a, b = level[0], level[-1]
+            swapped = dict(mapping)
+            swapped[a], swapped[b] = mapping[b], mapping[a]
+            out.append(swapped)
+            break
+    for d in range(space.length, 0, -1):
+        level = space.level(d)
+        if len(level) >= 8:
+            a, b, c = level[:3]
+            cycled = dict(mapping)
+            cycled[a], cycled[b], cycled[c] = mapping[b], mapping[c], mapping[a]
+            out.append(cycled)
+            break
+    return out
+
+
+def test_certificate_agrees_with_oracle(corpus_spaces):
+    # The linear certificate in build_isomorphism accepts exactly the maps
+    # the cubic morphism test accepts in both directions.
+    import random
+    from fanforge.corpus import random_transition
+    from fanforge.chains import FanChain
+    from fanforge.isomorphism import forest_canonical
+    groups = {}
+    for s in corpus_spaces[:60]:
+        groups.setdefault(forest_canonical(s.forest), []).append(s)
+    pairs = [(cls[0], cls[-1]) for cls in groups.values()]
+    rng = random.Random(5)
+    minus = tuple(rng.randrange(1, 32) for _ in range(5))
+    ladder = FanChain((5,) * 5, minus, tuple(
+        random_transition(rng, 5, 5, minus[d], minus[d + 1]) for d in range(4)))
+    pairs.append((FanSpace(ladder), FanSpace(_rebase(rng, ladder))))
+    assert len(pairs[-1][0]) == 80
+    verdicts = []
+    for s1, s2 in pairs:
+        built = build_isomorphism(s1, s2)
+        for mapping in [built] + _corrupted(s1, built):
+            oracle = _oracle_accepts(s1, s2, mapping)
+            assert _certificate_accepts(s1, s2, mapping) == oracle
+            verdicts.append(oracle)
+    assert verdicts[-3:] == [True, False, False]
+    assert verdicts.count(False) >= 10
+
+
+_OPTIMIZED_REFUSAL = """
+import sys
+from fanforge.chains import FanChain
+from fanforge.isomorphism import _certify_isomorphism
+from fanforge.spectral import FanSpace
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+space = FanSpace(FanChain((2, 2), (1, 1), ((1, 2),)))
+mapping = {h: h for h in space.chars}
+a, b = space.level(2)
+mapping[a], mapping[b] = b, a
+try:
+    _certify_isomorphism(space, space, mapping)
+except RuntimeError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_certificate_refuses_under_optimize():
+    # python -O strips assert statements; the certificate must still refuse
+    # a map that swaps two leaves with different parents.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import fanforge
+    env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_REFUSAL], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: map does not commute with the parent edge")
 
 
 # -- candidate forests --------------------------------------------------------

@@ -200,11 +200,18 @@ def test_dependence_transport(corpus_spaces):
     assert checked >= 5
 
 
-def test_predecessor_fan_examples():
+def test_predecessor_fan_examples(corpus_spaces):
     s = FanSpace(E1)
     assert set(predecessor_fan(s, R)) == set(s.chars)
     for h in s.chars:
         assert h in predecessor_fan(s, h)
+    # closed under triple products
+    for space in corpus_spaces[:10]:
+        for h in space.level(1):
+            preds = predecessor_fan(space, h)
+            pool = set(preds)
+            assert all(space.triple(a, b, c) in pool
+                       for a, b, c in itertools.combinations_with_replacement(preds, 3))
 
 
 def test_embed_predecessors_on_eb():

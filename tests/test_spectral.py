@@ -23,7 +23,7 @@ def test_levels_examples():
 
 def test_depth_and_length():
     s = FanSpace(E1)
-    assert s.depth(R) == 1 and s.depth(C1) == 2
+    assert R.depth == 1 and C1.depth == 2
     assert s.length == 2
     for comp in s.components():
         top = min(comp, key=lambda h: h.depth)
