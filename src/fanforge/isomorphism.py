@@ -400,12 +400,12 @@ def check_forest(forest: Forest) -> list[Violation]:
 
     for k in range(1, n + 1):
         for j in range(k, n + 1):
+            members = {"S": forest.stratum("S", k, j), "C": forest.stratum("C", k, j)}
             for j1 in range(k, j + 1):
                 for j2 in range(k, j1 + 1):
                     for kind, stratum_kind in (("B", "S"), ("A", "C")):
-                        members = forest.stratum(stratum_kind, k, j)
-                        counts = {h: len(forest.pred_nodes(h, j1, j2, kind))
-                                  for h in members}
+                        counts = {h: forest.pred_count(h, j1, j2, kind)
+                                  for h in members[stratum_kind]}
                         if len(set(counts.values())) > 1:
                             lo = min(counts, key=lambda h: counts[h])
                             hi = max(counts, key=lambda h: counts[h])
@@ -416,13 +416,27 @@ def check_forest(forest: Forest) -> list[Violation]:
                                 f"{counts[lo]} and {counts[hi]}",
                                 (kind, k, j, j1, j2, counts[lo], counts[hi])))
 
-    comps = [forest.restrict(comp) for comp in forest.components]
-    for a, b in itertools.combinations(range(len(comps)), 2):
-        ka, kb = comps[a], comps[b]
-        for j in range(1, min(ka.length, kb.length) + 1):
-            for jp in range(1, j + 1):
-                ca = len(ka.stratum("S", jp, j))
-                cb = len(kb.stratum("S", jp, j))
+    # Per component (the subtree of one root): its length, its S-stratum
+    # sizes in (j, jp) order, and its truncated codes on demand.
+    roots = forest.roots
+    lengths = [forest.deep[r] for r in roots]
+    sizes = [tuple(forest.pred_count(r, j, jp, "B")
+                   for j in range(1, length + 1) for jp in range(1, j + 1))
+             for r, length in zip(roots, lengths)]
+    codes: dict[tuple[int, int], str] = {}
+
+    def code(c: int, depth: int) -> str:
+        if (c, depth) not in codes:
+            comp = forest.restrict(forest.components[c])
+            codes[(c, depth)] = forest_canonical(comp.truncate(depth))
+        return codes[(c, depth)]
+
+    for a, b in itertools.combinations(range(len(roots)), 2):
+        m = min(lengths[a], lengths[b])
+        common = m * (m + 1) // 2
+        if sizes[a][:common] != sizes[b][:common]:
+            pairs = ((jp, j) for j in range(1, m + 1) for jp in range(1, j + 1))
+            for (jp, j), ca, cb in zip(pairs, sizes[a], sizes[b]):
                 if ca != cb:
                     name = f"L_{j}" if jp == j else f"S^{jp}_{j}"
                     out.append(Violation(
@@ -430,13 +444,12 @@ def check_forest(forest: Forest) -> list[Violation]:
                         f"RC3 violated: card({name}(K{a + 1}))={ca} != "
                         f"card({name}(K{b + 1}))={cb}",
                         (jp, j, a + 1, b + 1, ca, cb)))
-        shallow, deep_idx = (a, b) if ka.length <= kb.length else (b, a)
-        trunc = comps[deep_idx].truncate(comps[shallow].length)
-        if forest_canonical(comps[shallow]) != forest_canonical(trunc):
+        shallow, deep_idx = (a, b) if lengths[a] <= lengths[b] else (b, a)
+        if code(shallow, lengths[shallow]) != code(deep_idx, lengths[shallow]):
             out.append(Violation(
                 "RC4",
                 f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
-                f"K{deep_idx + 1} truncated at depth {comps[shallow].length}",
+                f"K{deep_idx + 1} truncated at depth {lengths[shallow]}",
                 (shallow + 1, deep_idx + 1)))
     return out
 

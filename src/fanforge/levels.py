@@ -142,7 +142,8 @@ def involution(space: FanSpace, handle: InvolutionHandle, h: ChainChar) -> Chain
     if h.depth != handle.level:
         raise ValueError(f"character at depth {h.depth}, handle targets level {handle.level}")
     out = space.triple(h, handle.g1, handle.g2)
-    assert out.depth == handle.level
+    if out.depth != handle.level:
+        raise RuntimeError(f"involution left level {handle.level} for depth {out.depth}")
     return out
 
 
@@ -248,6 +249,8 @@ def embed_predecessors(space: FanSpace, h1: ChainChar, h2: ChainChar, j: int,
     preds1 = space.predecessors(h1)
     preds2 = set(space.predecessors(h2))
     out = {g: space.triple(g, u1, u2) for g in preds1}
-    assert len(set(out.values())) == len(preds1)
-    assert set(out.values()) == {u for u in preds2 if u.depth <= j}
+    if len(set(out.values())) != len(preds1):
+        raise RuntimeError("predecessor embedding is not injective")
+    if set(out.values()) != {u for u in preds2 if u.depth <= j}:
+        raise RuntimeError(f"predecessor embedding misses the depth <= {j} predecessors of h2")
     return out

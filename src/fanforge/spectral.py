@@ -40,7 +40,7 @@ class Forest:
     def __len__(self) -> int:
         return len(self.depths)
 
-    @property
+    @cached_property
     def length(self) -> int:
         return max(self.depths, default=0)
 
@@ -84,18 +84,23 @@ class Forest:
 
     def descendants(self, i: int) -> tuple[int, ...]:
         """i together with everything below it, in index order."""
-        keep = {i}
-        for j in sorted(range(len(self)), key=lambda j: self.depths[j]):
-            p = self.parents[j]
-            if p in keep:
-                keep.add(j)
-        return tuple(sorted(keep))
+        out = [i]
+        for g in out:
+            out.extend(self.children[g])
+        return tuple(sorted(out))
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[int, ...], ...]:
+        by_depth: list[list[int]] = [[] for _ in range(self.length)]
+        for i, d in enumerate(self.depths):
+            by_depth[d - 1].append(i)
+        return tuple(tuple(nodes) for nodes in by_depth)
 
     def level(self, d: int) -> tuple[int, ...]:
-        return tuple(i for i, dep in enumerate(self.depths) if dep == d)
+        return self._levels[d - 1] if 1 <= d <= self.length else ()
 
     def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(self.level(d)) for d in range(1, self.length + 1))
+        return tuple(len(nodes) for nodes in self._levels)
 
     def stratum(self, kind: str, k: int, j: int) -> tuple[int, ...]:
         """Depth-k nodes whose deepest descendant reaches depth j (S) or
@@ -104,25 +109,49 @@ class Forest:
             raise ValueError(f"stratum kind must be 'S' or 'C', not {kind!r}")
         if not 1 <= k <= j <= self.length:
             raise ValueError(f"need 1 <= k <= j <= {self.length}, got k={k}, j={j}")
+        deep = self.deep
         if kind == "S":
-            return tuple(i for i in self.level(k) if self.deep[i] >= j)
-        return tuple(i for i in self.level(k) if self.deep[i] == j)
+            return tuple(i for i in self._levels[k - 1] if deep[i] >= j)
+        return tuple(i for i in self._levels[k - 1] if deep[i] == j)
 
-    def pred_nodes(self, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
-        """Predecessors of h in the (j2, j1) stratum: depth-j2 nodes under h
-        reaching depth j1 at least (kind 'B') or exactly (kind 'A')."""
+    @cached_property
+    def _reach_counts(self) -> tuple[dict[tuple[int, int], int], ...]:
+        """Per node, its descendants (itself included) counted by
+        (depth, deepest reach).  One pass: each node adds itself to its
+        at most `length` ancestors."""
+        counts: list[dict[tuple[int, int], int]] = [{} for _ in self.depths]
+        parents, deep = self.parents, self.deep
+        for g, d in enumerate(self.depths):
+            key = (d, deep[g])
+            a = g
+            while a is not None:
+                hist = counts[a]
+                hist[key] = hist.get(key, 0) + 1
+                a = parents[a]
+        return tuple(counts)
+
+    def _check_pred_query(self, h: int, j1: int, j2: int, kind: str) -> None:
         if kind not in ("B", "A"):
             raise ValueError(f"pred-set kind must be 'B' or 'A', not {kind!r}")
         if not self.depths[h] <= j2 <= j1 <= self.length:
             raise ValueError(
                 f"need depth(h) <= j2 <= j1 <= {self.length}, got j2={j2}, j1={j1}")
-        out = []
-        for g in self.descendants(h):
-            if self.depths[g] != j2:
-                continue
-            if (self.deep[g] >= j1) if kind == "B" else (self.deep[g] == j1):
-                out.append(g)
-        return tuple(out)
+
+    def pred_count(self, h: int, j1: int, j2: int, kind: str) -> int:
+        """len(pred_nodes(h, j1, j2, kind)), read from the per-node counts."""
+        self._check_pred_query(h, j1, j2, kind)
+        hist = self._reach_counts[h]
+        if kind == "A":
+            return hist.get((j2, j1), 0)
+        return sum(hist.get((j2, r), 0) for r in range(j1, self.length + 1))
+
+    def pred_nodes(self, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
+        """Predecessors of h in the (j2, j1) stratum: depth-j2 nodes under h
+        reaching depth j1 at least (kind 'B') or exactly (kind 'A')."""
+        self._check_pred_query(h, j1, j2, kind)
+        depths, deep = self.depths, self.deep
+        return tuple(g for g in self.descendants(h) if depths[g] == j2
+                     and (deep[g] >= j1 if kind == "B" else deep[g] == j1))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -172,6 +201,10 @@ class FanSpace:
             raise StructuralError(f"invalid chain: {bad[0].message}")
         self.chain = chain
         self.chars = chain_characters(chain)
+        # chain_characters emits the levels as contiguous blocks in depth order
+        self._level_end = [0] * (chain.n + 1)
+        for i, h in enumerate(self.chars):
+            self._level_end[h.depth] = i + 1
         self._node = {h: i for i, h in enumerate(self.chars)}
         # successor masks for every character at every shallower depth
         self._succ: dict[tuple[ChainChar, int], ChainChar] = {}
@@ -206,7 +239,7 @@ class FanSpace:
     def level(self, d: int) -> tuple[ChainChar, ...]:
         if not 1 <= d <= self.length:
             raise ValueError(f"depth {d} out of range 1..{self.length}")
-        return tuple(h for h in self.chars if h.depth == d)
+        return self.chars[self._level_end[d - 1]:self._level_end[d]]
 
     def levels(self) -> list[tuple[ChainChar, ...]]:
         return [self.level(d) for d in range(1, self.length + 1)]
@@ -229,7 +262,8 @@ class FanSpace:
         if not h.depth <= d <= g.depth:
             raise ValueError(f"depth {d} outside [{h.depth}, {g.depth}]")
         f = self.successor(g, d)
-        assert self.specializes(g, f) and self.specializes(f, h)
+        if not (self.specializes(g, f) and self.specializes(f, h)):
+            raise RuntimeError(f"successor table is inconsistent between {g} and {h}")
         return f
 
     def triple(self, h1: ChainChar, h2: ChainChar, h3: ChainChar) -> ChainChar:

@@ -1,7 +1,10 @@
 import pytest
 
+import fanforge.chains
+from fanforge.chains import FanChain
 from fanforge.cli import main
 from fanforge.formats import parse_chain, serialize_chain
+from fanforge.gf2 import identity_rows
 
 from conftest import DATA, E1, E1P, EA, EB, TRIV
 
@@ -136,6 +139,15 @@ def test_character_bound(tmp_path, capsys):
     big.write_text("fanchain n=1\nlevel d=1 dim=40 minus=" + "1" + "0" * 39 + "\n")
     assert main(["chars", str(big)]) == 3
     assert "bound is 16384" in capsys.readouterr().err
+
+
+def test_validate_table_bound(tmp_path, capsys, monkeypatch):
+    # a 6x8 chain has 1537 elements; refused before its table is built
+    big = tmp_path / "big.fan"
+    big.write_text(serialize_chain(FanChain((8,) * 6, (1,) * 6, (identity_rows(8),) * 5)))
+    monkeypatch.setattr(fanforge.chains, "chain_elements", None)
+    assert main(["validate", str(big)]) == 3
+    assert "fan has 1537 elements, table bound is 513" in capsys.readouterr().err
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

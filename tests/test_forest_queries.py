@@ -1,0 +1,207 @@
+"""Forest order queries and check_forest against the scan-based definitions.
+
+The oracle functions below are the original definitions: descendants by
+sorting every node, strata and predecessor sets by scanning, and the
+component conditions RC3/RC4 recomputed for every pair.  The library
+answers the same queries from per-node counts; every answer and every
+ordered violation list must agree.
+"""
+
+import itertools
+import random
+
+from fanforge import gf2
+from fanforge.chains import FanChain
+from fanforge.corpus import random_transition
+from fanforge.isomorphism import _power_of_two, check_forest, forest_canonical
+from fanforge.spectral import FanSpace, Forest
+from fanforge.ternary import Violation
+
+
+# -- oracle -------------------------------------------------------------------
+
+
+def oracle_length(f: Forest) -> int:
+    return max(f.depths, default=0)
+
+
+def oracle_descendants(f: Forest, i: int) -> tuple[int, ...]:
+    keep = {i}
+    for j in sorted(range(len(f)), key=lambda j: f.depths[j]):
+        if f.parents[j] in keep:
+            keep.add(j)
+    return tuple(sorted(keep))
+
+
+def oracle_level(f: Forest, d: int) -> tuple[int, ...]:
+    return tuple(i for i, dep in enumerate(f.depths) if dep == d)
+
+
+def oracle_stratum(f: Forest, kind: str, k: int, j: int) -> tuple[int, ...]:
+    if kind == "S":
+        return tuple(i for i in oracle_level(f, k) if f.deep[i] >= j)
+    return tuple(i for i in oracle_level(f, k) if f.deep[i] == j)
+
+
+def oracle_pred_nodes(f: Forest, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
+    out = []
+    for g in oracle_descendants(f, h):
+        if f.depths[g] != j2:
+            continue
+        if (f.deep[g] >= j1) if kind == "B" else (f.deep[g] == j1):
+            out.append(g)
+    return tuple(out)
+
+
+def oracle_check_forest(forest: Forest) -> list[Violation]:
+    out: list[Violation] = []
+    n = oracle_length(forest)
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
+            s = len(oracle_stratum(forest, "S", k, j))
+            if s and not _power_of_two(s):
+                out.append(Violation(
+                    "RC1", f"RC1 violated: card(S^{k}_{j})={s} not a power of 2",
+                    (k, j, s)))
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
+            for j1 in range(k, j + 1):
+                for j2 in range(k, j1 + 1):
+                    for kind, stratum_kind in (("B", "S"), ("A", "C")):
+                        members = oracle_stratum(forest, stratum_kind, k, j)
+                        counts = {h: len(oracle_pred_nodes(forest, h, j1, j2, kind))
+                                  for h in members}
+                        if len(set(counts.values())) > 1:
+                            lo = min(counts, key=lambda h: counts[h])
+                            hi = max(counts, key=lambda h: counts[h])
+                            out.append(Violation(
+                                "RC2",
+                                f"RC2 violated: card({kind}^{{{j1},{j2}}}) over "
+                                f"{stratum_kind}^{k}_{j} takes values "
+                                f"{counts[lo]} and {counts[hi]}",
+                                (kind, k, j, j1, j2, counts[lo], counts[hi])))
+    comps = [forest.restrict(comp) for comp in forest.components]
+    for a, b in itertools.combinations(range(len(comps)), 2):
+        ka, kb = comps[a], comps[b]
+        la, lb = oracle_length(ka), oracle_length(kb)
+        for j in range(1, min(la, lb) + 1):
+            for jp in range(1, j + 1):
+                ca = len(oracle_stratum(ka, "S", jp, j))
+                cb = len(oracle_stratum(kb, "S", jp, j))
+                if ca != cb:
+                    name = f"L_{j}" if jp == j else f"S^{jp}_{j}"
+                    out.append(Violation(
+                        "RC3",
+                        f"RC3 violated: card({name}(K{a + 1}))={ca} != "
+                        f"card({name}(K{b + 1}))={cb}",
+                        (jp, j, a + 1, b + 1, ca, cb)))
+        shallow, deep_idx = (a, b) if la <= lb else (b, a)
+        cut = oracle_length(comps[shallow])
+        if forest_canonical(comps[shallow]) != forest_canonical(comps[deep_idx].truncate(cut)):
+            out.append(Violation(
+                "RC4",
+                f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
+                f"K{deep_idx + 1} truncated at depth {cut}",
+                (shallow + 1, deep_idx + 1)))
+    return out
+
+
+# -- generated forests ----------------------------------------------------------
+
+
+def random_forest(rng: random.Random, max_roots: int = 6, max_depth: int = 5) -> Forest:
+    """Up to max_roots roots and max_depth levels; node indices shuffled.
+
+    Every node below the last level gets the same child count with
+    probability one half, so some forests pass every condition and
+    others fail a few; the rest draw child counts freely.
+    """
+    depth = rng.randint(1, max_depth)
+    regular = rng.random() < 0.5
+    nodes = [(1, None) for _ in range(rng.randint(1, max_roots))]
+    frontier = list(range(len(nodes)))
+    for d in range(2, depth + 1):
+        fixed = rng.randint(1, 2)
+        nxt = []
+        for p in frontier:
+            kids = fixed if regular and rng.random() < 0.9 else rng.randint(0, 2)
+            for _ in range(kids):
+                nxt.append(len(nodes))
+                nodes.append((d, p))
+        frontier = nxt
+    order = list(range(len(nodes)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return Forest(tuple(nodes[old][0] for old in order),
+                  tuple(None if nodes[old][1] is None else where[nodes[old][1]]
+                        for old in order))
+
+
+def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
+    """Equal-dimension chain whose composite transition from depth k to j
+    has rank dim - (j - k), so every stratum size is fixed by the shape."""
+    minus = tuple(rng.randrange(1, 1 << dim) for _ in range(levels))
+    taus = []
+    reach = gf2.identity_rows(dim)
+    for d in range(levels - 1):
+        while True:
+            rows = random_transition(rng, dim, dim, minus[d], minus[d + 1])
+            step = gf2.compose(rows, reach)
+            if gf2.rank(rows) == dim - 1 and gf2.rank(step) == dim - d - 1:
+                break
+        taus.append(rows)
+        reach = step
+    return FanChain((dim,) * levels, minus, tuple(taus))
+
+
+def test_check_forest_matches_oracle_in_order(impossible_forests, corpus_spaces):
+    rng = random.Random(20170302)
+    forests = [random_forest(rng) for _ in range(320)]
+    forests += list(impossible_forests.values())
+    forests += [space.forest for space in corpus_spaces[:20]]
+    forests += [FanSpace(ladder(random.Random(s), 3, 4)).forest for s in range(3)]
+    failing = violations = 0
+    for f in forests:
+        got = check_forest(f)
+        assert got == oracle_check_forest(f)
+        failing += bool(got)
+        violations += len(got)
+    # the corpus must exercise both verdicts and all four conditions
+    assert 100 <= failing <= len(forests) - 100
+    codes = {v.code for f in forests[:320] for v in check_forest(f)}
+    assert codes == {"RC1", "RC2", "RC3", "RC4"}
+
+
+def test_forest_queries_match_scans(impossible_forests):
+    rng = random.Random(20170303)
+    forests = [random_forest(rng) for _ in range(60)] + list(impossible_forests.values())
+    for f in forests:
+        n = oracle_length(f)
+        assert f.length == n
+        for d in range(0, n + 2):
+            assert f.level(d) == oracle_level(f, d)
+        assert f.level_sizes() == tuple(len(oracle_level(f, d)) for d in range(1, n + 1))
+        for k in range(1, n + 1):
+            for j in range(k, n + 1):
+                for kind in ("S", "C"):
+                    assert f.stratum(kind, k, j) == oracle_stratum(f, kind, k, j)
+        for h in range(len(f)):
+            assert f.descendants(h) == oracle_descendants(f, h)
+            for j1 in range(f.depths[h], n + 1):
+                for j2 in range(f.depths[h], j1 + 1):
+                    for kind in ("B", "A"):
+                        want = oracle_pred_nodes(f, h, j1, j2, kind)
+                        assert f.pred_nodes(h, j1, j2, kind) == want
+                        assert f.pred_count(h, j1, j2, kind) == len(want)
+
+
+def test_space_levels_are_the_depth_blocks(corpus_spaces):
+    for space in corpus_spaces:
+        for d in range(1, space.length + 1):
+            assert space.level(d) == tuple(h for h in space.chars if h.depth == d)
+
+
+def test_check_forest_runs_at_3072_nodes():
+    forest = FanSpace(ladder(random.Random(7), 6, 10)).forest
+    assert len(forest) == 3072
+    assert check_forest(forest) == []

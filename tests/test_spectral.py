@@ -167,3 +167,37 @@ def test_forest_truncate_and_restrict():
     comps = f.components
     sub = f.restrict(comps[0])
     assert len(sub) == 3 and sub.level_sizes() == (1, 2)
+
+
+_OPTIMIZED_INTERPOLATE = """
+import sys
+from fanforge.chains import ChainChar, FanChain
+from fanforge.spectral import FanSpace
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+# identity transitions: two disjoint three-level chains
+space = FanSpace(FanChain((2, 2, 2), (1, 1, 1), ((1, 2), (1, 2))))
+g, h = ChainChar(3, 1), ChainChar(1, 1)
+space._succ[(g, 2)] = ChainChar(2, 3)   # a depth-2 character on the other chain
+try:
+    space.interpolate(g, h, 2)
+except RuntimeError as exc:
+    print("refused:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_interpolate_refuses_under_optimize():
+    # python -O strips assert statements; a corrupted successor table must
+    # still be refused.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import fanforge
+    env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_INTERPOLATE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused: successor table is inconsistent")
