@@ -54,7 +54,6 @@ from .ternary import (
     TernaryTable,
     Violation,
     enumerate_characters,
-    is_fan,
     sign3_table,
     specializes,
     triple_product,

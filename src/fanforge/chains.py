@@ -154,7 +154,8 @@ def cardinalities(c: FanChain) -> tuple[int, int]:
     _require_valid(c)
     card_f = 1 + sum(1 << k for k in c.dims)
     card_x = sum(1 << (k - 1) for k in c.dims)
-    assert card_f == 2 * card_x + 1
+    if card_f != 2 * card_x + 1:
+        raise RuntimeError(f"fan has {card_f} elements, not 2*{card_x}+1")
     return card_f, card_x
 
 
@@ -202,28 +203,17 @@ def chain_to_table(c: FanChain) -> TernaryTable:
             f"fan has {size} elements, table bound is {MAX_TABLE_ELEMENTS}")
     elements = chain_elements(c)
     index = {el: i for i, el in enumerate(elements)}
-    trans = c.transitions
-    m = len(elements)
-    mul = []
-    for a in elements:
-        row = []
-        for b in elements:
-            if a == ZERO_ELEMENT or b == ZERO_ELEMENT:
-                row.append(0)
-                continue
-            lo, hi = (a, b) if a.depth <= b.depth else (b, a)
-            moved = gf2.mat_vec(trans[(lo.depth, hi.depth)], lo.vec)
-            row.append(index[SliceElement(hi.depth, moved ^ hi.vec)])
-        mul.append(tuple(row))
+    # Rows from lists: tuple() over a generator grows by resizing, raising peak memory.
+    mul = tuple(tuple([index[multiply_elements(c, a, b)] for b in elements])
+                for a in elements)
     return TernaryTable(
-        size=m, one_idx=index[SliceElement(1, 0)], zero_idx=0,
-        minus_one_idx=index[SliceElement(1, c.minus[0])], mul=tuple(mul))
+        size=len(elements), one_idx=index[SliceElement(1, 0)], zero_idx=0,
+        minus_one_idx=index[SliceElement(1, c.minus[0])], mul=mul)
 
 
 def chain_char_to_table_char(c: FanChain, t: TernaryTable, h: ChainChar) -> Character:
-    """Value vector of a chain character on the table built by chain_to_table."""
-    values = tuple(evaluate_element(c, h, el) for el in chain_elements(c))
-    return Character(t, values)
+    """A chain character as a character of the table built by chain_to_table."""
+    return Character.from_values(t, [evaluate_element(c, h, el) for el in chain_elements(c)])
 
 
 def _congruence_classes(t: TernaryTable, members: list[int], ideal: frozenset[int]) -> list[list[int]]:

@@ -60,8 +60,9 @@ def _cmd_validate(args) -> int:
     table = chain_to_table(space.chain)
     problems = [str(v) for v in validate_table(table)]
     if table.size <= cap:
-        problems += [str(v) for v in fan_report(table, cap=cap)]
-        if len(enumerate_characters(table, cap)) != len(space.chars):
+        chars = enumerate_characters(table, cap)
+        problems += [str(v) for v in fan_report(table, chars)]
+        if len(chars) != len(space.chars):
             problems.append("character counts differ between table and chain routes")
     else:
         print(f"note: table has {table.size} elements, > cap {cap}; "

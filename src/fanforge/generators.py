@@ -131,7 +131,8 @@ def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,
         raise ValueError("assembled set is dependent")
     p = len(C)
     r = len(B)
-    assert len(G) == 1 << (p + r - 2) and len(result) == p + r - 1
+    if len(G) != 1 << (p + r - 2) or len(result) != p + r - 1:
+        raise RuntimeError(f"stratum of {len(G)} characters does not fit {len(result)} generators")
     return result
 
 

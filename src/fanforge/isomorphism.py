@@ -112,7 +112,8 @@ def represent(space: FanSpace, f: dict[ChainChar, int]) -> RepresentResult:
         if all(evaluate_element(space.chain, h, el) == f[h] for h in space.chars):
             return RepresentResult(el, None)
     witness = representation_witness(space, f)
-    assert witness is not None, "unrepresentable map with no failed condition"
+    if witness is None:
+        raise RuntimeError("unrepresentable map with no failed condition")
     return RepresentResult(None, witness)
 
 
@@ -175,7 +176,8 @@ def is_ars_morphism(space1: FanSpace, space2: FanSpace,
         if lhs != rhs:
             global_ok = False
             break
-    assert global_ok == (same_level and monotone)
+    if global_ok != (same_level and monotone):
+        raise RuntimeError("global triple criterion disagrees with the per-level route")
     return MorphismReport(same_level, monotone, global_ok, witness)
 
 

@@ -64,24 +64,52 @@ def sign3_table() -> TernaryTable:
 
 @dataclass(frozen=True)
 class Character:
-    """A homomorphism into {+1, 0, -1}, stored as its value vector."""
+    """A homomorphism into {+1, 0, -1}, stored as two masks over the elements:
+    bit x of support is set when h(x) != 0, bit x of neg when h(x) = -1."""
 
     table: TernaryTable
-    values: tuple[int, ...]
+    support: int
+    neg: int
+
+    @classmethod
+    def from_values(cls, table: TernaryTable, values: tuple[int, ...] | list[int]) -> Character:
+        if len(values) != table.size or any(v not in SIGNS for v in values):
+            raise ValueError(f"need {table.size} values in {{1, 0, -1}}")
+        return cls(table, sum(1 << x for x, v in enumerate(values) if v),
+                   sum(1 << x for x, v in enumerate(values) if v < 0))
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        s, n = self.support, self.neg
+        return tuple([-1 if n >> x & 1 else s >> x & 1 for x in range(self.table.size)])
 
     def __call__(self, x: int) -> int:
-        return self.values[x]
+        if not 0 <= x < self.table.size:
+            raise IndexError(f"element {x} out of range for size {self.table.size}")
+        return -1 if self.neg >> x & 1 else self.support >> x & 1
 
     def zero_set(self) -> frozenset[int]:
-        return frozenset(x for x, v in enumerate(self.values) if v == 0)
+        return frozenset(x for x in range(self.table.size) if not self.support >> x & 1)
 
 
 def _require_same_table(*chars: Character) -> TernaryTable:
+    if not chars:
+        raise ValueError("need at least one character")
     t = chars[0].table
     for h in chars[1:]:
         if h.table != t:
             raise ValueError("characters live on different tables")
     return t
+
+
+def _product(chars: list[Character] | tuple[Character, ...]) -> Character:
+    """Coordinate-wise sign product: supports meet, negative signs add mod 2."""
+    t = _require_same_table(*chars)
+    support, neg = -1, 0
+    for h in chars:
+        support &= h.support
+        neg ^= h.neg
+    return Character(t, support, neg & support)
 
 
 def validate_table(t: TernaryTable) -> list[Violation]:
@@ -183,27 +211,20 @@ def enumerate_characters(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP) ->
     if ok:
         search()
     undo(trail0)
-    return tuple(Character(t, vals) for vals in sorted(found))
+    del search  # the recursive closure is a reference cycle holding the table
+    return tuple(Character.from_values(t, vals) for vals in sorted(found))
 
 
 def pointwise_product(chars: list[Character] | tuple[Character, ...]) -> tuple[int, ...]:
     """Coordinate-wise sign product of value vectors (not always a character)."""
-    t = _require_same_table(*chars)
-    out = []
-    for x in range(t.size):
-        v = 1
-        for h in chars:
-            v *= h.values[x]
-        out.append(v)
-    return tuple(out)
+    return _product(chars).values
 
 
 def odd_product(chars: list[Character] | tuple[Character, ...]) -> Character:
     """Product of an odd number of characters (again a character on fans)."""
     if len(chars) % 2 == 0:
         raise ValueError("need an odd number of factors")
-    t = _require_same_table(*chars)
-    return Character(t, pointwise_product(chars))
+    return _product(chars)
 
 
 def triple_product(h1: Character, h2: Character, h3: Character) -> Character:
@@ -212,55 +233,60 @@ def triple_product(h1: Character, h2: Character, h3: Character) -> Character:
 
 def specializes(g: Character, h: Character) -> bool:
     """h lies in the closure of g, tested as h = h*h*g pointwise."""
-    _require_same_table(g, h)
-    return all(hv * hv * gv == hv for gv, hv in zip(g.values, h.values))
+    return _product((h, h, g)) == h
 
 
 def specializes_by_square_shift(g: Character, h: Character) -> bool:
     """Variant test h^2 = h*g."""
-    _require_same_table(g, h)
-    return all(hv * hv == hv * gv for gv, hv in zip(g.values, h.values))
+    return _product((h, h)) == _product((h, g))
 
 
 def specializes_by_units(g: Character, h: Character) -> bool:
     """Inclusion of the +1 fibers: h^-1[1] inside g^-1[1]."""
     _require_same_table(g, h)
-    return all(gv == 1 for gv, hv in zip(g.values, h.values) if hv == 1)
+    return h.support & ~h.neg & ~(g.support & ~g.neg) == 0
 
 
 def specializes_by_nonnegative_part(g: Character, h: Character) -> bool:
     """Inclusion g^-1[{0,1}] inside h^-1[{0,1}]."""
     _require_same_table(g, h)
-    return all(hv != -1 for gv, hv in zip(g.values, h.values) if gv != -1)
+    return ~g.neg & h.neg == 0
 
 
 def specializes_by_zero_sets(g: Character, h: Character) -> bool:
     """Zero-set containment plus agreement off the bigger zero-set."""
     _require_same_table(g, h)
-    for gv, hv in zip(g.values, h.values):
-        if hv == 0:
-            continue
-        if gv == 0 or gv != hv:
-            return False
-    return True
+    return h.support & ~g.support == 0 and (g.neg ^ h.neg) & h.support == 0
 
 
 def zero_set_order(g: Character, h: Character) -> str:
     """Compare Z(g) and Z(h): 'subset', 'equal', 'superset' or 'incomparable'.
 
-    Computed from the zero sets alone; the algebraic reading (h = h*g*g
-    for containment, g^2 = h^2 for equality) is cross-checked by the
-    tests, not on every call.
+    Computed from the supports, the complements of the zero sets; the
+    algebraic reading (h = h*g*g for containment, g^2 = h^2 for equality)
+    is cross-checked by the tests, not on every call.
     """
     _require_same_table(g, h)
-    zg, zh = g.zero_set(), h.zero_set()
-    if zg == zh:
+    if g.support == h.support:
         return "equal"
-    if zg < zh:
+    if h.support & ~g.support == 0:
         return "subset"
-    if zg > zh:
+    if g.support & ~h.support == 0:
         return "superset"
     return "incomparable"
+
+
+def triple_closure(chars: list[Character] | tuple[Character, ...]) -> list[Violation]:
+    """One violation per multiset {a, b, c} of chars whose product is not in chars."""
+    pool = {(h.support, h.neg) for h in chars}
+    out: list[Violation] = []
+    for a, b, c in itertools.combinations_with_replacement(chars, 3):
+        s = a.support & b.support & c.support
+        if (s, (a.neg ^ b.neg ^ c.neg) & s) not in pool:
+            out.append(Violation(
+                "triple-closure", "product of three characters is not a character",
+                (a.values, b.values, c.values)))
+    return out
 
 
 def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None,
@@ -276,7 +302,7 @@ def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None,
 
     columns: dict[tuple[int, ...], int] = {}
     for x in range(t.size):
-        col = tuple(h.values[x] for h in chars)
+        col = tuple([h(x) for h in chars])
         if col in columns:
             out.append(Violation(
                 "separation", f"no character separates {columns[col]} and {x}",
@@ -284,13 +310,7 @@ def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None,
         else:
             columns[col] = x
 
-    pool = {h.values for h in chars}
-    for a, b, c in itertools.combinations_with_replacement(chars, 3):
-        prod = pointwise_product((a, b, c))
-        if prod not in pool:
-            out.append(Violation(
-                "triple-closure", "product of three characters is not a character",
-                (a.values, b.values, c.values)))
+    out += triple_closure(chars)
 
     zsets = sorted({h.zero_set() for h in chars}, key=len)
     for small, big in zip(zsets, zsets[1:]):
@@ -305,11 +325,6 @@ def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None,
     if not chars:
         out.append(Violation("separation", "table has no characters", ()))
     return out
-
-
-def is_fan(t: TernaryTable, chars: tuple[Character, ...] | None = None,
-           cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    return not fan_report(t, chars, cap)
 
 
 def require_fan(t: TernaryTable, chars: tuple[Character, ...] | None = None,

@@ -316,19 +316,50 @@ else:
 """
 
 
-def test_certificate_refuses_under_optimize():
-    # python -O strips assert statements; the certificate must still refuse
-    # a map that swaps two leaves with different parents.
+def _run_optimized(script: str) -> str:
     import os
     import subprocess
     import sys
     from pathlib import Path
     import fanforge
     env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_REFUSAL], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("refused: map does not commute with the parent edge")
+    return out.stdout
+
+
+def test_certificate_refuses_under_optimize():
+    # python -O strips assert statements; the certificate must still refuse
+    # a map that swaps two leaves with different parents.
+    out = _run_optimized(_OPTIMIZED_REFUSAL)
+    assert out.startswith("refused: map does not commute with the parent edge")
+
+
+_OPTIMIZED_REPRESENT = """
+import sys
+from fanforge import isomorphism
+from fanforge.chains import ChainChar, FanChain
+from fanforge.spectral import FanSpace
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+isomorphism.representation_witness = lambda space, f: None
+space = FanSpace(FanChain((1, 2), (1, 1), ((1, 0),)))
+f = {ChainChar(1, 1): 1, ChainChar(2, 1): 0, ChainChar(2, 3): 1}
+try:
+    result = isomorphism.represent(space, f)
+except RuntimeError as exc:
+    print("refused:", exc)
+else:
+    print("returned", result)
+"""
+
+
+def test_represent_refuses_under_optimize():
+    # An unrepresentable map must come with a witness; without one, represent
+    # raises even when python -O strips assert statements.
+    out = _run_optimized(_OPTIMIZED_REPRESENT)
+    assert out.startswith("refused: unrepresentable map with no failed condition")
 
 
 # -- candidate forests --------------------------------------------------------

@@ -1,12 +1,16 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from fanforge import ternary
-from fanforge.chains import chain_char_to_table_char, chain_to_table
+from fanforge.chains import FanChain, chain_char_to_table_char, chain_to_table
+from fanforge.corpus import random_transition
 from fanforge.errors import ResourceLimitError, StructuralError
 from fanforge.spectral import FanSpace
 from fanforge.ternary import (
+    Character,
     TernaryTable,
     enumerate_characters,
     fan_report,
@@ -173,6 +177,7 @@ def test_product_of_sign3_is_not_a_fan():
     assert validate_table(square) == []
     report = fan_report(square)
     assert any(v.code == "zero-set-chain" for v in report)
+    assert report == oracle_fan_report(square, enumerate_characters(square))
 
 
 def test_fan_report_clean_on_fan_tables(corpus):
@@ -215,3 +220,166 @@ def test_pointwise_product_matches_sign_arithmetic():
     values = pointwise_product(chars[:3])
     for x in range(len(values)):
         assert values[x] == chars[0].values[x] * chars[1].values[x] * chars[2].values[x]
+
+
+def test_empty_product_is_refused():
+    # with masks the empty product would be the all-ones vector
+    with pytest.raises(ValueError):
+        pointwise_product(())
+    with pytest.raises(ValueError):
+        pointwise_product([])
+
+
+# -- value-vector oracles for the mask table model ------------------------------
+# The definitions the table model had over value vectors, kept as references
+# for the (support, neg) masks.
+
+def oracle_specializes(g, h):
+    return all(hv * hv * gv == hv for gv, hv in zip(g, h))
+
+
+def oracle_square_shift(g, h):
+    return all(hv * hv == hv * gv for gv, hv in zip(g, h))
+
+
+def oracle_units(g, h):
+    return all(gv == 1 for gv, hv in zip(g, h) if hv == 1)
+
+
+def oracle_nonnegative_part(g, h):
+    return all(hv != -1 for gv, hv in zip(g, h) if gv != -1)
+
+
+def oracle_zero_sets(g, h):
+    return all(hv == 0 or (gv != 0 and gv == hv) for gv, hv in zip(g, h))
+
+
+SPECIALIZATION_ORACLES = [
+    (ternary.specializes, oracle_specializes),
+    (ternary.specializes_by_square_shift, oracle_square_shift),
+    (ternary.specializes_by_units, oracle_units),
+    (ternary.specializes_by_nonnegative_part, oracle_nonnegative_part),
+    (ternary.specializes_by_zero_sets, oracle_zero_sets),
+]
+
+
+def oracle_product(vectors):
+    return tuple(math.prod(column) for column in zip(*vectors))
+
+
+def oracle_zero_set_order(g, h):
+    zg = frozenset(x for x, v in enumerate(g) if v == 0)
+    zh = frozenset(x for x, v in enumerate(h) if v == 0)
+    if zg == zh:
+        return "equal"
+    if zg < zh:
+        return "subset"
+    if zg > zh:
+        return "superset"
+    return "incomparable"
+
+
+def oracle_fan_report(t, chars):
+    """fan_report over value vectors, with the per-triple closure scan."""
+    vectors = [h.values for h in chars]
+    out = []
+    columns = {}
+    for x in range(t.size):
+        col = tuple(vec[x] for vec in vectors)
+        if col in columns:
+            out.append(ternary.Violation(
+                "separation", f"no character separates {columns[col]} and {x}",
+                (columns[col], x)))
+        else:
+            columns[col] = x
+    pool = set(vectors)
+    for triple in itertools.combinations_with_replacement(vectors, 3):
+        if oracle_product(triple) not in pool:
+            out.append(ternary.Violation(
+                "triple-closure", "product of three characters is not a character", triple))
+    zsets = sorted({h.zero_set() for h in chars}, key=len)
+    for small, big in zip(zsets, zsets[1:]):
+        if not small < big:
+            out.append(ternary.Violation(
+                "zero-set-chain", "character zero-sets are not totally ordered",
+                (tuple(sorted(small)), tuple(sorted(big)))))
+    if chars and zsets and zsets[0] != frozenset({t.zero_idx}):
+        out.append(ternary.Violation(
+            "zero-set-floor", "smallest character zero-set is not {0}",
+            (tuple(sorted(zsets[0])),)))
+    if not chars:
+        out.append(ternary.Violation("separation", "table has no characters", ()))
+    return out
+
+
+def assert_pairs_agree(chars):
+    vectors = [h.values for h in chars]
+    for g, gv in zip(chars, vectors):
+        for h, hv in zip(chars, vectors):
+            for fast, oracle in SPECIALIZATION_ORACLES:
+                assert fast(g, h) == oracle(gv, hv), fast.__name__
+            assert zero_set_order(g, h) == oracle_zero_set_order(gv, hv)
+
+
+def assert_triples_agree(chars):
+    vectors = [h.values for h in chars]
+    for i, j, k in itertools.combinations_with_replacement(range(len(chars)), 3):
+        want = oracle_product((vectors[i], vectors[j], vectors[k]))
+        assert pointwise_product((chars[i], chars[j], chars[k])) == want
+        assert triple_product(chars[i], chars[j], chars[k]).values == want
+
+
+def test_masks_match_oracles_on_random_sign_vectors():
+    rng = random.Random(4)
+    tables = [sign3_table(), chain_to_table(E1),
+              product_table(sign3_table(), chain_to_table(E1))]
+    for t in tables:
+        vectors = [tuple(rng.choice((1, 0, -1)) for _ in range(t.size)) for _ in range(12)]
+        chars = [Character.from_values(t, vec) for vec in vectors]
+        assert [h.values for h in chars] == vectors
+        assert all(h(x) == vec[x] for h, vec in zip(chars, vectors) for x in range(t.size))
+        with pytest.raises(IndexError):
+            chars[0](t.size)
+        assert [h.zero_set() for h in chars] == [
+            frozenset(x for x, v in enumerate(vec) if v == 0) for vec in vectors]
+        assert_pairs_agree(chars)
+        assert_triples_agree(chars)
+        for r in range(1, 6):
+            factors = rng.sample(chars, r)
+            assert pointwise_product(factors) == oracle_product([h.values for h in factors])
+        report = fan_report(t, tuple(chars))
+        assert any(v.code == "triple-closure" for v in report)
+        assert report == oracle_fan_report(t, tuple(chars))
+
+
+def test_masks_match_oracles_on_corpus_characters(corpus):
+    tables = [chain_to_table(chain) for chain in corpus[:40]]
+    tables.append(product_table(sign3_table(), sign3_table()))
+    tables.append(product_table(sign3_table(), chain_to_table(E1)))
+    rng = random.Random(5)
+    for t in tables:
+        chars = enumerate_characters(t, cap=t.size)
+        assert_pairs_agree(chars)
+        assert_triples_agree(chars)
+        assert fan_report(t, chars) == oracle_fan_report(t, chars)
+        # dropping characters breaks separation, closure and the zero-set chain
+        subset = tuple(sorted(rng.sample(chars, (len(chars) + 1) // 2), key=chars.index))
+        assert fan_report(t, subset) == oracle_fan_report(t, subset)
+
+
+def test_masks_match_oracles_on_129_element_ladder():
+    # 4 levels of dimension 5: 64 characters on 129 elements, past the corpus
+    rng = random.Random(129)
+    dims, minus = (5, 5, 5, 5), (1, 3, 7, 15)
+    taus = tuple(random_transition(rng, 5, 5, minus[d], minus[d + 1]) for d in range(3))
+    chain = FanChain(dims, minus, taus)
+    table = chain_to_table(chain)
+    assert table.size == 129
+    chars = enumerate_characters(table, cap=129)
+    space = FanSpace(chain)
+    assert [h.values for h in chars] == sorted(
+        chain_char_to_table_char(chain, table, h).values for h in space.chars)
+    assert_pairs_agree(chars)
+    assert fan_report(table, chars) == oracle_fan_report(table, chars) == []
+    subset = chars[::2]
+    assert fan_report(table, subset) == oracle_fan_report(table, subset)
