@@ -159,17 +159,18 @@ def cardinalities(c: FanChain) -> tuple[int, int]:
     return card_f, card_x
 
 
+def _slice_vectors(c: FanChain, d: int) -> list[int] | range:
+    """Slice d's vectors in table order: ascending, but slice 1 starts
+    with 0 and minus_1 (the elements one and minus one)."""
+    if d > 1:
+        return range(1 << c.dims[d - 1])
+    return [0, c.minus[0]] + [v for v in range(1, 1 << c.dims[0]) if v != c.minus[0]]
+
+
 def chain_elements(c: FanChain) -> tuple[SliceElement, ...]:
     """Canonical element order: zero, one, minus one, then slices by depth."""
-    one = SliceElement(1, 0)
-    minus = SliceElement(1, c.minus[0])
-    out = [ZERO_ELEMENT, one, minus]
-    for d, k in enumerate(c.dims, start=1):
-        for vec in range(1 << k):
-            el = SliceElement(d, vec)
-            if el not in (one, minus):
-                out.append(el)
-    return tuple(out)
+    return (ZERO_ELEMENT,) + tuple([SliceElement(d, v) for d in range(1, c.n + 1)
+                                    for v in _slice_vectors(c, d)])
 
 
 def multiply_elements(c: FanChain, a: SliceElement, b: SliceElement) -> SliceElement:
@@ -190,30 +191,56 @@ def evaluate_element(c: FanChain, h: ChainChar, el: SliceElement) -> int:
     return -1 if gf2.dot(h.mask, moved) else 1
 
 
-def chain_to_table(c: FanChain) -> TernaryTable:
-    """Raw multiplication table of the chain's fan.
-
-    Raises ResourceLimitError, before building, when the fan has more
-    than MAX_TABLE_ELEMENTS elements.
-    """
+def table_size(c: FanChain) -> int:
+    """Element count of the chain's fan; raises ResourceLimitError when it
+    is over MAX_TABLE_ELEMENTS, so a fan is refused before any build."""
     _require_valid(c)
     size = 1 + sum(1 << k for k in c.dims)
     if size > MAX_TABLE_ELEMENTS:
         raise ResourceLimitError(
             f"fan has {size} elements, table bound is {MAX_TABLE_ELEMENTS}")
-    elements = chain_elements(c)
-    index = {el: i for i, el in enumerate(elements)}
-    # Rows from lists: tuple() over a generator grows by resizing, raising peak memory.
-    mul = tuple(tuple([index[multiply_elements(c, a, b)] for b in elements])
-                for a in elements)
-    return TernaryTable(
-        size=len(elements), one_idx=index[SliceElement(1, 0)], zero_idx=0,
-        minus_one_idx=index[SliceElement(1, c.minus[0])], mul=mul)
+    return size
+
+
+def chain_to_table(c: FanChain) -> TernaryTable:
+    """Raw multiplication table of the chain's fan (refused over the
+    table_size bound before anything is built)."""
+    size = table_size(c)
+    vecs = [_slice_vectors(c, d) for d in range(1, c.n + 1)]
+    at, start = [], 1       # at[d-1][v]: the table index of slice d's vector v
+    for vs in vecs:
+        at.append([start + j for j in sorted(range(len(vs)), key=vs.__getitem__)])
+        start += len(vs)
+    # moved[(d, e)]: slice d's vectors pushed into slice e >= d, in table order
+    moved = {(d, e): [gf2.mat_vec(rows, v) for v in vecs[d - 1]]
+             for (d, e), rows in c.transitions.items()}
+    # A product lives in the deeper slice of its factors, at the XOR of both
+    # factors pushed there.  Row and column 0 are the zero element.
+    mul = [(0,) * size]
+    for d, vs in enumerate(vecs, start=1):
+        for j in range(len(vs)):
+            row = [0]
+            for e in range(1, c.n + 1):
+                deep = max(d, e)
+                mine, where = moved[(d, deep)][j], at[deep - 1]
+                row += [where[x ^ mine] for x in moved[(e, deep)]]
+            mul.append(tuple(row))
+    return TernaryTable(size=size, one_idx=1, zero_idx=0, minus_one_idx=2, mul=tuple(mul))
 
 
 def chain_char_to_table_char(c: FanChain, t: TernaryTable, h: ChainChar) -> Character:
-    """A chain character as a character of the table built by chain_to_table."""
-    return Character.from_values(t, [evaluate_element(c, h, el) for el in chain_elements(c)])
+    """A chain character as a character of the table built by chain_to_table:
+    nonzero on slices 1..depth, a contiguous index range, and -1 where its
+    functional, pulled back to the element's slice, is 1."""
+    if t.size != 1 + sum(1 << k for k in c.dims):
+        raise ValueError(f"table has {t.size} elements, not the fan's")
+    neg, i = 0, 1
+    for e in range(1, h.depth + 1):
+        lam = gf2.pullback(h.mask, c.transitions[(e, h.depth)])
+        for v in _slice_vectors(c, e):
+            neg |= gf2.dot(lam, v) << i
+            i += 1
+    return Character(t, (1 << i) - 2, neg)
 
 
 def _congruence_classes(t: TernaryTable, members: list[int], ideal: frozenset[int]) -> list[list[int]]:

@@ -155,9 +155,12 @@ def _cmd_represent(args) -> int:
             depth_part, bits = label.split(":")
             h_depth = int(depth_part.lstrip("d"))
             h_mask = bits_to_mask(bits, space.dim(h_depth))
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:     # dim() refuses a depth outside 1..n
             raise FormatError(f"bad value line {ln!r}") from exc
-        f[ChainChar(h_depth, h_mask)] = int(value)
+        h = ChainChar(h_depth, h_mask)
+        if h in f:
+            raise FormatError(f"value line {ln!r} repeats character {label}")
+        f[h] = int(value)
     result = represent(space, f)
     if result.ok:
         print(f"represented by {_element_label(space, result.element)}")

@@ -224,11 +224,16 @@ class FanSpace:
     def __len__(self) -> int:
         return len(self.chars)
 
+    def _depth_index(self, d: int) -> int:
+        if not 1 <= d <= len(self.chain.dims):
+            raise ValueError(f"depth {d} out of range 1..{self.length}")
+        return d - 1
+
     def dim(self, d: int) -> int:
-        return self.chain.dims[d - 1]
+        return self.chain.dims[self._depth_index(d)]
 
     def minus(self, d: int) -> int:
-        return self.chain.minus[d - 1]
+        return self.chain.minus[self._depth_index(d)]
 
     def node(self, h: ChainChar) -> int:
         return self._node[h]
@@ -237,9 +242,7 @@ class FanSpace:
         return self.chars[i]
 
     def level(self, d: int) -> tuple[ChainChar, ...]:
-        if not 1 <= d <= self.length:
-            raise ValueError(f"depth {d} out of range 1..{self.length}")
-        return self.chars[self._level_end[d - 1]:self._level_end[d]]
+        return self.chars[self._level_end[self._depth_index(d)]:self._level_end[d]]
 
     def levels(self) -> list[tuple[ChainChar, ...]]:
         return [self.level(d) for d in range(1, self.length + 1)]

@@ -1,52 +1,57 @@
 """Aggregated property sweeps over generated corpora.
 
-Each check function takes one chain (plus whatever configuration it
-needs) and returns a list of failure strings, empty when the property
-holds.  run_suite wires them all together over a corpus; the CLI `suite`
-subcommand and the test suite both drive these.
+Each check function takes one fan's model (plus whatever configuration
+it needs) and returns a list of failure strings, empty when the property
+holds.  run_suite builds each fan's model once and runs every check on
+it; the CLI `suite` subcommand and the test suite both drive these.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from . import ternary
 from .chains import (
+    ChainChar,
     FanChain,
     chain_char_to_table_char,
-    chain_characters,
     chain_to_table,
-    cardinalities,
     roundtrip_isomorphism,
+    table_size,
 )
 from .formats import parse_chain, serialize_chain
 from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest
 from .levels import verify_involution
 from .spectral import FanSpace
-from .ternary import DEFAULT_ENUMERATION_CAP
+from .ternary import DEFAULT_ENUMERATION_CAP, Character, TernaryTable
 
 
-def check_cardinality(chain: FanChain) -> list[str]:
-    card_f, card_x = cardinalities(chain)
+class FanModel(NamedTuple):
+    """One fan as every section reads it: its multiplication table, its
+    character space, and the table character of each chain character."""
+
+    table: TernaryTable
+    space: FanSpace
+    table_of: dict[ChainChar, Character]     # in space.chars order
+
+
+def check_cardinality(model: FanModel) -> list[str]:
+    """The table has twice as many elements as the space has characters, plus one."""
+    card_f, card_x = model.table.size, len(model.space.chars)
     if card_f != 2 * card_x + 1:
         return [f"cardinality identity fails: {card_f} != 2*{card_x}+1"]
     return []
 
 
-def _table_characters(chain: FanChain):
-    table = chain_to_table(chain)
-    space = FanSpace(chain)
-    pairs = [(h, chain_char_to_table_char(chain, table, h)) for h in space.chars]
-    return table, space, pairs
-
-
-def check_specialization_equivalence(chain: FanChain) -> list[str]:
+def check_specialization_equivalence(model: FanModel) -> list[str]:
     """The four specialization tests agree pairwise on the table model,
     and with the chain-coordinate order."""
     failures = []
-    _, space, pairs = _table_characters(chain)
+    pairs = model.table_of.items()
     for hc1, tc1 in pairs:
         for hc2, tc2 in pairs:
             answers = {
@@ -58,17 +63,16 @@ def check_specialization_equivalence(chain: FanChain) -> list[str]:
             }
             if len(set(answers.values())) != 1:
                 failures.append(f"criteria disagree on {hc1}, {hc2}: {answers}")
-            elif answers["identity"] != space.specializes(hc1, hc2):
+            elif answers["identity"] != model.space.specializes(hc1, hc2):
                 failures.append(f"table and chain order disagree on {hc1}, {hc2}")
     return failures
 
 
-def check_zero_set_transport(chain: FanChain) -> list[str]:
+def check_zero_set_transport(model: FanModel) -> list[str]:
     """Among predecessors of a common character, zero-set containment is
     exactly specialization; incomparable zero-sets never occur."""
     failures = []
-    _, space, pairs = _table_characters(chain)
-    table_of = dict(pairs)
+    space, table_of = model.space, model.table_of
     for u in space.chars:
         above = [space.successor(u, d) for d in range(1, u.depth + 1)]
         for g in above:
@@ -82,19 +86,17 @@ def check_zero_set_transport(chain: FanChain) -> list[str]:
     return failures
 
 
-def check_fan_closure(chain: FanChain) -> list[str]:
+def check_fan_closure(model: FanModel) -> list[str]:
     """Triple products of characters are characters (table model)."""
-    _, _, pairs = _table_characters(chain)
-    failed = ternary.triple_closure([tc for _, tc in pairs])
+    failed = ternary.triple_closure(list(model.table_of.values()))
     return ["triple product left the character space"] if failed else []
 
 
-def check_product_identities(chain: FanChain, rng: random.Random) -> list[str]:
+def check_product_identities(model: FanModel, rng: random.Random) -> list[str]:
     """Sampled product laws: replacing factors by successors above the
     pivot's zero-set keeps the product; odd products are monotone."""
     failures = []
-    table, space, pairs = _table_characters(chain)
-    table_of = dict(pairs)
+    space, table_of = model.space, model.table_of
     chars = space.chars
     for _ in range(10):
         h = rng.choice(chars)
@@ -116,16 +118,15 @@ def check_product_identities(chain: FanChain, rng: random.Random) -> list[str]:
     return failures
 
 
-def check_chain_table_agreement(chain: FanChain,
+def check_chain_table_agreement(model: FanModel,
                                 cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
     """Backtracking enumeration and the chain character list agree."""
-    table = chain_to_table(chain)
+    table = model.table
     if table.size > cap:
         return []
     failures = []
     enumerated = ternary.enumerate_characters(table, cap)
-    from_chain = {chain_char_to_table_char(chain, table, h).values
-                  for h in chain_characters(chain)}
+    from_chain = {tc.values for tc in model.table_of.values()}
     if {c.values for c in enumerated} != from_chain:
         failures.append("enumerated characters differ from chain characters")
     if len(enumerated) != len(from_chain):
@@ -133,16 +134,16 @@ def check_chain_table_agreement(chain: FanChain,
     return failures
 
 
-def check_forest_regularity(chain: FanChain) -> list[str]:
+def check_forest_regularity(model: FanModel) -> list[str]:
     """Root systems of actual fans pass every necessary condition."""
-    report = check_forest(FanSpace(chain).forest)
+    report = check_forest(model.space.forest)
     return [str(v) for v in report]
 
 
-def check_involutions(chain: FanChain) -> list[str]:
+def check_involutions(model: FanModel) -> list[str]:
     """Full involution property suite for every pair of characters."""
     failures = []
-    space = FanSpace(chain)
+    space = model.space
     for g1 in space.chars:
         for g2 in space.chars:
             report = verify_involution(space, g1, g2)
@@ -151,9 +152,9 @@ def check_involutions(chain: FanChain) -> list[str]:
     return failures
 
 
-def check_sgs(chain: FanChain, seeds: tuple[int, ...] = (0,)) -> list[str]:
+def check_sgs(model: FanModel, seeds: tuple[int, ...] = (0,)) -> list[str]:
     failures = []
-    space = FanSpace(chain)
+    space = model.space
     for seed in (None,) + tuple(seeds):
         gs = standard_generating_system(space, seed)
         report = verify_sgs(space, gs)
@@ -169,24 +170,22 @@ def check_sgs(chain: FanChain, seeds: tuple[int, ...] = (0,)) -> list[str]:
     return failures
 
 
-def check_roundtrip(chain: FanChain, cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
+def check_roundtrip(model: FanModel, cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
     failures = []
-    text = serialize_chain(chain)
+    text = serialize_chain(model.space.chain)
     if serialize_chain(parse_chain(text)) != text:
         failures.append("chain file serialization is not byte-identical")
-    table = chain_to_table(chain)
-    if table.size <= cap:
+    if model.table.size <= cap:
         try:
-            roundtrip_isomorphism(table, cap)
+            roundtrip_isomorphism(model.table, cap)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             failures.append(f"table round-trip failed: {exc}")
     return failures
 
 
-def check_self_isomorphism(chain: FanChain) -> list[str]:
-    space = FanSpace(chain)
+def check_self_isomorphism(model: FanModel) -> list[str]:
     try:
-        build_isomorphism(space, space)
+        build_isomorphism(model.space, model.space)
     except Exception as exc:  # noqa: BLE001
         return [f"self-isomorphism construction failed: {exc}"]
     return []
@@ -214,24 +213,30 @@ class SuiteReport:
 
 def run_suite(chains: list[FanChain], seed: int = 0,
               cap: int = DEFAULT_ENUMERATION_CAP) -> SuiteReport:
+    """Every section on each fan in turn; each section's failures stay in
+    corpus order, and only product-identities draws from the rng."""
     rng = random.Random(seed)
-    report = SuiteReport(fans=len(chains))
     sections = {
-        "cardinality": lambda c: check_cardinality(c),
-        "specialization-equivalence": lambda c: check_specialization_equivalence(c),
-        "zero-set-transport": lambda c: check_zero_set_transport(c),
-        "fan-closure": lambda c: check_fan_closure(c),
-        "product-identities": lambda c: check_product_identities(c, rng),
-        "chain-table-agreement": lambda c: check_chain_table_agreement(c, cap),
-        "forest-regularity": lambda c: check_forest_regularity(c),
-        "involutions": lambda c: check_involutions(c),
-        "generating-systems": lambda c: check_sgs(c, seeds=(seed,)),
-        "round-trips": lambda c: check_roundtrip(c, cap),
-        "self-isomorphism": lambda c: check_self_isomorphism(c),
+        "cardinality": check_cardinality,
+        "specialization-equivalence": check_specialization_equivalence,
+        "zero-set-transport": check_zero_set_transport,
+        "fan-closure": check_fan_closure,
+        "product-identities": partial(check_product_identities, rng=rng),
+        "chain-table-agreement": partial(check_chain_table_agreement, cap=cap),
+        "forest-regularity": check_forest_regularity,
+        "involutions": check_involutions,
+        "generating-systems": partial(check_sgs, seeds=(seed,)),
+        "round-trips": partial(check_roundtrip, cap=cap),
+        "self-isomorphism": check_self_isomorphism,
     }
-    for name, fn in sections.items():
-        failures: list[str] = []
-        for chain in chains:
-            failures.extend(fn(chain))
-        report.sections[name] = failures
+    report = SuiteReport({name: [] for name in sections}, fans=len(chains))
+    for chain in chains:    # an over-bound fan is refused before any section runs
+        table_size(chain)
+    for chain in chains:
+        table = chain_to_table(chain)
+        space = FanSpace(chain)
+        model = FanModel(table, space, {h: chain_char_to_table_char(chain, table, h)
+                                        for h in space.chars})
+        for name, check in sections.items():
+            report.sections[name].extend(check(model))
     return report

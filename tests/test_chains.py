@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fanforge.chains import (
@@ -6,6 +8,7 @@ from fanforge.chains import (
     SliceElement,
     ZERO_ELEMENT,
     cardinalities,
+    chain_char_to_table_char,
     chain_characters,
     chain_elements,
     chain_to_table,
@@ -16,10 +19,11 @@ from fanforge.chains import (
     transition,
     validate_chain,
 )
+from fanforge.corpus import random_transition
 from fanforge.errors import NotAFanError, StructuralError
-from fanforge.ternary import enumerate_characters, sign3_table, validate_table
+from fanforge.ternary import Character, enumerate_characters, sign3_table, validate_table
 
-from conftest import CHAIN3, E1, E2, EA, EB, TRIV
+from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV
 from test_ternary import product_table
 
 
@@ -178,3 +182,35 @@ def test_canonical_element_order():
     assert elements[2] == SliceElement(1, 1)
     assert len(elements) == 7
     assert [el.depth for el in elements[3:]] == [2, 2, 2, 2]
+
+
+def oracle_elements(c):
+    """The canonical order, spelled out: zero, one, minus one, then every
+    other slice element by depth and vector."""
+    one, minus = SliceElement(1, 0), SliceElement(1, c.minus[0])
+    rest = [SliceElement(d, v) for d, k in enumerate(c.dims, start=1) for v in range(1 << k)]
+    return (ZERO_ELEMENT, one, minus) + tuple(el for el in rest if el not in (one, minus))
+
+
+def test_slice_builders_match_per_cell_references(corpus):
+    # chain_to_table and chain_char_to_table_char work slice by slice; the
+    # references multiply and evaluate one element at a time
+    rng = random.Random(129)
+    minus = (6, 3, 7, 15)
+    ladder = FanChain((5,) * 4, minus, tuple(
+        random_transition(rng, 5, 5, minus[d], minus[d + 1]) for d in range(3)))
+    assert cardinalities(ladder)[0] == 129
+    for chain in list(corpus) + [E2, E1P, ladder]:
+        elements = oracle_elements(chain)
+        assert chain_elements(chain) == elements
+        index = {el: i for i, el in enumerate(elements)}
+        table = chain_to_table(chain)
+        assert table.mul == tuple(tuple(index[multiply_elements(chain, a, b)] for b in elements)
+                                  for a in elements)
+        assert (table.zero_idx, table.one_idx, table.minus_one_idx) == (
+            0, index[SliceElement(1, 0)], index[SliceElement(1, chain.minus[0])])
+        for h in chain_characters(chain):
+            want = Character.from_values(
+                table, [evaluate_element(chain, h, el) for el in elements])
+            got = chain_char_to_table_char(chain, table, h)
+            assert (got.support, got.neg) == (want.support, want.neg)

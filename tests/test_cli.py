@@ -93,6 +93,21 @@ def test_represent(files, tmp_path, capsys):
     assert "non-representable: zero-monotone" in capsys.readouterr().out
 
 
+def test_represent_rejects_repeated_character(files, tmp_path, capsys):
+    values = tmp_path / "map.txt"
+    values.write_text("d1:1 1\nd2:10 1\nd2:11 1\nd2:10 -1\n")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    assert "value line 'd2:10 -1' repeats character d2:10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["d0:11", "d-1:1", "d3:11"])
+def test_represent_rejects_depth_out_of_range(files, tmp_path, capsys, label):
+    values = tmp_path / "map.txt"
+    values.write_text(f"d1:1 1\nd2:10 1\nd2:11 1\n{label} 1\n")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    assert f"bad value line '{label} 1'" in capsys.readouterr().err
+
+
 def test_check_forest_fixture(capsys):
     assert main(["check-forest", str(DATA / "impossible2.forest")]) == 1
     out = capsys.readouterr().out
@@ -145,7 +160,7 @@ def test_validate_table_bound(tmp_path, capsys, monkeypatch):
     # a 6x8 chain has 1537 elements; refused before its table is built
     big = tmp_path / "big.fan"
     big.write_text(serialize_chain(FanChain((8,) * 6, (1,) * 6, (identity_rows(8),) * 5)))
-    monkeypatch.setattr(fanforge.chains, "chain_elements", None)
+    monkeypatch.setattr(fanforge.chains, "_slice_vectors", None)   # the table's first step
     assert main(["validate", str(big)]) == 3
     assert "fan has 1537 elements, table bound is 513" in capsys.readouterr().err
 
@@ -165,6 +180,16 @@ def test_suite_small(capsys):
     assert main(["suite", "--seed", "3", "--count", "6"]) == 0
     out = capsys.readouterr().out
     assert "cardinality: ok" in out and "involutions: ok" in out
+
+
+def test_suite_on_no_fans_prints_every_section(capsys):
+    assert main(["suite", "--count", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["suite over 0 fans"] + [
+        f"{name}: ok" for name in (
+            "cardinality", "specialization-equivalence", "zero-set-transport",
+            "fan-closure", "product-identities", "chain-table-agreement",
+            "forest-regularity", "involutions", "generating-systems", "round-trips",
+            "self-isomorphism")]
 
 
 def test_enumeration_cap_env(files, capsys, monkeypatch):

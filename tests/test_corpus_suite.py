@@ -1,8 +1,11 @@
 import random
 
-from fanforge import gf2
-from fanforge.chains import validate_chain
+import pytest
+
+from fanforge import gf2, suite
+from fanforge.chains import FanChain, validate_chain
 from fanforge.corpus import generate_corpus, random_transition
+from fanforge.errors import ResourceLimitError
 from fanforge.suite import run_suite
 
 
@@ -33,3 +36,28 @@ def test_run_suite_clean_on_small_corpus():
     assert report.fans == 8
     assert set(report.sections) >= {"cardinality", "involutions", "round-trips"}
     assert any("ok" in line for line in report.lines())
+
+
+def test_run_suite_builds_one_model_per_fan(monkeypatch):
+    seen = {"FanSpace": [], "chain_to_table": [], "check_involutions": []}
+
+    def counted(name, fn):
+        def wrapper(arg, *rest, **kwargs):
+            seen[name].append(arg if name != "check_involutions" else arg.space.chain)
+            return fn(arg, *rest, **kwargs)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(suite, name, counted(name, getattr(suite, name)))
+    chains = generate_corpus(5, count=8)
+    assert run_suite(chains, seed=5, cap=80).ok
+    assert seen == {name: chains for name in seen}
+
+
+def test_run_suite_refuses_over_bound_corpus_before_any_section(monkeypatch):
+    ran = []
+    monkeypatch.setattr(suite, "check_cardinality", lambda model: ran.append(model) or [])
+    big = FanChain((9, 9), (1, 1), (gf2.identity_rows(9),))
+    with pytest.raises(ResourceLimitError, match="fan has 1025 elements, table bound is 513"):
+        run_suite(generate_corpus(5, count=2) + [big])
+    assert ran == []

@@ -25,6 +25,11 @@ def test_depth_and_length():
     s = FanSpace(E1)
     assert R.depth == 1 and C1.depth == 2
     assert s.length == 2
+    assert (s.dim(1), s.dim(2), s.minus(2)) == (1, 2, 1)
+    for d in (0, -1, 3):
+        for query in (s.dim, s.minus, s.level):
+            with pytest.raises(ValueError):
+                query(d)
     for comp in s.components():
         top = min(comp, key=lambda h: h.depth)
         assert top.depth == 1
