@@ -32,8 +32,8 @@ from .isomorphism import (
     forest_canonical,
     forests_isomorphic,
     is_ars_morphism,
+    normal_form_chain,
     represent,
-    synthesize_chain,
 )
 from .levels import (
     InvolutionHandle,

@@ -28,10 +28,10 @@ from .formats import (
     serialize_forest,
 )
 from .generators import standard_generating_system, verify_sgs
-from .isomorphism import build_isomorphism, check_forest, represent, synthesize_chain
+from .isomorphism import build_isomorphism, check_forest, normal_form_chain, represent
 from .spectral import FanSpace
 from .suite import run_suite
-from .ternary import DEFAULT_ENUMERATION_CAP, enumerate_characters, fan_report, validate_table
+from .ternary import DEFAULT_ENUMERATION_CAP, SIGNS, enumerate_characters, fan_report, validate_table
 
 
 def enumeration_cap() -> int:
@@ -155,12 +155,15 @@ def _cmd_represent(args) -> int:
             depth_part, bits = label.split(":")
             h_depth = int(depth_part.lstrip("d"))
             h_mask = bits_to_mask(bits, space.dim(h_depth))
+            sign = int(value)
         except (ValueError, IndexError) as exc:     # dim() refuses a depth outside 1..n
             raise FormatError(f"bad value line {ln!r}") from exc
+        if sign not in SIGNS:
+            raise FormatError(f"value line {ln!r} has value {sign}, not 1, 0 or -1")
         h = ChainChar(h_depth, h_mask)
         if h in f:
             raise FormatError(f"value line {ln!r} repeats character {label}")
-        f[h] = int(value)
+        f[h] = sign
     result = represent(space, f)
     if result.ok:
         print(f"represented by {_element_label(space, result.element)}")
@@ -183,11 +186,11 @@ def _cmd_check_forest(args) -> int:
 
 def _cmd_realize(args) -> int:
     forest = parse_forest(Path(args.forest).read_text())
-    for v in check_forest(forest):
-        print(v)
-    chain = synthesize_chain(forest, dim_bound=args.maxdim, count_bound=args.maxlevels)
+    chain = normal_form_chain(forest)
     if chain is None:
-        print("not realizable within bounds")
+        for v in check_forest(forest):
+            print(v)
+        print("not realizable")
         return 1
     text = serialize_chain(chain)
     if args.out:
@@ -266,13 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("forest")
     p.set_defaults(fn=_cmd_check_forest)
 
-    p = sub.add_parser("realize", help="search for a chain with a given forest")
+    p = sub.add_parser("realize", help="decide whether a chain has a given forest")
     p.add_argument("forest")
-    p.add_argument("--maxdim", type=int, default=4,
-                   help="largest level dimension the search may use")
-    p.add_argument("--maxlevels", type=int, default=4,
-                   help="largest level count the search may use")
-    p.add_argument("--out", default=None, help="write the found chain here")
+    p.add_argument("--out", default=None, help="write the normal-form chain here")
     p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("gen", help="generate a seeded corpus of chain files")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 
-from .chains import ChainChar, FanChain
-from .errors import StructuralError
+from .chains import MAX_CHARACTERS, ChainChar, FanChain
+from .errors import ResourceLimitError, StructuralError
 from .spectral import Forest
 
 
@@ -93,10 +93,14 @@ _NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
 
 
 def parse_forest(text: str) -> Forest:
+    """Parse a forest file; more than MAX_CHARACTERS node lines, more
+    than any chain within bounds has characters, raise ResourceLimitError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) > MAX_CHARACTERS:
+        raise ResourceLimitError(
+            f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")
     entries: dict[int, tuple[int, int | None]] = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
+    for ln in lines:
         m = _NODE.match(ln)
         if not m:
             raise FormatError(f"bad node line {ln!r}")

@@ -4,8 +4,9 @@ The central fact driving this module: a finite fan is determined up to
 isomorphism by its specialization forest.  Accordingly it provides the
 canonical forest code, a constructive map builder that mirrors a
 generating system level by level, an exhaustive searcher as independent
-oracle, a necessary-condition checker for candidate forests, and a
-bounded synthesizer that looks for a chain realizing a forest.
+oracle, a necessary-condition checker for candidate forests, and the
+exact realization of a forest by its normal-form chain, read off the
+ranks of the composite transitions.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def brute_force_isomorphism(space1: FanSpace, space2: FanSpace,
     return None
 
 
-# -- candidate forests: necessary conditions and bounded synthesis -----------
+# -- candidate forests: necessary conditions and exact realization -----------
 
 
 def _power_of_two(x: int) -> bool:
@@ -456,56 +457,51 @@ def check_forest(forest: Forest) -> list[Violation]:
     return out
 
 
-def synthesize_chain(forest: Forest, dim_bound: int = 4,
-                     count_bound: int = 4) -> FanChain | None:
-    """Search for a chain whose specialization forest matches the candidate.
+def _interval_chain(n: int, intervals: list[tuple[int, int]]) -> FanChain:
+    """The direct sum of interval chains: level d has one basis vector per
+    interval (i, j) with i <= d <= j, in list order, and every transition
+    is the coordinate projection.  The first interval must be (1, n); it
+    carries every minus vector as bit 0."""
+    bases = [[t for t, (i, j) in enumerate(intervals) if i <= d <= j]
+             for d in range(1, n + 1)]
+    taus = []
+    for d in range(1, n):
+        pos = {t: p for p, t in enumerate(bases[d - 1])}
+        taus.append(tuple(1 << pos[t] if t in pos else 0 for t in bases[d]))
+    return FanChain(tuple(len(b) for b in bases), (1,) * n, tuple(taus))
 
-    Level dimensions are forced by the level sizes (non-powers of 2 fail
-    immediately); transitions are enumerated depth-first in ascending
-    row order with pruning against the truncated forest, so the returned
-    witness is the least one.  None means the bounded search is
-    exhausted; bound violations raise instead.
+
+def normal_form_chain(forest: Forest) -> FanChain | None:
+    """A chain realizing the candidate forest, or None when no chain does.
+
+    Up to isomorphism a chain of GF(2) maps is a direct sum of interval
+    chains, fixed by the ranks r(d, e) of its composite transitions, and
+    the minus vectors split off in one (1, n) summand.  The ranks are read
+    off the forest: 2^(r(d, e) - 1) depth-d nodes reach depth e.  Interval
+    multiplicities follow by inclusion-exclusion, and the sum of that many
+    copies of each interval is returned when its forest code equals the
+    candidate's.  A realizable forest has its realizer's profile, so the
+    codes then agree: None is a proof, not an exhausted search.
     """
     n = forest.length
-    if n > count_bound:
-        raise ResourceLimitError(f"forest has {n} levels, bound is {count_bound}")
-    sizes = forest.level_sizes()
-    dims = []
-    for s in sizes:
-        if not _power_of_two(s):
-            return None
-        dims.append(s.bit_length())  # 1 + log2(s)
-    if any(k > dim_bound for k in dims):
-        raise ResourceLimitError(f"forced dimensions {dims} exceed bound {dim_bound}")
-
-    # Parent maps between consecutive levels of a chain are affine, so
-    # their nonempty fibers are cosets of one subgroup: unequal nonzero
-    # child counts at some depth rule out every candidate at once.
-    for d in range(1, n):
-        counts = {c for node in forest.level(d)
-                  if (c := len(forest.children[node])) > 0}
-        if len(counts) > 1:
-            return None
-
-    minus = tuple(1 for _ in range(n))
-    targets = [forest_canonical(forest.truncate(d)) for d in range(1, n + 1)]
-
-    def candidates(k_from: int, k_to: int):
-        odd = [m for m in range(1 << k_from) if m & 1]
-        even = [m for m in range(1 << k_from) if not m & 1]
-        return itertools.product(odd, *([even] * (k_to - 1)))
-
-    def search(taus: tuple[tuple[int, ...], ...]) -> FanChain | None:
-        d = len(taus) + 1
-        partial = FanChain(tuple(dims[:d]), minus[:d], taus)
-        if forest_canonical(FanSpace(partial).forest) != targets[d - 1]:
-            return None
-        if d == n:
-            return partial
-        for rows in candidates(dims[d - 1], dims[d]):
-            hit = search(taus + (tuple(rows),))
-            if hit is not None:
-                return hit
+    if n == 0:
         return None
-
-    return search(())
+    r: dict[tuple[int, int], int] = {}
+    for d in range(1, n + 1):
+        for e in range(d, n + 1):
+            s = len(forest.stratum("S", d, e))
+            if not _power_of_two(s):
+                return None
+            r[(d, e)] = s.bit_length()
+    intervals = []
+    for i in range(1, n + 1):
+        for j in range(n, i - 1, -1):       # (1, n) first
+            m = (r[(i, j)] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0)
+                 + r.get((i - 1, j + 1), 0))
+            if m < 0:
+                return None
+            intervals += [(i, j)] * m
+    chain = _interval_chain(n, intervals)
+    if forest_canonical(FanSpace(chain).forest) != forest_canonical(forest):
+        return None
+    return chain

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
 import fanforge.chains
-from fanforge.chains import FanChain
+from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import main
-from fanforge.formats import parse_chain, serialize_chain
-from fanforge.gf2 import identity_rows
+from fanforge.corpus import random_transition
+from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
+from fanforge.gf2 import compose, identity_rows, rank
+from fanforge.isomorphism import forest_canonical
+from fanforge.spectral import FanSpace
 
 from conftest import DATA, E1, E1P, EA, EB, TRIV
 
@@ -108,6 +113,15 @@ def test_represent_rejects_depth_out_of_range(files, tmp_path, capsys, label):
     assert f"bad value line '{label} 1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["x", "2"])
+def test_represent_rejects_bad_value(files, tmp_path, capsys, value):
+    values = tmp_path / "map.txt"
+    values.write_text(f"d1:1 {value}\nd2:10 1\nd2:11 1\n")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    err = capsys.readouterr().err
+    assert f"value line 'd1:1 {value}'" in err
+
+
 def test_check_forest_fixture(capsys):
     assert main(["check-forest", str(DATA / "impossible2.forest")]) == 1
     out = capsys.readouterr().out
@@ -142,10 +156,48 @@ def test_realize_negative(tmp_path, capsys):
     assert "not realizable" in capsys.readouterr().out
 
 
-def test_realize_resource_bound(capsys):
-    assert main(["check-forest", str(DATA / "impossible2.forest")]) == 1
+def test_realize_resource_bound(tmp_path, capsys):
+    # six levels were over the old search bound; the decision is now exact
+    assert main(["realize", str(DATA / "impossible2.forest")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "RC1 violated: card(S^3_4)=3 not a power of 2" in lines
+    assert lines[-1] == "not realizable"
+    # more nodes than any chain within bounds has characters
+    roots = tmp_path / "roots.forest"
+    roots.write_text("".join(f"node id={i} depth=1 parent=none\n"
+                             for i in range(MAX_CHARACTERS + 1)))
+    for command in ("check-forest", "realize"):
+        assert main([command, str(roots)]) == 3
+        assert f"forest has {MAX_CHARACTERS + 1} nodes, bound is {MAX_CHARACTERS}" \
+            in capsys.readouterr().err
+
+
+def _ladder(rng, levels, dim):
+    """Equal-dimension chain whose composite transition from depth k to
+    depth j has rank dim - (j - k), with seeded coordinates."""
+    minus = tuple(rng.randrange(1, 1 << dim) for _ in range(levels))
+    taus, reach = [], identity_rows(dim)
+    for d in range(levels - 1):
+        while True:
+            rows = random_transition(rng, dim, dim, minus[d], minus[d + 1])
+            if rank(rows) == dim - 1 and rank(compose(rows, reach)) == dim - d - 1:
+                break
+        taus.append(rows)
+        reach = compose(rows, reach)
+    return FanChain((dim,) * levels, minus, tuple(taus))
+
+
+def test_realize_decides_ladder_beyond_search_bounds(tmp_path, capsys):
+    space = FanSpace(_ladder(random.Random(6), 6, 10))
+    forest = tmp_path / "ladder.forest"
+    forest.write_text(serialize_forest(space.forest))
+    out_chain = tmp_path / "found.fan"
+    assert main(["realize", str(forest), "--out", str(out_chain)]) == 0
     capsys.readouterr()
-    assert main(["realize", str(DATA / "impossible2.forest")]) == 3
+    found = FanSpace(parse_chain(out_chain.read_text()))
+    assert len(found.forest) == 3072
+    assert forest_canonical(found.forest) == forest_canonical(
+        parse_forest(forest.read_text()))
 
 
 def test_character_bound(tmp_path, capsys):

@@ -1,21 +1,27 @@
 import itertools
+import random
 
 import pytest
 
-from fanforge.chains import ChainChar, SliceElement, chain_elements
+from fanforge import isomorphism
+from fanforge.chains import ChainChar, FanChain, SliceElement, chain_elements
+from fanforge.corpus import generate_corpus
 from fanforge.errors import OrderMismatchError, ResourceLimitError
 from fanforge.isomorphism import (
     _certify_isomorphism,
+    _interval_chain,
+    _power_of_two,
     brute_force_isomorphism,
     build_isomorphism,
     check_forest,
     evaluation,
+    forest_canonical,
     forests_isomorphic,
     is_ars_morphism,
+    normal_form_chain,
     preserves_triple_products,
     represent,
     representation_witness,
-    synthesize_chain,
 )
 from fanforge.spectral import FanSpace, Forest
 
@@ -383,6 +389,69 @@ def test_check_forest_clean_on_real_fans(corpus_spaces):
         assert check_forest(space.forest) == []
 
 
+def synthesize_chain(forest: Forest, dim_bound: int = 4, count_bound: int = 4,
+                     node_bound: int | None = None) -> FanChain | None:
+    """Bounded search for a chain whose specialization forest matches the
+    candidate: the oracle for normal_form_chain up to 4 levels x dim 4.
+
+    Level dimensions are forced by the level sizes (non-powers of 2 fail
+    immediately); transitions are enumerated depth-first in ascending
+    row order with pruning against the truncated forest, so the returned
+    witness is the least one.  None means the bounded search is
+    exhausted; bound violations, and visiting more than node_bound
+    partial chains, raise instead.
+    """
+    n = forest.length
+    if n > count_bound:
+        raise ResourceLimitError(f"forest has {n} levels, bound is {count_bound}")
+    sizes = forest.level_sizes()
+    dims = []
+    for s in sizes:
+        if not _power_of_two(s):
+            return None
+        dims.append(s.bit_length())  # 1 + log2(s)
+    if any(k > dim_bound for k in dims):
+        raise ResourceLimitError(f"forced dimensions {dims} exceed bound {dim_bound}")
+
+    # Parent maps between consecutive levels of a chain are affine, so
+    # their nonempty fibers are cosets of one subgroup: unequal nonzero
+    # child counts at some depth rule out every candidate at once.
+    for d in range(1, n):
+        counts = {c for node in forest.level(d)
+                  if (c := len(forest.children[node])) > 0}
+        if len(counts) > 1:
+            return None
+
+    minus = tuple(1 for _ in range(n))
+    targets = [forest_canonical(forest.truncate(d)) for d in range(1, n + 1)]
+
+    def candidates(k_from: int, k_to: int):
+        odd = [m for m in range(1 << k_from) if m & 1]
+        even = [m for m in range(1 << k_from) if not m & 1]
+        return itertools.product(odd, *([even] * (k_to - 1)))
+
+    visited = 0
+
+    def search(taus: tuple[tuple[int, ...], ...]) -> FanChain | None:
+        nonlocal visited
+        visited += 1
+        if node_bound is not None and visited > node_bound:
+            raise ResourceLimitError(f"search visited more than {node_bound} chains")
+        d = len(taus) + 1
+        partial = FanChain(tuple(dims[:d]), minus[:d], taus)
+        if forest_canonical(FanSpace(partial).forest) != targets[d - 1]:
+            return None
+        if d == n:
+            return partial
+        for rows in candidates(dims[d - 1], dims[d]):
+            hit = search(taus + (tuple(rows),))
+            if hit is not None:
+                return hit
+        return None
+
+    return search(())
+
+
 def test_synthesize_chain_examples():
     found = synthesize_chain(FanSpace(E1).forest)
     assert found is not None
@@ -410,3 +479,135 @@ def test_synthesize_recovers_corpus_shapes(corpus_spaces):
         found = synthesize_chain(space.forest, dim_bound=4, count_bound=4)
         assert found is not None
         assert forests_isomorphic(FanSpace(found).forest, space.forest)
+
+
+# -- exact realization ----------------------------------------------------------
+
+def _moved(rng, forest: Forest, moves: int) -> Forest:
+    """The forest with up to `moves` nodes hung under another node of
+    their parent's depth."""
+    parents = list(forest.parents)
+    for _ in range(moves):
+        movable = [i for i, p in enumerate(parents)
+                   if p is not None and len(forest.level(forest.depths[p])) > 1]
+        if not movable:
+            break
+        i = rng.choice(movable)
+        parents[i] = rng.choice(
+            [p for p in forest.level(forest.depths[i] - 1) if p != parents[i]])
+    return Forest(forest.depths, tuple(parents))
+
+
+def _layered(rng, max_levels: int, max_dim: int) -> Forest:
+    """Power-of-2 level sizes with every parent drawn at random."""
+    depths, parents, above = [], [], []
+    for d in range(1, rng.randint(1, max_levels) + 1):
+        level = []
+        for _ in range(1 << rng.randint(0, max_dim - 1)):
+            level.append(len(depths))
+            depths.append(d)
+            parents.append(rng.choice(above) if above else None)
+        above = level
+    return Forest(tuple(depths), tuple(parents))
+
+
+def test_normal_form_realizes_corpus_forests(corpus_spaces):
+    wide = [FanSpace(c) for c in generate_corpus(7, count=200, max_levels=6, max_dim=6)]
+    for space in corpus_spaces + wide:
+        chain = normal_form_chain(space.forest)
+        assert chain is not None
+        assert chain.dims == space.chain.dims and set(chain.minus) == {1}
+        assert forests_isomorphic(FanSpace(chain).forest, space.forest)
+
+
+def test_normal_form_agrees_with_search_oracle(corpus_spaces, impossible_forests):
+    # The search decides every forest of at most 4 levels x dim 4 by
+    # exhaustion; the normal form must find a chain exactly when it does.
+    # An exhaustion can visit a million partial chains, so past 2000 the
+    # forest's answer comes from a failed necessary condition instead.
+    rng = random.Random(20170302)
+    forests = []
+    for space in corpus_spaces:
+        forests += [space.forest, _moved(rng, space.forest, 1), _moved(rng, space.forest, 2)]
+    forests += [_layered(rng, 4, 3) for _ in range(100)]
+    found = over_budget = 0
+    for forest in forests:
+        chain = normal_form_chain(forest)
+        try:
+            expected = synthesize_chain(forest, node_bound=2000)
+        except ResourceLimitError:
+            assert chain is None and check_forest(forest)
+            over_budget += 1
+            continue
+        assert (chain is None) == (expected is None)
+        if chain is not None:
+            assert forests_isomorphic(FanSpace(chain).forest, forest)
+            found += 1
+    assert 0 < found < len(forests) and over_budget <= 5
+    for forest in impossible_forests.values():
+        assert normal_form_chain(forest) is None
+
+
+def test_normal_form_refuses_negative_multiplicity(monkeypatch):
+    # Every stratum has power-of-2 size, but the depth-2 nodes spread as
+    # 4 under one root and 12 under seven: m(2, 2) = 5 - 4 - 3 + 1 = -1.
+    # The profile alone refuses it, before any chain is built.
+    monkeypatch.setattr(isomorphism, "FanSpace", None)
+    depths = (1,) * 8 + (2,) * 16 + (3,) * 4
+    parents = ((None,) * 8 + (0, 0, 0, 0) + (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7)
+               + (8, 9, 10, 11))
+    forest = Forest(depths, parents)
+    assert all(_power_of_two(len(forest.stratum("S", d, e)))
+               for d in range(1, 4) for e in range(d, 4))
+    assert normal_form_chain(forest) is None
+    assert normal_form_chain(Forest((1, 1, 1), (None,) * 3)) is None
+    assert normal_form_chain(Forest((), ())) is None
+
+
+def _draw_intervals(rng, max_levels: int = 6, max_dim: int = 6):
+    """A level count and a list of intervals, (1, n) first, covering each
+    level at most max_dim times."""
+    n = rng.randint(1, max_levels)
+    intervals, cover = [(1, n)], [1] * n
+    for _ in range(rng.randint(0, 3 * n)):
+        i = rng.randint(1, n)
+        j = rng.randint(i, n)
+        if max(cover[i - 1:j]) < max_dim:
+            intervals.append((i, j))
+            for d in range(i - 1, j):
+                cover[d] += 1
+    return n, intervals
+
+
+def test_known_answer_profiles_beyond_corpus_bounds():
+    # A drawn interval profile fixes the fan: rebased copies of one
+    # normal form are isomorphic, and different profiles are not, even
+    # when the level dimensions agree (splitting an interval keeps them).
+    rng = random.Random(20170303)
+    draws = []
+    for _ in range(40):
+        n, intervals = _draw_intervals(rng)
+        space = FanSpace(_interval_chain(n, intervals))
+        rebased = FanSpace(_rebase(rng, space.chain))
+        build_isomorphism(space, rebased)           # certified, or it raises
+        found = normal_form_chain(rebased.forest)
+        assert found is not None
+        assert forest_canonical(FanSpace(found).forest) == forest_canonical(rebased.forest)
+        draws.append(((n, sorted(intervals)), space, rebased))
+        splittable = [t for t, (i, j) in enumerate(intervals) if t and i < j]
+        if splittable:
+            t = rng.choice(splittable)
+            i, j = intervals[t]
+            b = rng.randint(i, j - 1)
+            split = FanSpace(_rebase(rng, _interval_chain(
+                n, intervals[:t] + [(i, b), (b + 1, j)] + intervals[t + 1:])))
+            assert split.chain.dims == space.chain.dims
+            with pytest.raises(OrderMismatchError):
+                build_isomorphism(space, split)
+    assert max(len(space) for _, space, _ in draws) > 32
+    for (p1, s1, _), (p2, _, r2) in zip(draws, draws[1:]):
+        if p1 == p2:
+            build_isomorphism(s1, r2)
+        else:
+            with pytest.raises(OrderMismatchError):
+                build_isomorphism(s1, r2)
