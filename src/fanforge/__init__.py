@@ -48,7 +48,7 @@ from .levels import (
     embed_predecessors,
     verify_involution,
 )
-from .spectral import FanSpace, Forest, Stratum
+from .spectral import FanSpace, Forest
 from .ternary import (
     Character,
     TernaryTable,

@@ -4,7 +4,10 @@ The order is a root-system: a forest whose roots sit at depth 1 and in
 which every up-set is a chain.  Forest is the pure order data (used both
 for extracted root systems and for externally supplied candidates);
 FanSpace wraps a chain with its characters and answers order queries in
-chain coordinates.
+chain coordinates.  Its only order data is the forest: each character's
+parent is one pullback along the transition into its depth, and every
+successor is read off the parent links, so the state is linear in the
+number of characters.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
-from .chains import ChainChar, FanChain, chain_characters, validate_chain
+from .chains import ChainChar, FanChain, chain_characters
 from .errors import StructuralError
 
 
@@ -180,25 +183,14 @@ class Forest:
         return Forest(tuple(self.depths[i] for i in keep), tuple(parents))
 
 
-@dataclass(frozen=True)
-class Stratum:
-    kind: str
-    k: int
-    j: int
-    members: tuple[ChainChar, ...]
-
-
 class FanSpace:
     """Character space of a valid chain, with order machinery.
 
     Characters are ChainChar pairs ordered by (depth, mask); that order
-    is also the node order of the extracted forest.
+    is also the node order of the forest.
     """
 
     def __init__(self, chain: FanChain):
-        bad = validate_chain(chain)
-        if bad:
-            raise StructuralError(f"invalid chain: {bad[0].message}")
         self.chain = chain
         self.chars = chain_characters(chain)
         # chain_characters emits the levels as contiguous blocks in depth order
@@ -206,14 +198,11 @@ class FanSpace:
         for i, h in enumerate(self.chars):
             self._level_end[h.depth] = i + 1
         self._node = {h: i for i, h in enumerate(self.chars)}
-        # successor masks for every character at every shallower depth
-        self._succ: dict[tuple[ChainChar, int], ChainChar] = {}
-        for h in self.chars:
-            lam = h.mask
-            self._succ[(h, h.depth)] = h
-            for d in range(h.depth - 1, 0, -1):
-                lam = gf2.pullback(lam, chain.taus[d - 1])
-                self._succ[(h, d)] = ChainChar(d, lam)
+        parents = tuple(
+            None if h.depth == 1
+            else self._node[ChainChar(h.depth - 1, gf2.pullback(h.mask, chain.taus[h.depth - 2]))]
+            for h in self.chars)
+        self.forest = Forest(tuple(h.depth for h in self.chars), parents)
 
     # -- basic queries -------------------------------------------------
 
@@ -238,9 +227,6 @@ class FanSpace:
     def node(self, h: ChainChar) -> int:
         return self._node[h]
 
-    def char(self, i: int) -> ChainChar:
-        return self.chars[i]
-
     def level(self, d: int) -> tuple[ChainChar, ...]:
         return self.chars[self._level_end[self._depth_index(d)]:self._level_end[d]]
 
@@ -253,10 +239,10 @@ class FanSpace:
         """The unique character above g at depth d (d <= depth(g))."""
         if not 1 <= d <= g.depth:
             raise ValueError(f"no successor of a depth-{g.depth} character at depth {d}")
-        return self._succ[(g, d)]
+        return self.chars[self.forest.ancestor(self._node[g], d)]
 
     def specializes(self, g: ChainChar, h: ChainChar) -> bool:
-        return h.depth <= g.depth and self._succ[(g, h.depth)] == h
+        return h.depth <= g.depth and self.successor(g, h.depth) == h
 
     def interpolate(self, g: ChainChar, h: ChainChar, d: int) -> ChainChar:
         """The unique f with g -> f -> h at depth d."""
@@ -264,25 +250,14 @@ class FanSpace:
             raise ValueError("g does not specialize to h")
         if not h.depth <= d <= g.depth:
             raise ValueError(f"depth {d} outside [{h.depth}, {g.depth}]")
-        f = self.successor(g, d)
-        if not (self.specializes(g, f) and self.specializes(f, h)):
-            raise RuntimeError(f"successor table is inconsistent between {g} and {h}")
-        return f
+        return self.successor(g, d)
 
     def triple(self, h1: ChainChar, h2: ChainChar, h3: ChainChar) -> ChainChar:
         """Pointwise product of three characters (always a character)."""
         d = min(h1.depth, h2.depth, h3.depth)
-        mask = (self._succ[(h1, d)].mask ^ self._succ[(h2, d)].mask
-                ^ self._succ[(h3, d)].mask)
+        mask = (self.successor(h1, d).mask ^ self.successor(h2, d).mask
+                ^ self.successor(h3, d).mask)
         return ChainChar(d, mask)
-
-    @cached_property
-    def forest(self) -> Forest:
-        depths = tuple(h.depth for h in self.chars)
-        parents = tuple(
-            None if h.depth == 1 else self._node[self.successor(h, h.depth - 1)]
-            for h in self.chars)
-        return Forest(depths, parents)
 
     def deep(self, h: ChainChar) -> int:
         """Deepest depth among the predecessors of h."""
@@ -300,12 +275,8 @@ class FanSpace:
     def component_lowest_level(self, comp: tuple[ChainChar, ...]) -> int:
         return max(h.depth for h in comp)
 
-    def stratum(self, kind: str, k: int, j: int) -> Stratum:
-        members = tuple(self.chars[i] for i in self.forest.stratum(kind, k, j))
-        return Stratum(kind, k, j, members)
-
     def stratum_members(self, kind: str, k: int, j: int) -> tuple[ChainChar, ...]:
-        return self.stratum(kind, k, j).members
+        return tuple(self.chars[i] for i in self.forest.stratum(kind, k, j))
 
     def pred_set(self, h: ChainChar, j1: int, j2: int, kind: str) -> tuple[ChainChar, ...]:
         """Predecessors of h inside the (j2, j1) stratum.

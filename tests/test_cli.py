@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,32 @@ def test_character_bound(tmp_path, capsys):
     big.write_text("fanchain n=1\nlevel d=1 dim=40 minus=" + "1" + "0" * 39 + "\n")
     assert main(["chars", str(big)]) == 3
     assert "bound is 16384" in capsys.readouterr().err
+
+
+_UNDER_1GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fanforge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_deep_path_chain_within_1gb(tmp_path):
+    # one character per level: every bound holds, so the space must stay
+    # linear in the level count, not quadratic
+    n = MAX_CHARACTERS
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))))
+    env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
+    for command in ("chars", "levels", "rootsys", "validate"):
+        out = subprocess.run([sys.executable, "-c", _UNDER_1GB, command, str(path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        if command == "validate":
+            assert out.returncode == 3, out.stderr
+            assert f"fan has {2 * n + 1} elements, table bound is 513" in out.stderr
+        else:
+            assert out.returncode == 0, out.stderr
+            assert len(out.stdout.splitlines()) == n
 
 
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fanforge.chains import ChainChar, FanChain
@@ -121,6 +123,24 @@ def test_verify_sgs_flags_non_adapted_basis():
     report = verify_sgs(space, bad)
     assert any(c.name == "spans-level(1)" and c.passed for c in report.checks)
     assert any(c.name == "stratum-basis(1,2)" and not c.passed for c in report.checks)
+
+
+def test_successor_closure_matches_direct_successors(corpus_spaces):
+    # random level subsets as bases, so that closure fails as well as holds
+    rng = random.Random(5)
+    seen = set()
+    for space in corpus_spaces[:60]:
+        for _ in range(5):
+            bases = tuple(tuple(rng.sample(level, rng.randint(1, len(level))))
+                          for level in space.levels())
+            got = [(c.name, c.passed) for c in verify_sgs(space, GeneratingSystem(bases, ())).checks
+                   if c.name.startswith("successor-closure")]
+            want = [(f"successor-closure({k},{m})",
+                     all(space.successor(g, k) in bases[k - 1] for g in bases[m - 1]))
+                    for m in range(1, space.length + 1) for k in range(1, m + 1)]
+            assert got == want
+            seen.update(passed for _, passed in got)
+    assert seen == {True, False}
 
 
 def test_nonempty_c_strata_meet_basis(corpus_spaces):

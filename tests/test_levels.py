@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import fanforge.levels
 from fanforge.chains import ChainChar
 from fanforge.levels import (
     InvolutionHandle,
@@ -157,6 +158,53 @@ def test_verify_involution_corpus(corpus_spaces):
         for g1 in space.chars:
             for g2 in space.chars:
                 assert verify_involution(space, g1, g2).ok
+
+
+def compat_all_depths(space, g1, g2):
+    """Oracle for specialization-compat: the first depth-ordered h1 whose
+    image disagrees with the image of some successor, or None."""
+    dmin = min(g1.depth, g2.depth)
+    shifts = {d: fanforge.levels.translation_mask(space, g1, g2, d)
+              for d in range(1, dmin + 1)}
+    for h1 in space.chars:
+        if h1.depth > dmin:
+            continue
+        fh1 = ChainChar(h1.depth, h1.mask ^ shifts[h1.depth])
+        for d in range(1, h1.depth):
+            h2 = space.successor(h1, d)
+            if space.successor(fh1, d) != ChainChar(d, h2.mask ^ shifts[d]):
+                return h1
+    return None
+
+
+def test_specialization_compat_matches_all_depth_oracle(corpus_spaces, monkeypatch):
+    # Real handles always pass, so the shifts are replaced by random ones
+    # (each the quotient of two same-level characters) to make failures.
+    rng = random.Random(3)
+    drawn = {}
+
+    def random_shift(space, g1, g2, d):
+        key = (id(space), g1, g2, d)
+        if key not in drawn:
+            a, b = rng.choice(space.level(d)), rng.choice(space.level(d))
+            drawn[key] = a.mask ^ b.mask
+        return drawn[key]
+
+    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)
+    outcomes = {True: 0, False: 0}
+    for space in corpus_spaces:
+        if space.length < 2:
+            continue
+        for _ in range(30):
+            g1, g2 = rng.choice(space.chars), rng.choice(space.chars)
+            check = next(c for c in verify_involution(space, g1, g2).checks
+                         if c.name == "specialization-compat")
+            first = compat_all_depths(space, g1, g2)
+            assert check.passed == (first is None)
+            if first is not None:
+                assert check.witness == (first, space.successor(first, first.depth - 1))
+            outcomes[check.passed] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
 def test_involution_matches_table_pointwise_product(corpus_spaces):
