@@ -250,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sgs", help="build and verify a generating system")
     p.add_argument("chain")
     p.add_argument("--seed", type=int, default=None,
-                   help="draw construction choices from this seed instead of least-first")
+                   help="draw construction choices from this seed instead of taking the first candidate")
     p.set_defaults(fn=_cmd_sgs)
 
     p = sub.add_parser("iso", help="construct an isomorphism between two chains")
     p.add_argument("chain_a")
     p.add_argument("chain_b")
     p.add_argument("--seed", type=int, default=None,
-                   help="randomize the mirrored choices (reproducible per seed)")
+                   help="build both generating systems with this seed (reproducible per seed)")
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("represent", help="find the element inducing a value map")

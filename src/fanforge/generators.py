@@ -5,9 +5,12 @@ the part of the level-k basis reaching depth j is itself a basis of that
 stratum, and so that basis members are closed under taking successors.
 These two properties are what the constructive isomorphism engine needs.
 
-The construction works top down: a tower of extensions inside level 1,
-then per level a block of generators under one fixed deep basis element
-plus a single lift for every other basis element that reaches deeper.
+The construction works top down: a tower-adapted basis of level 1, then
+per level a block of generators under one fixed deep basis element plus
+a single lift for every other basis element that reaches deeper.  Every
+choice is made by position, so two isomorphic spaces get systems that
+agree position by position, which is how the isomorphism builder pairs
+them.
 """
 
 from __future__ import annotations
@@ -21,20 +24,8 @@ from .spectral import FanSpace
 
 
 @dataclass(frozen=True)
-class LevelStep:
-    """Construction record for one level: the fixed deep element, the
-    basis block chosen under it, and the lift chosen for each remaining
-    basis element of the previous level."""
-
-    h0: ChainChar | None
-    block: tuple[ChainChar, ...]
-    lifts: tuple[tuple[ChainChar, ChainChar], ...]  # (previous-level h, lift g_h)
-
-
-@dataclass(frozen=True)
 class GeneratingSystem:
     bases: tuple[tuple[ChainChar, ...], ...]
-    steps: tuple[LevelStep, ...]
     provenance: tuple[tuple[ChainChar, tuple], ...] = ()
 
     def level_basis(self, k: int) -> tuple[ChainChar, ...]:
@@ -53,19 +44,26 @@ class GeneratingSystem:
 
 
 class _Policy:
-    """Choice points: lexicographically least, or uniform draws under a seed."""
+    """Choice points: the first candidate in the order given, or uniform
+    draws under a seed.
+
+    The construction hands over candidates in an order fixed by the
+    structure (a basis in basis order, a fiber in node order), never by a
+    fresh sort, and each draw consumes the rng by the candidate count
+    alone.  So two isomorphic spaces built with one seed make their
+    choices at the same positions.
+    """
 
     def __init__(self, seed: int | None):
         self.rng = None if seed is None else random.Random(seed)
 
     def pick(self, candidates) -> ChainChar:
-        candidates = sorted(candidates)
         if not candidates:
             raise ValueError("no candidate available")
         return candidates[0] if self.rng is None else self.rng.choice(candidates)
 
     def order(self, items) -> list[ChainChar]:
-        items = sorted(items)
+        items = list(items)
         if self.rng is not None:
             self.rng.shuffle(items)
         return items
@@ -76,21 +74,25 @@ def _under(space: FanSpace, members, h: ChainChar) -> list[ChainChar]:
     return [g for g in members if space.successor(g, k) == h]
 
 
+def _fiber(space: FanSpace, h: ChainChar) -> list[ChainChar]:
+    """The characters one level deeper than h that specialize to it."""
+    return [space.chars[i] for i in space.forest.children[space.node(h)]]
+
+
 def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
                       policy: "_Policy") -> tuple[ChainChar, ...]:
     """Basis of the level-`level` characters under h0, adapted to depth reach.
 
     h0=None means the whole level.  For every j the members reaching
-    depth j form a basis of that part of the fiber; built by extending
-    upward from the deepest stratum.
+    depth j form a basis of that part of the fiber.  The fiber is scanned
+    once, deepest reach first (a stable sort, so members of equal reach
+    keep the policy's order): every prefix of that scan ending at a reach
+    boundary is one such part, and a greedy pass keeps a basis of each
+    prefix.
     """
-    basis: tuple[ChainChar, ...] = ()
-    for j in range(space.length, level - 1, -1):
-        members = space.stratum_members("S", level, j)
-        if h0 is not None:
-            members = _under(space, members, h0)
-        basis = extend_basis(space, basis, members, order=policy.order(members))
-    return basis
+    fiber = space.level(level) if h0 is None else _fiber(space, h0)
+    scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
+    return extend_basis(space, (), scan, order=scan)
 
 
 def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,
@@ -140,7 +142,11 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     """Build a generating system; deterministic without a seed.
 
     Seeded runs draw uniformly at every choice point and are reproducible
-    for a fixed seed.
+    for a fixed seed.  h0 is the first full-reach member of the previous
+    basis (or a draw among them) and each lift the first eligible
+    character, so on isomorphic spaces the systems built with one seed
+    have the same reach, the same role and the same draw at each basis
+    position.
     """
     policy = _Policy(seed)
     n = space.length
@@ -149,16 +155,15 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     basis = fiber_tower_basis(space, None, 1, policy)
     provenance += [(g, ("tower", space.deep(g))) for g in basis]
     bases = [basis]
-    steps = [LevelStep(h0=None, block=basis, lifts=())]
 
     for k in range(1, n):
         prev = bases[k - 1]
         deep_part = [g for g in prev if space.deep(g) == n]
         h0 = policy.pick(deep_part)
-        # Tower-adapted basis of the whole fiber under h0: start from the
-        # deepest stratum and extend stage by stage, so the block meets
-        # every stratum of the fiber in a basis.  (A basis of the deepest
-        # stratum alone under-spans when part of the fiber stops higher.)
+        # Tower-adapted basis of the whole fiber under h0, so the block
+        # meets every stratum of the fiber in a basis.  (A basis of the
+        # deepest stratum alone under-spans when part of the fiber stops
+        # higher.)
         block = fiber_tower_basis(space, h0, k + 1, policy)
         provenance += [(g, ("block", h0)) for g in block]
         lifts = []
@@ -166,13 +171,12 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
             if h == h0 or space.deep(h) < k + 1:
                 continue
             jh = space.deep(h)
-            eligible = _under(space, space.stratum_members("C", k + 1, jh), h)
+            eligible = [g for g in _fiber(space, h) if space.deep(g) == jh]
             lifts.append((h, policy.pick(eligible)))
         provenance += [(g, ("lift", h)) for h, g in lifts]
         bases.append(block + tuple(g for _, g in lifts))
-        steps.append(LevelStep(h0=h0, block=block, lifts=tuple(lifts)))
 
-    return GeneratingSystem(tuple(bases), tuple(steps), tuple(provenance))
+    return GeneratingSystem(tuple(bases), tuple(provenance))
 
 
 def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:

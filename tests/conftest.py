@@ -1,9 +1,11 @@
+import random
 from pathlib import Path
 
 import pytest
 
+from fanforge import gf2
 from fanforge.chains import FanChain
-from fanforge.corpus import generate_corpus
+from fanforge.corpus import generate_corpus, random_transition
 from fanforge.formats import parse_forest
 from fanforge.spectral import FanSpace
 
@@ -23,6 +25,23 @@ TRIV = FanChain((1,), (1,), ())
 CHAIN3 = FanChain((1, 1, 1), (1, 1, 1), ((1,), (1,)))
 
 CORPUS_SEED = 20170301
+
+
+def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
+    """Equal-dimension chain whose composite transition from depth k to j
+    has rank dim - (j - k), so every stratum size is fixed by the shape."""
+    minus = tuple(rng.randrange(1, 1 << dim) for _ in range(levels))
+    taus = []
+    reach = gf2.identity_rows(dim)
+    for d in range(levels - 1):
+        while True:
+            rows = random_transition(rng, dim, dim, minus[d], minus[d + 1])
+            step = gf2.compose(rows, reach)
+            if gf2.rank(rows) == dim - 1 and gf2.rank(step) == dim - d - 1:
+                break
+        taus.append(rows)
+        reach = step
+    return FanChain((dim,) * levels, minus, tuple(taus))
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,12 @@ import pytest
 import fanforge.chains
 from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import main
-from fanforge.corpus import random_transition
 from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
-from fanforge.gf2 import compose, identity_rows, rank
+from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace
 
-from conftest import DATA, E1, E1P, EA, EB, TRIV
+from conftest import DATA, E1, E1P, EA, EB, TRIV, ladder
 
 
 @pytest.fixture
@@ -176,23 +175,8 @@ def test_realize_resource_bound(tmp_path, capsys):
             in capsys.readouterr().err
 
 
-def _ladder(rng, levels, dim):
-    """Equal-dimension chain whose composite transition from depth k to
-    depth j has rank dim - (j - k), with seeded coordinates."""
-    minus = tuple(rng.randrange(1, 1 << dim) for _ in range(levels))
-    taus, reach = [], identity_rows(dim)
-    for d in range(levels - 1):
-        while True:
-            rows = random_transition(rng, dim, dim, minus[d], minus[d + 1])
-            if rank(rows) == dim - 1 and rank(compose(rows, reach)) == dim - d - 1:
-                break
-        taus.append(rows)
-        reach = compose(rows, reach)
-    return FanChain((dim,) * levels, minus, tuple(taus))
-
-
 def test_realize_decides_ladder_beyond_search_bounds(tmp_path, capsys):
-    space = FanSpace(_ladder(random.Random(6), 6, 10))
+    space = FanSpace(ladder(random.Random(6), 6, 10))
     forest = tmp_path / "ladder.forest"
     forest.write_text(serialize_forest(space.forest))
     out_chain = tmp_path / "found.fan"
@@ -220,22 +204,53 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _path_chain(n: int) -> FanChain:
+    """One character per level: every bound holds at MAX_CHARACTERS levels."""
+    return FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))
+
+
+def _run_under_1gb(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", _UNDER_1GB, *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_deep_path_chain_within_1gb(tmp_path):
-    # one character per level: every bound holds, so the space must stay
-    # linear in the level count, not quadratic
+    # the space must stay linear in the level count, not quadratic
     n = MAX_CHARACTERS
     path = tmp_path / "path.fan"
-    path.write_text(serialize_chain(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))))
-    env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
+    path.write_text(serialize_chain(_path_chain(n)))
     for command in ("chars", "levels", "rootsys", "validate"):
-        out = subprocess.run([sys.executable, "-c", _UNDER_1GB, command, str(path)],
-                             env=env, capture_output=True, text=True, timeout=120)
+        out = _run_under_1gb(command, str(path))
         if command == "validate":
             assert out.returncode == 3, out.stderr
             assert f"fan has {2 * n + 1} elements, table bound is 513" in out.stderr
         else:
             assert out.returncode == 0, out.stderr
             assert len(out.stdout.splitlines()) == n
+
+
+def test_deep_path_forest_realizes_within_1gb(tmp_path):
+    # the rank profile comes from one reach histogram per depth, not from
+    # a table of every (d, e) pair
+    n = MAX_CHARACTERS
+    forest = tmp_path / "path.forest"
+    forest.write_text(serialize_forest(FanSpace(_path_chain(n)).forest))
+    out = _run_under_1gb("realize", str(forest))
+    assert out.returncode == 0, out.stderr
+    assert parse_chain(out.stdout) == _path_chain(n)
+
+
+def test_deep_path_iso_within_1gb(tmp_path):
+    # one tower pass per fiber and space keeps this linear in the level
+    # count: about 0.3 s, where a quadratic build takes about 40 s (both
+    # on a 2-vCPU Xeon VM), so the timeout tells them apart
+    n = 2048
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(n)))
+    out = _run_under_1gb("iso", str(path), str(path), timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == n
 
 
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):

@@ -10,12 +10,11 @@ ordered violation list must agree.
 import itertools
 import random
 
-from fanforge import gf2
-from fanforge.chains import FanChain
-from fanforge.corpus import random_transition
 from fanforge.isomorphism import _power_of_two, check_forest, forest_canonical
 from fanforge.spectral import FanSpace, Forest
 from fanforge.ternary import Violation
+
+from conftest import ladder
 
 
 # -- oracle -------------------------------------------------------------------
@@ -135,23 +134,6 @@ def random_forest(rng: random.Random, max_roots: int = 6, max_depth: int = 5) ->
     return Forest(tuple(nodes[old][0] for old in order),
                   tuple(None if nodes[old][1] is None else where[nodes[old][1]]
                         for old in order))
-
-
-def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
-    """Equal-dimension chain whose composite transition from depth k to j
-    has rank dim - (j - k), so every stratum size is fixed by the shape."""
-    minus = tuple(rng.randrange(1, 1 << dim) for _ in range(levels))
-    taus = []
-    reach = gf2.identity_rows(dim)
-    for d in range(levels - 1):
-        while True:
-            rows = random_transition(rng, dim, dim, minus[d], minus[d + 1])
-            step = gf2.compose(rows, reach)
-            if gf2.rank(rows) == dim - 1 and gf2.rank(step) == dim - d - 1:
-                break
-        taus.append(rows)
-        reach = step
-    return FanChain((dim,) * levels, minus, tuple(taus))
 
 
 def test_check_forest_matches_oracle_in_order(impossible_forests, corpus_spaces):

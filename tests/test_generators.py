@@ -3,16 +3,19 @@ import random
 import pytest
 
 from fanforge.chains import ChainChar, FanChain
+from fanforge.corpus import generate_corpus
 from fanforge.generators import (
     GeneratingSystem,
+    _Policy,
     choose_basis,
+    fiber_tower_basis,
     standard_generating_system,
     verify_sgs,
 )
-from fanforge.levels import basis_of
+from fanforge.levels import basis_of, extend_basis
 from fanforge.spectral import FanSpace
 
-from conftest import E1, EA, EB, TRIV
+from conftest import E1, EA, EB, TRIV, ladder
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -80,6 +83,42 @@ def test_sgs_provenance_covers_all_members():
             assert gs.provenance_of(g) == ("tower", space.deep(g))
 
 
+def _staged_tower(space):
+    """The per-stage tower, kept as the oracle for the one greedy pass:
+    extend the basis one S-stratum of the fiber at a time, deepest first,
+    each stratum in character order.  The strata are grouped by parent
+    once, so the oracle can be asked for every fiber of a large space."""
+    n = space.length
+    groups = {}
+    for level in range(1, n + 1):
+        for j in range(level, n + 1):
+            for g in space.stratum_members("S", level, j):
+                h0 = None if level == 1 else space.successor(g, level - 1)
+                groups.setdefault((level, j, h0), []).append(g)
+
+    def basis(h0, level):
+        out = ()
+        for j in range(n, level - 1, -1):
+            out = extend_basis(space, out, groups.get((level, j, h0), ()))
+        return out
+    return basis
+
+
+def test_fiber_tower_matches_staged_oracle(corpus_spaces):
+    wide = [FanSpace(c) for c in generate_corpus(7, count=200, max_levels=6, max_dim=6)]
+    big = FanSpace(ladder(random.Random(6), 6, 10))
+    fibers = 0
+    for space in corpus_spaces + wide + [big]:
+        oracle, policy = _staged_tower(space), _Policy(None)
+        assert fiber_tower_basis(space, None, 1, policy) == oracle(None, 1)
+        for h0 in space.chars:
+            if h0.depth < space.length:
+                got = fiber_tower_basis(space, h0, h0.depth + 1, policy)
+                assert got == oracle(h0, h0.depth + 1)
+                fibers += 1
+    assert len(big) == 3072 and fibers > 5000
+
+
 def test_sgs_verifies_on_fixtures():
     for chain in (TRIV, E1, EA, EB):
         space = FanSpace(chain)
@@ -104,7 +143,7 @@ def test_sgs_deterministic_and_seeded_reproducible(corpus_spaces):
 def test_verify_sgs_flags_missing_element():
     s1 = FanSpace(E1)
     gs = standard_generating_system(s1)
-    broken = GeneratingSystem((gs.bases[0], gs.bases[1][:1]), gs.steps)
+    broken = GeneratingSystem((gs.bases[0], gs.bases[1][:1]))
     report = verify_sgs(s1, broken)
     assert not report.ok
     assert any(c.name == "spans-level(2)" for c in report.failures())
@@ -119,7 +158,7 @@ def test_verify_sgs_flags_non_adapted_basis():
     assert space.stratum_members("S", 1, 2) == (deep_root,)
     bad_level1 = (ChainChar(1, 3), ChainChar(1, 5), ChainChar(1, 7))
     gs = standard_generating_system(space)
-    bad = GeneratingSystem((bad_level1, gs.bases[1]), gs.steps)
+    bad = GeneratingSystem((bad_level1, gs.bases[1]))
     report = verify_sgs(space, bad)
     assert any(c.name == "spans-level(1)" and c.passed for c in report.checks)
     assert any(c.name == "stratum-basis(1,2)" and not c.passed for c in report.checks)
@@ -133,7 +172,7 @@ def test_successor_closure_matches_direct_successors(corpus_spaces):
         for _ in range(5):
             bases = tuple(tuple(rng.sample(level, rng.randint(1, len(level))))
                           for level in space.levels())
-            got = [(c.name, c.passed) for c in verify_sgs(space, GeneratingSystem(bases, ())).checks
+            got = [(c.name, c.passed) for c in verify_sgs(space, GeneratingSystem(bases)).checks
                    if c.name.startswith("successor-closure")]
             want = [(f"successor-closure({k},{m})",
                      all(space.successor(g, k) in bases[k - 1] for g in bases[m - 1]))

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from fanforge import isomorphism
+from fanforge import generators, isomorphism
 from fanforge.chains import ChainChar, FanChain, SliceElement, chain_elements
-from fanforge.corpus import generate_corpus
+from fanforge.corpus import generate_corpus, random_chain
 from fanforge.errors import OrderMismatchError, ResourceLimitError
 from fanforge.isomorphism import (
     _certify_isomorphism,
@@ -23,6 +23,7 @@ from fanforge.isomorphism import (
     represent,
     representation_witness,
 )
+from fanforge.generators import standard_generating_system
 from fanforge.spectral import FanSpace, Forest
 
 from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV
@@ -235,6 +236,40 @@ def test_build_isomorphism_on_rebased_fans():
         assert is_ars_morphism(s1, s2, mapping).ok
 
 
+def test_rebased_systems_agree_by_position(corpus):
+    # build_isomorphism pairs the two systems by position, which needs
+    # every position to hold a member of the same reach and role.
+    rng = random.Random(20170305)
+    chains = corpus + [random_chain(rng, max_levels=6, max_dim=6) for _ in range(100)]
+    for chain in chains:
+        s1, s2 = FanSpace(chain), FanSpace(_rebase(rng, chain))
+        for seed in (None, 1, 2):
+            gs1 = standard_generating_system(s1, seed)
+            gs2 = standard_generating_system(s2, seed)
+            assert ([[s1.deep(g) for g in b] for b in gs1.bases]
+                    == [[s2.deep(g) for g in b] for b in gs2.bases])
+            assert [r[0] for _, r in gs1.provenance] == [r[0] for _, r in gs2.provenance]
+
+
+def test_self_isomorphism_is_identity(corpus_spaces):
+    # one seed on one space gives one system twice, so the map is the identity
+    for s in corpus_spaces:
+        for seed in (1, 2, 3):
+            assert build_isomorphism(s, s, seed) == {h: h for h in s.chars}
+
+
+def test_path_chain_builds_with_linear_extend_calls(monkeypatch):
+    # one greedy pass per fiber: a path has one fiber per level and space
+    n = 512
+    calls = []
+    extend = generators.extend_basis
+    monkeypatch.setattr(generators, "extend_basis",
+                        lambda *args, **kw: calls.append(1) or extend(*args, **kw))
+    s = FanSpace(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)))
+    assert build_isomorphism(s, s) == {h: h for h in s.chars}
+    assert len(s) == n and 0 < len(calls) <= 2 * n
+
+
 def _certificate_accepts(s1, s2, mapping) -> bool:
     try:
         _certify_isomorphism(s1, s2, mapping)
@@ -344,7 +379,7 @@ def test_certificate_refuses_under_optimize():
 
 _OPTIMIZED_REPRESENT = """
 import sys
-from fanforge import isomorphism
+from fanforge import generators, isomorphism
 from fanforge.chains import ChainChar, FanChain
 from fanforge.spectral import FanSpace
 if sys.flags.optimize != 1:
@@ -562,6 +597,48 @@ def test_normal_form_refuses_negative_multiplicity(monkeypatch):
     assert normal_form_chain(forest) is None
     assert normal_form_chain(Forest((1, 1, 1), (None,) * 3)) is None
     assert normal_form_chain(Forest((), ())) is None
+
+
+def _dense_normal_form_chain(forest: Forest) -> FanChain | None:
+    """The profile read stratum by stratum into an n^2/2-entry rank table:
+    the oracle for normal_form_chain's per-depth reach histograms."""
+    n = forest.length
+    if n == 0:
+        return None
+    r = {}
+    for d in range(1, n + 1):
+        for e in range(d, n + 1):
+            s = len(forest.stratum("S", d, e))
+            if not _power_of_two(s):
+                return None
+            r[(d, e)] = s.bit_length()
+    intervals = []
+    for i in range(1, n + 1):
+        for j in range(n, i - 1, -1):       # (1, n) first
+            m = (r[(i, j)] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0)
+                 + r.get((i - 1, j + 1), 0))
+            if m < 0:
+                return None
+            intervals += [(i, j)] * m
+    chain = _interval_chain(n, intervals)
+    if forest_canonical(FanSpace(chain).forest) != forest_canonical(forest):
+        return None
+    return chain
+
+
+def test_normal_form_matches_dense_profile(corpus_spaces, impossible_forests):
+    rng = random.Random(20170304)
+    wide = [FanSpace(c) for c in generate_corpus(7, count=100, max_levels=6, max_dim=6)]
+    forests = list(impossible_forests.values())
+    for space in corpus_spaces + wide:
+        forests += [space.forest, _moved(rng, space.forest, 1), _moved(rng, space.forest, 2)]
+    forests += [_layered(rng, 6, 3) for _ in range(100)]
+    found = 0
+    for forest in forests:
+        chain = normal_form_chain(forest)
+        assert chain == _dense_normal_form_chain(forest)
+        found += chain is not None
+    assert 300 < found < len(forests)
 
 
 def _draw_intervals(rng, max_levels: int = 6, max_dim: int = 6):
