@@ -109,7 +109,15 @@ def represent(space: FanSpace, f: dict[ChainChar, int]) -> RepresentResult:
     """
     _check_values(space, f)
     for el in chain_elements(space.chain):
-        if all(evaluate_element(space.chain, h, el) == f[h] for h in space.chars):
+        depth, vec = el.depth, el.vec
+        for h in space.chars:      # in depth order, so vec moves one tau at a time
+            while 0 < depth < h.depth:      # the zero element stays at depth 0
+                vec = gf2.mat_vec(space.chain.taus[depth - 1], vec)
+                depth += 1
+            value = (-1 if gf2.dot(h.mask, vec) else 1) if depth == h.depth else 0
+            if value != f[h]:
+                break
+        else:
             return RepresentResult(el, None)
     witness = representation_witness(space, f)
     if witness is None:
@@ -186,12 +194,12 @@ def is_ars_morphism(space1: FanSpace, space2: FanSpace,
 
 def forest_canonical(forest: Forest) -> str:
     """Canonical code: per node the sorted concatenation of child codes."""
-    order = sorted(range(len(forest)), key=lambda i: -forest.depths[i])
-    codes = [""] * len(forest)
-    for i in order:
-        kids = sorted(codes[j] for j in forest.children[i])
-        codes[i] = "(" + "".join(kids) + ")"
-    return "".join(sorted(codes[r] for r in forest.roots))
+    codes: dict[int, str] = {}
+    for d in range(forest.length, 0, -1):      # codes of two levels at most are held
+        for i in forest.level(d):
+            kids = sorted(codes.pop(j) for j in forest.children[i])
+            codes[i] = "(" + "".join(kids) + ")"
+    return "".join(sorted(codes.values()))
 
 
 def forests_isomorphic(f1: Forest, f2: Forest) -> bool:

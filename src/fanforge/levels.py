@@ -155,25 +155,30 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
     common specializations, and permutation of every stratum.  Per
     character of depth at most dmin: compatibility with its parent edge,
     which implies compatibility with specialization between every level
-    pair d' <= d; a failure's witness is (h1, parent of h1).
+    pair d' <= d; a failure's witness is (h1, parent of h1) for the first
+    failing h1 in node order, also the first to fail any of its successors.
 
-    The map is a translation of an affine GF(2) set, so it preserves
-    same-level triple products whenever it maps the level onto itself;
-    the automorphism check is therefore the bijectivity test alone.
+    The map is a translation of an affine GF(2) set: it preserves
+    same-level triple products when it maps the level onto itself, and
+    it maps a finite set onto itself exactly when no image leaves it.
+    So the pairs (reach of h, reach of its image), with 0 for an image
+    off the level, decide the automorphism and every S^d_j (reach >= j)
+    and C^d_j (reach == j) check from one read of each level.
     """
     report = PropertyReport()
     dmin = min(g1.depth, g2.depth)
     shifts = {d: translation_mask(space, g1, g2, d) for d in range(1, dmin + 1)}
 
+    witness: tuple = ()
     for d in range(1, dmin + 1):
         level = space.level(d)
-        members = {h.mask for h in level}
         shift = shifts[d]
-        report.add(f"automorphism(level {d})",
-                   {m ^ shift for m in members} == members, (shift,))
+        reach = {h.mask: space.deep(h) for h in level}
+        moves = {(r, reach.get(m ^ shift, 0)) for m, r in reach.items()}
+        report.add(f"automorphism(level {d})", all(r2 for _, r2 in moves), (shift,))
         report.add(
             f"involution(level {d})",
-            all((m ^ shift) ^ shift == m for m in members), (shift,))
+            all((m ^ shift) ^ shift == m for m in reach), (shift,))
         s1, s2 = space.successor(g1, d), space.successor(g2, d)
         report.add(
             f"successor-transport(level {d})",
@@ -183,36 +188,22 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
                 f"fixed-common-specialization(level {d})",
                 s1.mask ^ shift == s1.mask, (s1,))
         for j in range(d, dmin + 1):
-            stratum = {h.mask for h in space.stratum_members("S", d, j)}
             report.add(
                 f"stratum-permutation(S^{d}_{j})",
-                {m ^ shift for m in stratum} == stratum, (shift,))
-            # A C-stratum is the difference of two consecutive S-strata, so
-            # its permutation needs the handle to reach below index j as
-            # well (vacuous when j is the full length).  A depth-j handle
-            # can swap a j-deep member with one reaching deeper.
+                not any(r >= j > r2 for r, r2 in moves), (shift,))
+            # C^d_j needs the handle to reach below index j as well (vacuous
+            # when j is the full length): a depth-j handle can swap a j-deep
+            # member with one reaching deeper.
             if j < dmin or j == space.length:
-                stratum = {h.mask for h in space.stratum_members("C", d, j)}
                 report.add(
                     f"stratum-permutation(C^{d}_{j})",
-                    {m ^ shift for m in stratum} == stratum, (shift,))
-
-    # Parent edges suffice: by induction on depth, a map commuting with
-    # every parent edge commutes with every successor.  Characters come in
-    # depth order, so the first h1 failing its parent edge is also the
-    # first to disagree with any of its successors.
-    witness: tuple = ()
-    for h1 in space.chars:
-        if h1.depth > dmin:
-            break
-        if h1.depth == 1:
-            continue
-        d = h1.depth - 1
-        h2 = space.successor(h1, d)
-        fh1 = ChainChar(h1.depth, h1.mask ^ shifts[h1.depth])
-        if space.successor(fh1, d) != ChainChar(d, h2.mask ^ shifts[d]):
-            witness = (h1, h2)
-            break
+                    not any(r == j != r2 for r, r2 in moves), (shift,))
+        if d > 1 and not witness:
+            parent = {h.mask: space.successor(h, d - 1).mask for h in level}
+            for h1 in level:
+                if parent.get(h1.mask ^ shift) != parent[h1.mask] ^ shifts[d - 1]:
+                    witness = (h1, ChainChar(d - 1, parent[h1.mask]))
+                    break
     report.add("specialization-compat", not witness, witness)
     return report
 

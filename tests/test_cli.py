@@ -253,6 +253,20 @@ def test_deep_path_iso_within_1gb(tmp_path):
     assert len(out.stdout.splitlines()) == n
 
 
+def test_deep_path_represent_within_1gb(tmp_path):
+    # each candidate element moves one transition step per depth its
+    # character scan reaches; the n²/2-entry table of composite transitions
+    # runs out of memory at 4096 levels
+    n = MAX_CHARACTERS
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(n)))
+    values = tmp_path / "ones.txt"
+    values.write_text("".join(f"d{d}:1 1\n" for d in range(1, n + 1)))
+    out = _run_under_1gb("represent", str(path), str(values))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "represented by e1:0\n"
+
+
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):
     # a 6x8 chain has 1537 elements; refused before its table is built
     big = tmp_path / "big.fan"

@@ -1,10 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from fanforge import generators, isomorphism
-from fanforge.chains import ChainChar, FanChain, SliceElement, chain_elements
+from fanforge.chains import MAX_CHARACTERS, ChainChar, FanChain, SliceElement, chain_elements
 from fanforge.corpus import generate_corpus, random_chain
 from fanforge.errors import OrderMismatchError, ResourceLimitError
 from fanforge.isomorphism import (
@@ -35,11 +36,11 @@ C2 = ChainChar(2, 3)
 
 # -- representation -----------------------------------------------------------
 
-def test_represent_roundtrip_every_element():
-    s = FanSpace(E1)
-    for el in chain_elements(E1):
-        result = represent(s, evaluation(s, el))
-        assert result.ok and result.element == el
+def test_represent_roundtrip_every_element(corpus_spaces):
+    for s in [FanSpace(E1)] + corpus_spaces[:20]:
+        for el in chain_elements(s.chain):
+            result = represent(s, evaluation(s, el))
+            assert result.ok and result.element == el
 
 
 def test_represent_nonrepresentable_witness():
@@ -131,6 +132,21 @@ def test_forest_canonical_matches_brute_force_small(corpus_spaces):
     for f1 in small:
         for f2 in small:
             assert forests_isomorphic(f1, f2) == brute_force_order_isomorphic(f1, f2)
+
+
+def test_forest_canonical_memory_on_deep_path():
+    # A node's code holds its whole subtree's, so keeping every node's code
+    # costs memory quadratic in the depth: about 259 MiB traced on this path.
+    n = MAX_CHARACTERS
+    path = Forest(tuple(range(1, n + 1)), (None,) + tuple(range(n - 1)))
+    tracemalloc.start()
+    try:
+        code = forest_canonical(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == "(" * n + ")" * n
+    assert peak < 32 << 20, f"traced peak {peak / (1 << 20):.1f} MiB"
 
 
 # -- constructive isomorphism -------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 import fanforge.levels
 from fanforge.chains import ChainChar
+from fanforge.corpus import generate_corpus
 from fanforge.levels import (
     InvolutionHandle,
+    PropertyReport,
     basis_of,
     closure,
     dimension,
@@ -160,6 +162,93 @@ def test_verify_involution_corpus(corpus_spaces):
                 assert verify_involution(space, g1, g2).ok
 
 
+def verify_involution_by_strata(space, g1, g2):
+    """Oracle for verify_involution: every S and C stratum rebuilt as a mask
+    set per (d, j), and the parent-edge check run over all characters."""
+    report = PropertyReport()
+    dmin = min(g1.depth, g2.depth)
+    shifts = {d: fanforge.levels.translation_mask(space, g1, g2, d)
+              for d in range(1, dmin + 1)}
+    for d in range(1, dmin + 1):
+        members = {h.mask for h in space.level(d)}
+        shift = shifts[d]
+        report.add(f"automorphism(level {d})",
+                   {m ^ shift for m in members} == members, (shift,))
+        report.add(f"involution(level {d})",
+                   all((m ^ shift) ^ shift == m for m in members), (shift,))
+        s1, s2 = space.successor(g1, d), space.successor(g2, d)
+        report.add(f"successor-transport(level {d})",
+                   ChainChar(d, s1.mask ^ shift) == s2, (s1, s2))
+        if s1 == s2:
+            report.add(f"fixed-common-specialization(level {d})",
+                       s1.mask ^ shift == s1.mask, (s1,))
+        for j in range(d, dmin + 1):
+            stratum = {h.mask for h in space.stratum_members("S", d, j)}
+            report.add(f"stratum-permutation(S^{d}_{j})",
+                       {m ^ shift for m in stratum} == stratum, (shift,))
+            if j < dmin or j == space.length:
+                stratum = {h.mask for h in space.stratum_members("C", d, j)}
+                report.add(f"stratum-permutation(C^{d}_{j})",
+                           {m ^ shift for m in stratum} == stratum, (shift,))
+    witness: tuple = ()
+    for h1 in space.chars:
+        if h1.depth > dmin:
+            break
+        if h1.depth == 1:
+            continue
+        d = h1.depth - 1
+        h2 = space.successor(h1, d)
+        fh1 = ChainChar(h1.depth, h1.mask ^ shifts[h1.depth])
+        if space.successor(fh1, d) != ChainChar(d, h2.mask ^ shifts[d]):
+            witness = (h1, h2)
+            break
+    report.add("specialization-compat", not witness, witness)
+    return report
+
+
+def patch_random_shifts(monkeypatch, rng):
+    """Replace translation_mask by random shifts, each the quotient of two
+    same-level characters, drawn once per (space, g1, g2, d).  Real handles
+    always pass, so this is how failures are made."""
+    drawn = {}
+
+    def random_shift(space, g1, g2, d):
+        key = (id(space), g1, g2, d)
+        if key not in drawn:
+            a, b = rng.choice(space.level(d)), rng.choice(space.level(d))
+            drawn[key] = a.mask ^ b.mask
+        return drawn[key]
+
+    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)
+
+
+def test_verify_involution_matches_strata_oracle(corpus_spaces):
+    # every handle of the corpus and of a 5-level corpus: whole reports,
+    # so check names, order, outcomes and witnesses all agree
+    deeper = [FanSpace(c) for c in generate_corpus(5, count=60, max_levels=5, max_dim=4)]
+    handles = 0
+    for space in corpus_spaces + deeper:
+        for g1 in space.chars:
+            for g2 in space.chars:
+                assert verify_involution(space, g1, g2) == verify_involution_by_strata(
+                    space, g1, g2), (space.chain, g1, g2)
+                handles += 1
+    assert handles >= 30000, handles
+
+
+def test_verify_involution_matches_strata_oracle_on_random_shifts(corpus_spaces, monkeypatch):
+    rng = random.Random(11)
+    patch_random_shifts(monkeypatch, rng)
+    outcomes = {True: 0, False: 0}
+    for space in corpus_spaces:
+        for _ in range(60):
+            g1, g2 = rng.choice(space.chars), rng.choice(space.chars)
+            report = verify_involution(space, g1, g2)
+            assert report == verify_involution_by_strata(space, g1, g2), (space.chain, g1, g2)
+            outcomes[report.ok] += 1
+    assert outcomes[True] >= 1000 and outcomes[False] >= 1000, outcomes
+
+
 def compat_all_depths(space, g1, g2):
     """Oracle for specialization-compat: the first depth-ordered h1 whose
     image disagrees with the image of some successor, or None."""
@@ -178,19 +267,8 @@ def compat_all_depths(space, g1, g2):
 
 
 def test_specialization_compat_matches_all_depth_oracle(corpus_spaces, monkeypatch):
-    # Real handles always pass, so the shifts are replaced by random ones
-    # (each the quotient of two same-level characters) to make failures.
     rng = random.Random(3)
-    drawn = {}
-
-    def random_shift(space, g1, g2, d):
-        key = (id(space), g1, g2, d)
-        if key not in drawn:
-            a, b = rng.choice(space.level(d)), rng.choice(space.level(d))
-            drawn[key] = a.mask ^ b.mask
-        return drawn[key]
-
-    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)
+    patch_random_shifts(monkeypatch, rng)
     outcomes = {True: 0, False: 0}
     for space in corpus_spaces:
         if space.length < 2:
