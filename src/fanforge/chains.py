@@ -20,8 +20,8 @@ from typing import NamedTuple
 from . import gf2
 from .errors import NotAFanError, ResourceLimitError, StructuralError
 from .ternary import (
+    MAX_TABLE_ELEMENTS,
     Character,
-    DEFAULT_ENUMERATION_CAP,
     TernaryTable,
     Violation,
     require_fan,
@@ -30,12 +30,6 @@ from .ternary import (
 #: Largest character space a chain may have; every character-space
 #: construction enumerates it, so this bounds time and memory up front.
 MAX_CHARACTERS = 1 << 14
-
-#: Largest fan (1 + sum of 2^dim over the levels) whose multiplication
-#: table chain_to_table builds.  The table is quadratic in it and the
-#: axiom check on it cubic; `fanforge validate` at 513 elements takes
-#: about 7 s on a 2-vCPU Xeon with Python 3.11.
-MAX_TABLE_ELEMENTS = 513
 
 
 @dataclass(frozen=True)
@@ -273,14 +267,12 @@ def _congruence_classes(t: TernaryTable, members: list[int], ideal: frozenset[in
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def table_to_chain(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP,
-                   chars: tuple[Character, ...] | None = None) -> FanChain:
-    chain, _ = table_to_chain_with_map(t, cap, chars)
+def table_to_chain(t: TernaryTable, chars: tuple[Character, ...] | None = None) -> FanChain:
+    chain, _ = table_to_chain_with_map(t, chars)
     return chain
 
 
-def table_to_chain_with_map(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP,
-                            chars: tuple[Character, ...] | None = None,
+def table_to_chain_with_map(t: TernaryTable, chars: tuple[Character, ...] | None = None,
                             ) -> tuple[FanChain, dict[SliceElement, int]]:
     """Extract the chain model of a fan table.
 
@@ -291,7 +283,7 @@ def table_to_chain_with_map(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP,
     Raises NotAFanError when t fails the operative fan criterion, and on
     any downstream evidence that the quotients are not exponent-2 groups.
     """
-    chars = require_fan(t, chars, cap)
+    chars = require_fan(t, chars)
     ideals = sorted({h.zero_set() for h in chars}, key=len, reverse=True)
     n = len(ideals)
 
@@ -366,13 +358,15 @@ def table_to_chain_with_map(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP,
     return chain, mapping
 
 
-def roundtrip_isomorphism(t: TernaryTable, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
+def roundtrip_isomorphism(t: TernaryTable,
+                          chars: tuple[Character, ...] | None = None) -> dict[int, int]:
     """Explicit isomorphism chain_to_table(table_to_chain(t)) -> t.
 
     Returns new-index -> old-index and verifies it is a bijection
-    preserving products and the three constants.
+    preserving products and the three constants.  Characters are
+    enumerated when not supplied.
     """
-    chain, elem_map = table_to_chain_with_map(t, cap)
+    chain, elem_map = table_to_chain_with_map(t, chars)
     rebuilt = chain_to_table(chain)
     elements = chain_elements(chain)
     iso = {i: elem_map[el] for i, el in enumerate(elements)}

@@ -2,18 +2,16 @@
 
 Exit codes: 0 success or positive decision, 1 negative decision
 (invalid, non-isomorphic, non-representable, not realizable), 2 input
-error, 3 resource bound exceeded.  FANFORGE_CAP overrides the character
-enumeration cap.
+error, 3 resource bound exceeded (every bound is fixed, with no override).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from .chains import ChainChar, chain_to_table, validate_chain
+from .chains import ChainChar, chain_characters, chain_to_table, validate_chain
 from .corpus import generate_corpus
 from .errors import NotAFanError, OrderMismatchError, ResourceLimitError, StructuralError
 from .formats import (
@@ -31,11 +29,7 @@ from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest, normal_form_chain, represent
 from .spectral import FanSpace
 from .suite import run_suite
-from .ternary import DEFAULT_ENUMERATION_CAP, SIGNS, enumerate_characters, fan_report, validate_table
-
-
-def enumeration_cap() -> int:
-    return int(os.environ.get("FANFORGE_CAP", DEFAULT_ENUMERATION_CAP))
+from .ternary import SIGNS, enumerate_characters, fan_report, validate_table
 
 
 def _load_chain(path: str) -> FanSpace:
@@ -55,23 +49,18 @@ def _cmd_validate(args) -> int:
         for p in chain_problems:
             print(p)
         return 1
-    space = FanSpace(chain)
-    cap = enumeration_cap()
-    table = chain_to_table(space.chain)
+    count = len(chain_characters(chain))
+    table = chain_to_table(chain)
     problems = [str(v) for v in validate_table(table)]
-    if table.size <= cap:
-        chars = enumerate_characters(table, cap)
-        problems += [str(v) for v in fan_report(table, chars)]
-        if len(chars) != len(space.chars):
-            problems.append("character counts differ between table and chain routes")
-    else:
-        print(f"note: table has {table.size} elements, > cap {cap}; "
-              "separation/closure checks skipped")
+    chars = enumerate_characters(table)
+    problems += [str(v) for v in fan_report(table, chars)]
+    if len(chars) != count:
+        problems.append("character counts differ between table and chain routes")
     if problems:
         for p in problems:
             print(p)
         return 1
-    print(f"valid fan: {len(space.chars)} characters on {table.size} elements")
+    print(f"valid fan: {count} characters on {table.size} elements")
     return 0
 
 
@@ -214,7 +203,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_suite(args) -> int:
     chains = generate_corpus(args.seed, args.count, args.levels, args.maxdim)
-    report = run_suite(chains, seed=args.seed, cap=enumeration_cap())
+    report = run_suite(chains, seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

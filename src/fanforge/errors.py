@@ -14,7 +14,7 @@ class NotAFanError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured cap or search bound was exceeded."""
+    """An input size bound or a search cap was exceeded."""
 
 
 class OrderMismatchError(ValueError):

@@ -92,7 +92,7 @@ def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
     """
     fiber = space.level(level) if h0 is None else _fiber(space, h0)
     scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
-    return extend_basis(space, (), scan, order=scan)
+    return extend_basis(space, (), scan)
 
 
 def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,

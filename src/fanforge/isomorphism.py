@@ -72,17 +72,20 @@ def representation_witness(space: FanSpace, f: dict[ChainChar, int]) -> RepWitne
     of evaluations over a dependent four-element set is 1.
     """
     _check_values(space, f)
-    for x in space.chars:
-        if f[x] != 0:
-            continue
-        for y in space.chars:
-            if y.depth <= x.depth and f[y] != 0:
-                return RepWitness("zero-monotone", (x, y))
-    for y in space.chars:
-        for d in range(1, y.depth + 1):
-            x = space.successor(y, d)
-            if f[x] != 0 and f[x] != f[y]:
-                return RepWitness("specialization-agreement", (x, y))
+    chars = space.chars
+    # characters come in depth order, so the first nonzero one is the shallowest
+    first = next((y for y in chars if f[y]), None)
+    for x in chars:
+        if f[x] == 0 and first is not None and first.depth <= x.depth:
+            return RepWitness("zero-monotone", (x, first))
+    # above[i]: the shallowest character at or above node i where f is
+    # nonzero; once y's parent has passed, f has one nonzero value above y
+    above: list[ChainChar | None] = []
+    for y, p in zip(chars, space.forest.parents):
+        x = None if p is None else above[p]
+        if x is not None and f[x] != f[y]:
+            return RepWitness("specialization-agreement", (x, y))
+        above.append(y if x is None and f[y] else x)
     for d in range(1, space.length + 1):
         level = space.level(d)
         if all(f[x] == 0 for x in level):
@@ -105,12 +108,19 @@ def represent(space: FanSpace, f: dict[ChainChar, int]) -> RepresentResult:
     """Find the fan element whose evaluation is f, or say why none exists.
 
     Elements are scanned in the canonical order, so ties (impossible on
-    separating fans) would resolve to the least element.
+    separating fans) would resolve to the least element.  An element of
+    depth e is 0 exactly on the characters shallower than e, so only the
+    elements at f's shallowest nonzero depth are scanned (the zero
+    element when f is 0), against the characters from that depth on.
     """
     _check_values(space, f)
+    e = next((h.depth for h in space.chars if f[h]), 0)
+    scan = [h for h in space.chars if h.depth >= e]
     for el in chain_elements(space.chain):
+        if el.depth != e:
+            continue
         depth, vec = el.depth, el.vec
-        for h in space.chars:      # in depth order, so vec moves one tau at a time
+        for h in scan:      # in depth order, so vec moves one tau at a time
             while 0 < depth < h.depth:      # the zero element stays at depth 0
                 vec = gf2.mat_vec(space.chain.taus[depth - 1], vec)
                 depth += 1
@@ -378,6 +388,8 @@ def check_forest(forest: Forest) -> list[Violation]:
     for k in range(1, n + 1):
         for j in range(k, n + 1):
             members = {"S": forest.stratum("S", k, j), "C": forest.stratum("C", k, j)}
+            if len(members["S"]) < 2:   # C^k_j lies inside S^k_j: nothing can disagree
+                continue
             for j1 in range(k, j + 1):
                 for j2 in range(k, j1 + 1):
                     for kind, stratum_kind in (("B", "S"), ("A", "C")):
@@ -393,13 +405,9 @@ def check_forest(forest: Forest) -> list[Violation]:
                                 f"{counts[lo]} and {counts[hi]}",
                                 (kind, k, j, j1, j2, counts[lo], counts[hi])))
 
-    # Per component (the subtree of one root): its length, its S-stratum
-    # sizes in (j, jp) order, and its truncated codes on demand.
+    # Per component (the subtree of one root): its length and truncated codes.
     roots = forest.roots
     lengths = [forest.deep[r] for r in roots]
-    sizes = [tuple(forest.pred_count(r, j, jp, "B")
-                   for j in range(1, length + 1) for jp in range(1, j + 1))
-             for r, length in zip(roots, lengths)]
     codes: dict[tuple[int, int], str] = {}
 
     def code(c: int, depth: int) -> str:
@@ -410,10 +418,12 @@ def check_forest(forest: Forest) -> list[Violation]:
 
     for a, b in itertools.combinations(range(len(roots)), 2):
         m = min(lengths[a], lengths[b])
-        common = m * (m + 1) // 2
-        if sizes[a][:common] != sizes[b][:common]:
-            pairs = ((jp, j) for j in range(1, m + 1) for jp in range(1, j + 1))
-            for (jp, j), ca, cb in zip(pairs, sizes[a], sizes[b]):
+        if code(a, m) == code(b, m):    # isomorphic truncations pass RC3 too
+            continue
+        for j in range(1, m + 1):
+            for jp in range(1, j + 1):
+                ca = forest.pred_count(roots[a], j, jp, "B")
+                cb = forest.pred_count(roots[b], j, jp, "B")
                 if ca != cb:
                     name = f"L_{j}" if jp == j else f"S^{jp}_{j}"
                     out.append(Violation(
@@ -422,12 +432,11 @@ def check_forest(forest: Forest) -> list[Violation]:
                         f"card({name}(K{b + 1}))={cb}",
                         (jp, j, a + 1, b + 1, ca, cb)))
         shallow, deep_idx = (a, b) if lengths[a] <= lengths[b] else (b, a)
-        if code(shallow, lengths[shallow]) != code(deep_idx, lengths[shallow]):
-            out.append(Violation(
-                "RC4",
-                f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
-                f"K{deep_idx + 1} truncated at depth {lengths[shallow]}",
-                (shallow + 1, deep_idx + 1)))
+        out.append(Violation(
+            "RC4",
+            f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
+            f"K{deep_idx + 1} truncated at depth {m}",
+            (shallow + 1, deep_idx + 1)))
     return out
 
 

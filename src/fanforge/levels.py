@@ -77,11 +77,10 @@ def closure(space: FanSpace, chars) -> tuple[ChainChar, ...]:
     return tuple(ChainChar(d, m) for m in sorted(masks))
 
 
-def extend_basis(space: FanSpace, indep, target, order=None) -> tuple[ChainChar, ...]:
+def extend_basis(space: FanSpace, indep, target) -> tuple[ChainChar, ...]:
     """Grow an independent set to a basis of the span of indep plus target.
 
-    Candidates are scanned in functional order unless an explicit order
-    is supplied (used by seeded construction policies).
+    Candidates are scanned in the order target gives them.
     """
     indep = tuple(indep)
     target = tuple(target)
@@ -93,16 +92,15 @@ def extend_basis(space: FanSpace, indep, target, order=None) -> tuple[ChainChar,
         if not span.add(v):
             raise ValueError("starting set is dependent")
     chosen = list(indep)
-    scan = sorted(target) if order is None else list(order)
-    for h in scan:
+    for h in target:
         d = h.depth
         if span.add(h.mask | (1 << space.dim(d))):
             chosen.append(h)
     return tuple(chosen)
 
 
-def basis_of(space: FanSpace, chars, order=None) -> tuple[ChainChar, ...]:
-    return extend_basis(space, (), chars, order)
+def basis_of(space: FanSpace, chars) -> tuple[ChainChar, ...]:
+    return extend_basis(space, (), sorted(chars))
 
 
 def dimension(space: FanSpace, chars) -> int:

@@ -27,16 +27,18 @@ from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest
 from .levels import verify_involution
 from .spectral import FanSpace
-from .ternary import DEFAULT_ENUMERATION_CAP, Character, TernaryTable
+from .ternary import Character, TernaryTable
 
 
 class FanModel(NamedTuple):
     """One fan as every section reads it: its multiplication table, its
-    character space, and the table character of each chain character."""
+    character space, the table character of each chain character, and
+    the characters the table model enumerates on its own."""
 
     table: TernaryTable
     space: FanSpace
     table_of: dict[ChainChar, Character]     # in space.chars order
+    enumerated: tuple[Character, ...]        # enumerate_characters(table)
 
 
 def check_cardinality(model: FanModel) -> list[str]:
@@ -118,14 +120,10 @@ def check_product_identities(model: FanModel, rng: random.Random) -> list[str]:
     return failures
 
 
-def check_chain_table_agreement(model: FanModel,
-                                cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
+def check_chain_table_agreement(model: FanModel) -> list[str]:
     """Backtracking enumeration and the chain character list agree."""
-    table = model.table
-    if table.size > cap:
-        return []
     failures = []
-    enumerated = ternary.enumerate_characters(table, cap)
+    enumerated = model.enumerated
     from_chain = {tc.values for tc in model.table_of.values()}
     if {c.values for c in enumerated} != from_chain:
         failures.append("enumerated characters differ from chain characters")
@@ -170,16 +168,15 @@ def check_sgs(model: FanModel, seeds: tuple[int, ...] = (0,)) -> list[str]:
     return failures
 
 
-def check_roundtrip(model: FanModel, cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
+def check_roundtrip(model: FanModel) -> list[str]:
     failures = []
     text = serialize_chain(model.space.chain)
     if serialize_chain(parse_chain(text)) != text:
         failures.append("chain file serialization is not byte-identical")
-    if model.table.size <= cap:
-        try:
-            roundtrip_isomorphism(model.table, cap)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-            failures.append(f"table round-trip failed: {exc}")
+    try:
+        roundtrip_isomorphism(model.table, model.enumerated)
+    except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
+        failures.append(f"table round-trip failed: {exc}")
     return failures
 
 
@@ -211,8 +208,7 @@ class SuiteReport:
         return out
 
 
-def run_suite(chains: list[FanChain], seed: int = 0,
-              cap: int = DEFAULT_ENUMERATION_CAP) -> SuiteReport:
+def run_suite(chains: list[FanChain], seed: int = 0) -> SuiteReport:
     """Every section on each fan in turn; each section's failures stay in
     corpus order, and only product-identities draws from the rng."""
     rng = random.Random(seed)
@@ -222,11 +218,11 @@ def run_suite(chains: list[FanChain], seed: int = 0,
         "zero-set-transport": check_zero_set_transport,
         "fan-closure": check_fan_closure,
         "product-identities": partial(check_product_identities, rng=rng),
-        "chain-table-agreement": partial(check_chain_table_agreement, cap=cap),
+        "chain-table-agreement": check_chain_table_agreement,
         "forest-regularity": check_forest_regularity,
         "involutions": check_involutions,
         "generating-systems": partial(check_sgs, seeds=(seed,)),
-        "round-trips": partial(check_roundtrip, cap=cap),
+        "round-trips": check_roundtrip,
         "self-isomorphism": check_self_isomorphism,
     }
     report = SuiteReport({name: [] for name in sections}, fans=len(chains))
@@ -236,7 +232,8 @@ def run_suite(chains: list[FanChain], seed: int = 0,
         table = chain_to_table(chain)
         space = FanSpace(chain)
         model = FanModel(table, space, {h: chain_char_to_table_char(chain, table, h)
-                                        for h in space.chars})
+                                        for h in space.chars},
+                         ternary.enumerate_characters(table))
         for name, check in sections.items():
             report.sections[name].extend(check(model))
     return report

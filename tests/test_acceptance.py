@@ -196,7 +196,7 @@ def test_criterion_8_representation_theorem(corpus_spaces):
 
 def test_criterion_9_round_trips(corpus, corpus_spaces):
     for chain, space in zip(corpus, corpus_spaces):
-        roundtrip_isomorphism(chain_to_table(chain), cap=80)
+        roundtrip_isomorphism(chain_to_table(chain))
         text = serialize_chain(chain)
         assert serialize_chain(parse_chain(text)) == text
         ftext = serialize_forest(space.forest)

@@ -131,8 +131,8 @@ def test_extraction_ignores_element_order(corpus):
                     for x in range(t.size))
         shuffled = TernaryTable(t.size, inv[t.one_idx], inv[t.zero_idx],
                                 inv[t.minus_one_idx], mul)
-        assert table_to_chain(shuffled, cap=80).dims == chain.dims
-        roundtrip_isomorphism(shuffled, cap=80)
+        assert table_to_chain(shuffled).dims == chain.dims
+        roundtrip_isomorphism(shuffled)
 
 
 def test_table_to_chain_rejects_non_fans():

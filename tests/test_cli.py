@@ -267,6 +267,48 @@ def test_deep_path_represent_within_1gb(tmp_path):
     assert out.stdout == "represented by e1:0\n"
 
 
+def test_deep_path_represent_unrepresentable_within_1gb(tmp_path):
+    # zero on the top half, 1 below it, -1 at the deepest level: both
+    # witness checks are one pass in character order; scanning every
+    # character for every zero is quadratic, and checking every successor
+    # of every character grows as n³ (about 6 s at 1024 levels on a
+    # 2-vCPU Xeon VM)
+    n, half = MAX_CHARACTERS, MAX_CHARACTERS // 2
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(n)))
+    values = tmp_path / "flipped.txt"
+    values.write_text("".join(f"d{d}:1 {0 if d < half else 1}\n" for d in range(1, n))
+                      + f"d{n}:1 -1\n")
+    out = _run_under_1gb("represent", str(path), str(values), timeout=30)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == (
+        f"non-representable: specialization-agreement witness d{half}:1 d{n}:1\n")
+
+
+def test_deep_path_represent_deepest_element_within_1gb(tmp_path):
+    # only the elements at the map's shallowest nonzero depth are scanned;
+    # scanning every element against every shallower character is
+    # quadratic in the level count
+    n = MAX_CHARACTERS
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(n)))
+    values = tmp_path / "deepest.txt"
+    values.write_text("".join(f"d{d}:1 0\n" for d in range(1, n)) + f"d{n}:1 -1\n")
+    out = _run_under_1gb("represent", str(path), str(values), timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"represented by e{n}:1\n"
+
+
+def test_deep_path_check_forest_within_1gb(tmp_path):
+    # RC2 skips strata with one member, so a path forest costs one stratum
+    # read per (k, j); walking every (k, j, j1, j2) is about quartic
+    forest = tmp_path / "path.forest"
+    forest.write_text(serialize_forest(FanSpace(_path_chain(512)).forest))
+    out = _run_under_1gb("check-forest", str(forest), timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "no violations found\n"
+
+
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):
     # a 6x8 chain has 1537 elements; refused before its table is built
     big = tmp_path / "big.fan"
@@ -303,11 +345,14 @@ def test_suite_on_no_fans_prints_every_section(capsys):
             "self-isomorphism")]
 
 
-def test_enumeration_cap_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("FANFORGE_CAP", "3")
-    assert main(["validate", files["e1"]]) == 0
-    out = capsys.readouterr().out
-    assert "checks skipped" in out  # 7-element table is over the tiny cap
+def test_validate_checks_129_element_ladder_in_full(tmp_path, capsys, monkeypatch):
+    # every table within the table bound gets separation and closure;
+    # no environment variable narrows that
+    monkeypatch.delenv("FANFORGE_CAP", raising=False)
+    path = tmp_path / "ladder.fan"
+    path.write_text(serialize_chain(ladder(random.Random(129), 4, 5)))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "valid fan: 64 characters on 129 elements\n"
 
 
 def test_input_errors(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_random_transition_preserves_minus():
 
 
 def test_run_suite_clean_on_small_corpus():
-    report = run_suite(generate_corpus(5, count=8), seed=5, cap=80)
+    report = run_suite(generate_corpus(5, count=8), seed=5)
     assert report.ok
     assert report.fans == 8
     assert set(report.sections) >= {"cardinality", "involutions", "round-trips"}
@@ -50,7 +50,7 @@ def test_run_suite_builds_one_model_per_fan(monkeypatch):
     for name in seen:
         monkeypatch.setattr(suite, name, counted(name, getattr(suite, name)))
     chains = generate_corpus(5, count=8)
-    assert run_suite(chains, seed=5, cap=80).ok
+    assert run_suite(chains, seed=5).ok
     assert seen == {name: chains for name in seen}
 
 

@@ -10,6 +10,7 @@ from fanforge.corpus import random_transition
 from fanforge.errors import ResourceLimitError, StructuralError
 from fanforge.spectral import FanSpace
 from fanforge.ternary import (
+    MAX_TABLE_ELEMENTS,
     Character,
     TernaryTable,
     enumerate_characters,
@@ -76,8 +77,12 @@ def test_enumeration_matches_chain_route():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_characters(sign3_table(), cap=2)
+    # the table bound is the only bound: one element over it is refused
+    # before any assignment
+    m = MAX_TABLE_ELEMENTS + 1
+    over = TernaryTable(m, 0, 0, 0, ((0,) * m,) * m)
+    with pytest.raises(ResourceLimitError, match=f"table bound is {MAX_TABLE_ELEMENTS}"):
+        enumerate_characters(over)
 
 
 def test_triple_product_examples():
@@ -183,7 +188,7 @@ def test_product_of_sign3_is_not_a_fan():
 def test_fan_report_clean_on_fan_tables(corpus):
     for chain in corpus[:5]:
         table = chain_to_table(chain)
-        assert fan_report(table, cap=80) == []
+        assert fan_report(table) == []
 
 
 def zero_set_order_by_algebra(g, h) -> str:
@@ -358,7 +363,7 @@ def test_masks_match_oracles_on_corpus_characters(corpus):
     tables.append(product_table(sign3_table(), chain_to_table(E1)))
     rng = random.Random(5)
     for t in tables:
-        chars = enumerate_characters(t, cap=t.size)
+        chars = enumerate_characters(t)
         assert_pairs_agree(chars)
         assert_triples_agree(chars)
         assert fan_report(t, chars) == oracle_fan_report(t, chars)
@@ -375,7 +380,7 @@ def test_masks_match_oracles_on_129_element_ladder():
     chain = FanChain(dims, minus, taus)
     table = chain_to_table(chain)
     assert table.size == 129
-    chars = enumerate_characters(table, cap=129)
+    chars = enumerate_characters(table)
     space = FanSpace(chain)
     assert [h.values for h in chars] == sorted(
         chain_char_to_table_char(chain, table, h).values for h in space.chars)
