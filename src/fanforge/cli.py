@@ -123,8 +123,8 @@ def _cmd_iso(args) -> int:
         mapping = build_isomorphism(space1, space2, args.seed)
     except OrderMismatchError as exc:
         print("not isomorphic: specialization orders differ")
-        print(f"code A: {exc.code1}")
-        print(f"code B: {exc.code2}")
+        k, j, card1, card2 = exc.first_difference
+        print(f"first difference: card(C^{k}_{j}) is {card1} in A, {card2} in B")
         return 1
     for h in space1.chars:
         img = mapping[h]

@@ -20,7 +20,6 @@ class ResourceLimitError(RuntimeError):
 class OrderMismatchError(ValueError):
     """Two spaces have non-isomorphic specialization forests."""
 
-    def __init__(self, code1: str, code2: str):
+    def __init__(self, k: int, j: int, card1: int, card2: int):
         super().__init__("specialization forests are not order-isomorphic")
-        self.code1 = code1
-        self.code2 = code2
+        self.first_difference = (k, j, card1, card2)     # card(C^k_j) in each

@@ -276,7 +276,10 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
                       seed: int | None = None) -> dict[ChainChar, ChainChar]:
     """Construct an isomorphism of fans from their order data alone.
 
-    Raises OrderMismatchError when the forests differ.  Otherwise both
+    Raises OrderMismatchError at the first (k, j) where card(C^k_j)
+    differs.  For forests of fans equal profiles mean isomorphic fans:
+    the profile fixes the ranks of the composite transitions, which fix
+    the chain up to isomorphism (see normal_form_chain).  Otherwise both
     spaces get their standard generating system under the same seed;
     its choices are made by position, so the i-th basis member of each
     level of the source is sent to the i-th of the target, each level
@@ -284,10 +287,11 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     linear per-level certificate before being returned; a map that fails
     it raises RuntimeError.
     """
-    code1 = forest_canonical(space1.forest)
-    code2 = forest_canonical(space2.forest)
-    if code1 != code2:
-        raise OrderMismatchError(code1, code2)
+    pairs = itertools.zip_longest(space1.forest.profile, space2.forest.profile, fillvalue={})
+    for k, (c1, c2) in enumerate(pairs):
+        for j in sorted(c1.keys() | c2.keys()):
+            if c1.get(j, 0) != c2.get(j, 0):
+                raise OrderMismatchError(k, j, c1.get(j, 0), c2.get(j, 0))
 
     gs1 = standard_generating_system(space1, seed)
     gs2 = standard_generating_system(space2, seed)
@@ -372,38 +376,37 @@ def check_forest(forest: Forest) -> list[Violation]:
     counts agree across a stratum; RC3 components agree level- and
     stratum-wise where both reach; RC4 a component is order-isomorphic
     to every deeper one truncated at its own lowest level.  An empty
-    report is necessary, not sufficient, for realizability.
+    report is necessary, not sufficient, for realizability.  S^k_j is
+    one set on each run of j ending at a reach value present at depth k,
+    so RC1 and RC2 work once per run and repeat their lines for its j.
     """
-    out: list[Violation] = []
-    n = forest.length
-
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            s = len(forest.stratum("S", k, j))
-            if s and not _power_of_two(s):
-                out.append(Violation(
-                    "RC1", f"RC1 violated: card(S^{k}_{j})={s} not a power of 2",
-                    (k, j, s)))
-
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            members = {"S": forest.stratum("S", k, j), "C": forest.stratum("C", k, j)}
-            if len(members["S"]) < 2:   # C^k_j lies inside S^k_j: nothing can disagree
-                continue
-            for j1 in range(k, j + 1):
-                for j2 in range(k, j1 + 1):
-                    for kind, stratum_kind in (("B", "S"), ("A", "C")):
-                        counts = {h: forest.pred_count(h, j1, j2, kind)
-                                  for h in members[stratum_kind]}
-                        if len(set(counts.values())) > 1:
-                            lo = min(counts, key=lambda h: counts[h])
-                            hi = max(counts, key=lambda h: counts[h])
-                            out.append(Violation(
-                                "RC2",
-                                f"RC2 violated: card({kind}^{{{j1},{j2}}}) over "
-                                f"{stratum_kind}^{k}_{j} takes values "
-                                f"{counts[lo]} and {counts[hi]}",
-                                (kind, k, j, j1, j2, counts[lo], counts[hi])))
+    rc1, rc2 = [], []
+    for k in range(1, forest.length + 1):
+        first, s = k, sum(forest.profile[k].values())
+        for r, c in forest.profile[k].items():
+            # S^k_j has s members for j in first..r; C^k_j is empty below r
+            if not _power_of_two(s):
+                rc1 += [Violation("RC1", f"RC1 violated: card(S^{k}_{j})={s} not a power of 2",
+                                  (k, j, s)) for j in range(first, r + 1)]
+            if s > 1:       # C^k_j lies inside S^k_j: one member cannot disagree
+                members = [h for h in forest.level(k) if forest.deep[h] >= r]
+                bad = []
+                for j1 in range(k, r + 1):
+                    for j2 in range(k, j1 + 1):
+                        for kind in ("B", "A"):     # over S^k_r, over C^k_r
+                            counts = {forest.pred_count(h, j1, j2, kind) for h in members
+                                      if kind == "B" or forest.deep[h] == r}
+                            if len(counts) > 1:
+                                bad.append((j1, j2, kind, min(counts), max(counts)))
+                for j in range(first, r + 1):
+                    rc2 += [Violation(
+                        "RC2", f"RC2 violated: card({kind}^{{{j1},{j2}}}) over "
+                        f"{'S' if kind == 'B' else 'C'}^{k}_{j} takes values {lo} and {hi}",
+                        (kind, k, j, j1, j2, lo, hi))
+                        for j1, j2, kind, lo, hi in itertools.takewhile(lambda v: v[0] <= j, bad)
+                        if kind == "B" or j == r]
+            first, s = r + 1, s - c
+    out = rc1 + rc2
 
     # Per component (the subtree of one root): its length and truncated codes.
     roots = forest.roots
@@ -463,7 +466,7 @@ def normal_form_chain(forest: Forest) -> FanChain | None:
     chains, fixed by the ranks r(d, e) of its composite transitions, and
     the minus vectors split off in one (1, n) summand.  The ranks are read
     off the forest: 2^(r(d, e) - 1) depth-d nodes reach depth e, counted
-    from one histogram of reach values per depth.  Interval multiplicities
+    from the forest's profile.  Interval multiplicities
     follow by inclusion-exclusion, and the sum of that many copies of each
     interval is returned when its forest code equals the candidate's.  A
     realizable forest has its realizer's profile, so the codes then agree:
@@ -472,11 +475,6 @@ def normal_form_chain(forest: Forest) -> FanChain | None:
     n = forest.length
     if n == 0:
         return None
-    # hist[d][e]: depth-d nodes whose deepest descendant sits at depth e;
-    # S(d, e) is the sum of hist[d] from e on.
-    hist: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for d, e in zip(forest.depths, forest.deep):
-        hist[d][e] = hist[d].get(e, 0) + 1
     intervals = []
     for i in range(1, n + 1):
         # Walk j down from n (so (1, n) comes first).  A depth-(i - 1) node
@@ -485,9 +483,9 @@ def normal_form_chain(forest: Forest) -> FanChain | None:
         # S(i - 1, j + 1), and m(i, j) = 0: only the reach values present
         # at depth i are visited.
         s_i = s_p = 0                       # S(i, j + 1), S(i - 1, j + 1)
-        for j, count in sorted(hist[i].items(), reverse=True):
+        for j, count in reversed(forest.profile[i].items()):
             t_i = s_i + count
-            t_p = s_p + hist[i - 1].get(j, 0)
+            t_p = s_p + forest.profile[i - 1].get(j, 0)
             if not _power_of_two(t_i):
                 return None
             m = t_i.bit_length() - t_p.bit_length() - s_i.bit_length() + s_p.bit_length()

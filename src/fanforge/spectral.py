@@ -66,6 +66,15 @@ class Forest:
         return tuple(out)
 
     @cached_property
+    def profile(self) -> tuple[dict[int, int], ...]:
+        """profile[k][j] = card(C^k_j) for the reaches j present at depth k,
+        ascending; card(S^k_j) is the sum over reaches >= j."""
+        hist: list[dict[int, int]] = [{} for _ in range(self.length + 1)]
+        for d, e in zip(self.depths, self.deep):
+            hist[d][e] = hist[d].get(e, 0) + 1
+        return tuple({j: h[j] for j in sorted(h)} for h in hist)
+
+    @cached_property
     def roots(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.parents) if p is None)
 

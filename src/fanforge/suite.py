@@ -158,13 +158,9 @@ def check_sgs(model: FanModel, seeds: tuple[int, ...] = (0,)) -> list[str]:
         report = verify_sgs(space, gs)
         for bad in report.failures():
             failures.append(f"seed {seed}: {bad.name} fails")
-        if seed is not None:
-            again = standard_generating_system(space, seed)
-            if again.bases != gs.bases:
-                failures.append(f"seed {seed}: construction is not reproducible")
-    det = standard_generating_system(space)
-    if det.bases != standard_generating_system(space).bases:
-        failures.append("deterministic construction is not reproducible")
+        if standard_generating_system(space, seed).bases != gs.bases:
+            failures.append("deterministic construction is not reproducible" if seed is None
+                            else f"seed {seed}: construction is not reproducible")
     return failures
 
 

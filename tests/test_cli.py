@@ -300,13 +300,28 @@ def test_deep_path_represent_deepest_element_within_1gb(tmp_path):
 
 
 def test_deep_path_check_forest_within_1gb(tmp_path):
-    # RC2 skips strata with one member, so a path forest costs one stratum
-    # read per (k, j); walking every (k, j, j1, j2) is about quartic
+    # RC1 and RC2 walk the runs of j on which S^k_j is one set, one per
+    # level here; reading a stratum per (k, j) is quadratic in the level
+    # count, and walking every (k, j, j1, j2) about quartic
     forest = tmp_path / "path.forest"
-    forest.write_text(serialize_forest(FanSpace(_path_chain(512)).forest))
+    forest.write_text(serialize_forest(FanSpace(_path_chain(MAX_CHARACTERS)).forest))
     out = _run_under_1gb("check-forest", str(forest), timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "no violations found\n"
+
+
+def test_deep_path_sgs_within_1gb(tmp_path):
+    # one stratum check per larger reach value of a level (none here) and
+    # one closure check per parent edge; a check per (k, j) and per pair
+    # of levels is quadratic in the level count
+    n = MAX_CHARACTERS
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(n)))
+    out = _run_under_1gb("sgs", str(path), "--seed", "3", timeout=30)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1] == f"verified: {2 * n - 1} checks pass"
 
 
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):

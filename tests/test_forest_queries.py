@@ -163,10 +163,16 @@ def test_forest_queries_match_scans(impossible_forests):
         for d in range(0, n + 2):
             assert f.level(d) == oracle_level(f, d)
         assert f.level_sizes() == tuple(len(oracle_level(f, d)) for d in range(1, n + 1))
+        assert len(f.profile) == n + 1 and f.profile[0] == {}
         for k in range(1, n + 1):
+            assert list(f.profile[k].items()) == [
+                (j, len(oracle_stratum(f, "C", k, j)))
+                for j in range(k, n + 1) if oracle_stratum(f, "C", k, j)]
             for j in range(k, n + 1):
                 for kind in ("S", "C"):
                     assert f.stratum(kind, k, j) == oracle_stratum(f, kind, k, j)
+                assert (sum(c for r, c in f.profile[k].items() if r >= j)
+                        == len(oracle_stratum(f, "S", k, j)))
         for h in range(len(f)):
             assert f.descendants(h) == oracle_descendants(f, h)
             for j1 in range(f.depths[h], n + 1):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from fanforge.generators import (
     standard_generating_system,
     verify_sgs,
 )
-from fanforge.levels import basis_of, extend_basis
+from fanforge.levels import basis_of, closure, extend_basis, is_dependent
 from fanforge.spectral import FanSpace
 
 from conftest import E1, EA, EB, TRIV, ladder
@@ -164,8 +165,20 @@ def test_verify_sgs_flags_non_adapted_basis():
     assert any(c.name == "stratum-basis(1,2)" and not c.passed for c in report.checks)
 
 
+def _random_bases(rng, space, gs):
+    """Per level the given basis or, half the time, a random subset of the
+    level: as many members as the level dimension, or any number."""
+    out = []
+    for k, level in enumerate(space.levels(), start=1):
+        size = rng.choice((space.dim(k), rng.randint(1, len(level))))
+        out.append(gs.level_basis(k) if rng.random() < 0.5
+                   else tuple(rng.sample(level, min(size, len(level)))))
+    return GeneratingSystem(tuple(out))
+
+
 def test_successor_closure_matches_direct_successors(corpus_spaces):
-    # random level subsets as bases, so that closure fails as well as holds
+    # random level subsets as bases, so that closure fails as well as holds;
+    # the oracle checks every basis member's successor at every depth
     rng = random.Random(5)
     seen = set()
     for space in corpus_spaces[:60]:
@@ -174,12 +187,51 @@ def test_successor_closure_matches_direct_successors(corpus_spaces):
                           for level in space.levels())
             got = [(c.name, c.passed) for c in verify_sgs(space, GeneratingSystem(bases)).checks
                    if c.name.startswith("successor-closure")]
-            want = [(f"successor-closure({k},{m})",
-                     all(space.successor(g, k) in bases[k - 1] for g in bases[m - 1]))
-                    for m in range(1, space.length + 1) for k in range(1, m + 1)]
-            assert got == want
-            seen.update(passed for _, passed in got)
+            assert [name for name, _ in got] == [f"successor-closure({m - 1},{m})"
+                                                 for m in range(2, space.length + 1)]
+            failing = [m for m in range(1, space.length + 1) for k in range(1, m + 1)
+                       if not all(space.successor(g, k) in bases[k - 1] for g in bases[m - 1])]
+            assert all(passed for _, passed in got) == (not failing)
+            if failing:     # the first failing pair's parent edge fails first
+                first = next(name for name, passed in got if not passed)
+                assert first == f"successor-closure({failing[0] - 1},{failing[0]})"
+            seen.add(not failing)
     assert seen == {True, False}
+
+
+def _oracle_verify_sgs(space, gs) -> bool:
+    """verify_sgs with one stratum check per (k, j) and one closure check
+    per pair of levels, as first written: the oracle for its verdict."""
+    n = space.length
+    ok = True
+    for k in range(1, n + 1):
+        bk = gs.level_basis(k)
+        ok &= set(closure(space, bk)) == set(space.level(k)) and not is_dependent(space, bk)
+        for j in range(k, n + 1):
+            part = tuple(g for g in bk if space.deep(g) >= j)
+            ok &= (set(closure(space, part)) == set(space.stratum_members("S", k, j))
+                   and (not part or not is_dependent(space, part)))
+    for m in range(1, n + 1):
+        for k in range(1, m + 1):
+            ok &= all(space.successor(g, k) in gs.level_basis(k) for g in gs.level_basis(m))
+    return ok
+
+
+def test_verify_sgs_matches_oracle(corpus_spaces):
+    rng = random.Random(11)
+    wide = [FanSpace(c) for c in generate_corpus(7, count=60, max_levels=6, max_dim=6)]
+    verdicts = collections.Counter()
+    for space in corpus_spaces + wide:
+        for seed in (None, 1):
+            gs = standard_generating_system(space, seed)
+            for system in (gs, _random_bases(rng, space, gs), _random_bases(rng, space, gs)):
+                report = verify_sgs(space, system)
+                assert report.ok == _oracle_verify_sgs(space, system)
+                spans = all(c.passed for c in report.checks if c.name.startswith("spans"))
+                verdicts["ok" if report.ok else "spans, fails" if spans else "no span"] += 1
+    # every verdict is common, bases that span each level yet fail a
+    # stratum or a parent edge too: 1044, 408 and 108 of 1560 systems
+    assert min(verdicts.values()) > 50
 
 
 def test_nonempty_c_strata_meet_basis(corpus_spaces):

@@ -223,7 +223,8 @@ def test_build_isomorphism_self():
 def test_build_isomorphism_mismatch():
     with pytest.raises(OrderMismatchError) as err:
         build_isomorphism(FanSpace(EA), FanSpace(EB))
-    assert err.value.code1 != err.value.code2
+    # EA's roots both reach depth 2; one of EB's stops at depth 1
+    assert err.value.first_difference == (1, 1, 0, 1)
 
 
 def test_brute_force_examples():
@@ -727,21 +728,17 @@ def _draw_intervals(rng, max_levels: int = 6, max_dim: int = 6):
     return n, intervals
 
 
-def test_known_answer_profiles_beyond_corpus_bounds():
-    # A drawn interval profile fixes the fan: rebased copies of one
-    # normal form are isomorphic, and different profiles are not, even
-    # when the level dimensions agree (splitting an interval keeps them).
+def _known_answer_draws() -> list[tuple]:
+    """40 drawn interval profiles, each with its normal form, a rebased
+    copy, and, when some interval other than (1, n) can split, a rebased
+    fan with that interval split in two (None otherwise)."""
     rng = random.Random(20170303)
     draws = []
     for _ in range(40):
         n, intervals = _draw_intervals(rng)
         space = FanSpace(_interval_chain(n, intervals))
         rebased = FanSpace(_rebase(rng, space.chain))
-        build_isomorphism(space, rebased)           # certified, or it raises
-        found = normal_form_chain(rebased.forest)
-        assert found is not None
-        assert forest_canonical(FanSpace(found).forest) == forest_canonical(rebased.forest)
-        draws.append(((n, sorted(intervals)), space, rebased))
+        split = None
         splittable = [t for t, (i, j) in enumerate(intervals) if t and i < j]
         if splittable:
             t = rng.choice(splittable)
@@ -749,13 +746,49 @@ def test_known_answer_profiles_beyond_corpus_bounds():
             b = rng.randint(i, j - 1)
             split = FanSpace(_rebase(rng, _interval_chain(
                 n, intervals[:t] + [(i, b), (b + 1, j)] + intervals[t + 1:])))
+        draws.append(((n, sorted(intervals)), space, rebased, split))
+    return draws
+
+
+def test_known_answer_profiles_beyond_corpus_bounds():
+    # A drawn interval profile fixes the fan: rebased copies of one
+    # normal form are isomorphic, and different profiles are not, even
+    # when the level dimensions agree (splitting an interval keeps them).
+    draws = _known_answer_draws()
+    for _, space, rebased, split in draws:
+        build_isomorphism(space, rebased)           # certified, or it raises
+        found = normal_form_chain(rebased.forest)
+        assert found is not None
+        assert forest_canonical(FanSpace(found).forest) == forest_canonical(rebased.forest)
+        if split is not None:
             assert split.chain.dims == space.chain.dims
             with pytest.raises(OrderMismatchError):
                 build_isomorphism(space, split)
-    assert max(len(space) for _, space, _ in draws) > 32
-    for (p1, s1, _), (p2, _, r2) in zip(draws, draws[1:]):
+    assert max(len(space) for _, space, _, _ in draws) > 32
+    for (p1, s1, _, _), (p2, _, r2, _) in zip(draws, draws[1:]):
         if p1 == p2:
             build_isomorphism(s1, r2)
         else:
             with pytest.raises(OrderMismatchError):
                 build_isomorphism(s1, r2)
+
+
+def _refused(s1: FanSpace, s2: FanSpace) -> bool:
+    try:
+        build_isomorphism(s1, s2)
+    except OrderMismatchError:
+        return True
+    return False
+
+
+def test_profile_refusal_matches_forest_codes(corpus_spaces):
+    # build_isomorphism decides on reach profiles; the canonical forest
+    # codes are the oracle, and they must split every pair the same way
+    pairs = list(itertools.combinations(corpus_spaces[:60], 2))
+    draws = _known_answer_draws()
+    for (_, space, rebased, split), (_, _, r2, _) in zip(draws, draws[1:] + draws[:1]):
+        pairs += [(space, rebased), (space, r2)] + [(space, split)] * (split is not None)
+    refused = [_refused(s1, s2) for s1, s2 in pairs]
+    assert refused == [forest_canonical(s1.forest) != forest_canonical(s2.forest)
+                       for s1, s2 in pairs]
+    assert 10 < refused.count(False) < len(pairs) - 10
