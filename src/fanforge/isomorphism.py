@@ -11,7 +11,9 @@ normal-form chain, read off the ranks of the composite transitions.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
@@ -379,8 +381,17 @@ def check_forest(forest: Forest) -> list[Violation]:
     report is necessary, not sufficient, for realizability.  S^k_j is
     one set on each run of j ending at a reach value present at depth k,
     so RC1 and RC2 work once per run and repeat their lines for its j.
+
+    RC2-RC4 read one node per `Forest.shape`.  A subtree isomorphism keeps
+    depths and reaches (depth plus height), so equal shapes give equal
+    counts; a node reaches j <= m exactly when it does once cut at depth m,
+    so isomorphic cuts at m agree in RC3 up to m.  RC2 cannot fail at r = k:
+    there j1 = j2 = k and B^{k,k} = A^{k,k} = {h}.  For r > k, counts at
+    depth j2 sum row j2 of a member's histogram of predecessors by (depth,
+    min(reach, r)), so only rows where two members differ are walked.
     """
     rc1, rc2 = [], []
+    depths, deep, shape = forest.depths, forest.deep, forest.shape
     for k in range(1, forest.length + 1):
         first, s = k, sum(forest.profile[k].values())
         for r, c in forest.profile[k].items():
@@ -388,16 +399,19 @@ def check_forest(forest: Forest) -> list[Violation]:
             if not _power_of_two(s):
                 rc1 += [Violation("RC1", f"RC1 violated: card(S^{k}_{j})={s} not a power of 2",
                                   (k, j, s)) for j in range(first, r + 1)]
-            if s > 1:       # C^k_j lies inside S^k_j: one member cannot disagree
-                members = [h for h in forest.level(k) if forest.deep[h] >= r]
+            reps = {shape[h]: h for h in forest.level(k) if deep[h] >= r} if r > k else {}
+            hist = {h: Counter((depths[g], min(deep[g], r)) for g in forest.descendants(h)
+                               if depths[g] <= r) for h in reps.values()} if len(reps) > 1 else {}
+            keys = set().union(*hist.values())
+            rows = sorted({j2 for j2, e in keys if len({c[(j2, e)] for c in hist.values()}) > 1})
+            if rows:
                 bad = []
-                for j1 in range(k, r + 1):
-                    for j2 in range(k, j1 + 1):
-                        for kind in ("B", "A"):     # over S^k_r, over C^k_r
-                            counts = {forest.pred_count(h, j1, j2, kind) for h in members
-                                      if kind == "B" or forest.deep[h] == r}
-                            if len(counts) > 1:
-                                bad.append((j1, j2, kind, min(counts), max(counts)))
+                for j1 in range(rows[0], r + 1):
+                    for j2 in (d for d in rows if d <= j1):
+                        b = {sum(c[(j2, e)] for e in range(j1, r + 1)) for c in hist.values()}
+                        a = {c[(j2, j1)] for h, c in hist.items() if deep[h] == r}
+                        bad += [(j1, j2, kind, min(n), max(n))
+                                for kind, n in (("B", b), ("A", a)) if len(n) > 1]
                 for j in range(first, r + 1):
                     rc2 += [Violation(
                         "RC2", f"RC2 violated: card({kind}^{{{j1},{j2}}}) over "
@@ -408,36 +422,40 @@ def check_forest(forest: Forest) -> list[Violation]:
             first, s = r + 1, s - c
     out = rc1 + rc2
 
-    # Per component (the subtree of one root): its length and truncated codes.
+    # RC3/RC4: all pairs are walked, in order, only if two root shapes disagree
     roots = forest.roots
     lengths = [forest.deep[r] for r in roots]
-    codes: dict[tuple[int, int], str] = {}
+    reps = {shape[x]: a for a, x in enumerate(roots)}
 
-    def code(c: int, depth: int) -> str:
-        if (c, depth) not in codes:
-            comp = forest.restrict(forest.components[c])
-            codes[(c, depth)] = forest_canonical(comp.truncate(depth))
-        return codes[(c, depth)]
+    @functools.cache
+    def truncated(m: int) -> list[int]:         # per root, its shape cut at depth m
+        cut = forest.truncate(m)
+        return [cut.shape[x] for x in cut.roots]
 
+    def agree(a: int, b: int) -> bool:
+        cut = truncated(min(lengths[a], lengths[b]))
+        return cut[a] == cut[b]
+
+    if all(itertools.starmap(agree, itertools.combinations(reps.values(), 2))):
+        return out
+    card = {(s, j, jp): len(forest.pred_nodes(roots[a], j, jp, "B"))  # card(S^jp_j) per shape
+            for s, a in reps.items() for j in range(1, lengths[a] + 1) for jp in range(1, j + 1)}
     for a, b in itertools.combinations(range(len(roots)), 2):
         m = min(lengths[a], lengths[b])
-        if code(a, m) == code(b, m):    # isomorphic truncations pass RC3 too
+        if agree(a, b):     # isomorphic truncations pass RC3 too
             continue
         for j in range(1, m + 1):
             for jp in range(1, j + 1):
-                ca = forest.pred_count(roots[a], j, jp, "B")
-                cb = forest.pred_count(roots[b], j, jp, "B")
+                ca, cb = card[shape[roots[a]], j, jp], card[shape[roots[b]], j, jp]
                 if ca != cb:
                     name = f"L_{j}" if jp == j else f"S^{jp}_{j}"
                     out.append(Violation(
-                        "RC3",
-                        f"RC3 violated: card({name}(K{a + 1}))={ca} != "
+                        "RC3", f"RC3 violated: card({name}(K{a + 1}))={ca} != "
                         f"card({name}(K{b + 1}))={cb}",
                         (jp, j, a + 1, b + 1, ca, cb)))
         shallow, deep_idx = (a, b) if lengths[a] <= lengths[b] else (b, a)
         out.append(Violation(
-            "RC4",
-            f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
+            "RC4", f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
             f"K{deep_idx + 1} truncated at depth {m}",
             (shallow + 1, deep_idx + 1)))
     return out

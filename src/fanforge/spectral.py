@@ -127,40 +127,22 @@ class Forest:
         return tuple(i for i in self._levels[k - 1] if deep[i] == j)
 
     @cached_property
-    def _reach_counts(self) -> tuple[dict[tuple[int, int], int], ...]:
-        """Per node, its descendants (itself included) counted by
-        (depth, deepest reach).  One pass: each node adds itself to its
-        at most `length` ancestors."""
-        counts: list[dict[tuple[int, int], int]] = [{} for _ in self.depths]
-        parents, deep = self.parents, self.deep
-        for g, d in enumerate(self.depths):
-            key = (d, deep[g])
-            a = g
-            while a is not None:
-                hist = counts[a]
-                hist[key] = hist.get(key, 0) + 1
-                a = parents[a]
-        return tuple(counts)
+    def shape(self) -> tuple[int, ...]:
+        """Per node, an AHU class id, deepest first: equal exactly for isomorphic subtrees."""
+        ids: dict[tuple[int, ...], int] = {}
+        out = [0] * len(self)
+        for i in sorted(range(len(self)), key=lambda j: -self.depths[j]):
+            out[i] = ids.setdefault(tuple(sorted(out[c] for c in self.children[i])), len(ids))
+        return tuple(out)
 
-    def _check_pred_query(self, h: int, j1: int, j2: int, kind: str) -> None:
+    def pred_nodes(self, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
+        """Predecessors of h in the (j2, j1) stratum: depth-j2 nodes under h
+        reaching depth j1 at least (kind 'B') or exactly (kind 'A')."""
         if kind not in ("B", "A"):
             raise ValueError(f"pred-set kind must be 'B' or 'A', not {kind!r}")
         if not self.depths[h] <= j2 <= j1 <= self.length:
             raise ValueError(
                 f"need depth(h) <= j2 <= j1 <= {self.length}, got j2={j2}, j1={j1}")
-
-    def pred_count(self, h: int, j1: int, j2: int, kind: str) -> int:
-        """len(pred_nodes(h, j1, j2, kind)), read from the per-node counts."""
-        self._check_pred_query(h, j1, j2, kind)
-        hist = self._reach_counts[h]
-        if kind == "A":
-            return hist.get((j2, j1), 0)
-        return sum(hist.get((j2, r), 0) for r in range(j1, self.length + 1))
-
-    def pred_nodes(self, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
-        """Predecessors of h in the (j2, j1) stratum: depth-j2 nodes under h
-        reaching depth j1 at least (kind 'B') or exactly (kind 'A')."""
-        self._check_pred_query(h, j1, j2, kind)
         depths, deep = self.depths, self.deep
         return tuple(g for g in self.descendants(h) if depths[g] == j2
                      and (deep[g] >= j1 if kind == "B" else deep[g] == j1))

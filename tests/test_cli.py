@@ -310,6 +310,25 @@ def test_deep_path_check_forest_within_1gb(tmp_path):
     assert out.stdout == "no violations found\n"
 
 
+@pytest.mark.parametrize("chain", [
+    # a comb: a path with a leaf hung off each level, 8192 levels
+    FanChain((1,) + (2,) * 8191, (1,) * 8192, ((1, 0),) * 8191),
+    # two disjoint paths of 8192 levels: every stratum has two members
+    FanChain((2,) * 8192, (1,) * 8192, (identity_rows(2),) * 8191),
+    # one level of 16384 roots
+    FanChain((15,), (1,), ()),
+], ids=["comb", "two-paths", "roots"])
+def test_deep_check_forest_within_1gb(tmp_path, chain):
+    # RC2 counts one member per subtree shape and RC3/RC4 one component
+    # per root shape: per-node reach counts are quadratic in the depth,
+    # and comparing every pair of roots quadratic in their number
+    forest = tmp_path / "real.forest"
+    forest.write_text(serialize_forest(FanSpace(chain).forest))
+    out = _run_under_1gb("check-forest", str(forest), timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "no violations found\n"
+
+
 def test_deep_path_sgs_within_1gb(tmp_path):
     # one stratum check per larger reach value of a level (none here) and
     # one closure check per parent edge; a check per (k, j) and per pair

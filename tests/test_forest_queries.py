@@ -3,8 +3,8 @@
 The oracle functions below are the original definitions: descendants by
 sorting every node, strata and predecessor sets by scanning, and the
 component conditions RC3/RC4 recomputed for every pair.  The library
-answers the same queries from per-node counts; every answer and every
-ordered violation list must agree.
+reads one node per subtree shape and one component per root shape
+instead; every answer and every ordered violation list must agree.
 """
 
 import itertools
@@ -136,22 +136,47 @@ def random_forest(rng: random.Random, max_roots: int = 6, max_depth: int = 5) ->
                         for old in order))
 
 
+def repeated_forest(rng: random.Random, max_roots: int = 12) -> Forest:
+    """Copies of 2-3 random one-root components, up to max_roots roots in
+    all, with node indices shuffled: root shapes repeat."""
+    shapes = [random_forest(rng, max_roots=1) for _ in range(rng.randint(2, 3))]
+    depths: list[int] = []
+    parents: list[int | None] = []
+    for comp in (rng.choice(shapes) for _ in range(rng.randint(2, max_roots))):
+        parents += [None if p is None else p + len(depths) for p in comp.parents]
+        depths += comp.depths
+    order = list(range(len(depths)))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return Forest(tuple(depths[old] for old in order),
+                  tuple(None if parents[old] is None else where[parents[old]]
+                        for old in order))
+
+
 def test_check_forest_matches_oracle_in_order(impossible_forests, corpus_spaces):
     rng = random.Random(20170302)
     forests = [random_forest(rng) for _ in range(320)]
     forests += list(impossible_forests.values())
     forests += [space.forest for space in corpus_spaces[:20]]
     forests += [FanSpace(ladder(random.Random(s), 3, 4)).forest for s in range(3)]
+    repeated = [repeated_forest(rng) for _ in range(120)]
     failing = violations = 0
-    for f in forests:
+    for f in forests + repeated:
         got = check_forest(f)
         assert got == oracle_check_forest(f)
         failing += bool(got)
         violations += len(got)
     # the corpus must exercise both verdicts and all four conditions
-    assert 100 <= failing <= len(forests) - 100
+    assert 100 <= failing <= len(forests) + len(repeated) - 100
     codes = {v.code for f in forests[:320] for v in check_forest(f)}
     assert codes == {"RC1", "RC2", "RC3", "RC4"}
+    # repeated root shapes: clean forests with two or more shapes, and
+    # refused ones whose every pair is walked with equal shapes among them
+    shapes = [[f.shape[r] for r in f.roots] for f in repeated]
+    clean = [len(set(s)) > 1 for f, s in zip(repeated, shapes) if not check_forest(f)]
+    walked = [len(set(s)) < len(s) for f, s in zip(repeated, shapes)
+              if any(v.code == "RC4" for v in check_forest(f))]
+    assert sum(clean) >= 5 and sum(walked) >= 20
 
 
 def test_forest_queries_match_scans(impossible_forests):
@@ -180,7 +205,30 @@ def test_forest_queries_match_scans(impossible_forests):
                     for kind in ("B", "A"):
                         want = oracle_pred_nodes(f, h, j1, j2, kind)
                         assert f.pred_nodes(h, j1, j2, kind) == want
-                        assert f.pred_count(h, j1, j2, kind) == len(want)
+
+
+def subtree_codes(f: Forest) -> list[str]:
+    """Per node, the string code of its subtree, built as forest_canonical
+    builds it: the sorted child codes inside one pair of brackets."""
+    codes = [""] * len(f)
+    for d in range(f.length, 0, -1):
+        for i in f.level(d):
+            codes[i] = "(" + "".join(sorted(codes[c] for c in f.children[i])) + ")"
+    return codes
+
+
+def test_shape_ids_match_subtree_codes(corpus_spaces):
+    rng = random.Random(20170304)
+    forests = [random_forest(rng, max_roots=8, max_depth=7) for _ in range(200)]
+    forests += [repeated_forest(rng) for _ in range(100)]
+    forests += [space.forest for space in corpus_spaces]
+    merged = 0
+    for f in forests:
+        codes = subtree_codes(f)
+        for a, b in itertools.combinations(range(len(f)), 2):
+            assert (f.shape[a] == f.shape[b]) == (codes[a] == codes[b])
+        merged += len(f) - len(set(f.shape))
+    assert merged > 1000        # many nodes share a shape, across depths too
 
 
 def test_space_levels_are_the_depth_blocks(corpus_spaces):
