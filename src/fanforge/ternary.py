@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import ne
+from typing import NamedTuple
 
 from .errors import NotAFanError, ResourceLimitError, StructuralError
 
 SIGNS = (1, 0, -1)
 
 #: Largest table chain_to_table builds and enumerate_characters accepts.
-#: The table is quadratic in it, the axiom check and enumeration cubic:
-#: `fanforge validate` at 513 elements takes about 15 s on a 2-vCPU Xeon.
+#: The table is quadratic in it.  Light's test costs m^2 per generator
+#: (the m^3 scan runs only on a table that fails it) and the triple
+#: closure is cubic in the character count: `fanforge validate` at 513
+#: elements takes about 2-2.5 s on a 2-vCPU Xeon, most of it in fan_report.
 MAX_TABLE_ELEMENTS = 513
 
 
@@ -30,6 +35,14 @@ class Violation:
 
     def __str__(self) -> str:
         return self.message
+
+
+class ClosureStep(NamedTuple):
+    """One generator's step in TernaryTable.closure_steps."""
+
+    generator: int
+    new: tuple[int, ...]    # elements first reached in this step, in order
+    words: tuple[tuple[int, int, int], ...]  # (y, r, g): y = r*g for each new y but the generator
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,87 @@ class TernaryTable:
             for v in row:
                 if not 0 <= v < m:
                     raise StructuralError(f"product index {v} out of range")
+
+    @cached_property
+    def closure_steps(self) -> tuple[ClosureStep, ...]:
+        """How the generators reach every element, one step per generator.
+
+        The generators are the constants 1, 0, -1, then each element not
+        yet reached, in index order.  After each one is added, the reached
+        set is closed under right multiplication by every generator so
+        far, so each element is a generator or r*g with r reached before
+        it and g a generator: a left-nested word in the generators.
+        Costs m * |generators|.
+        """
+        mul = self.mul
+        reached = bytearray(self.size)
+        gens: list[int] = []
+        elems: list[int] = []
+        steps: list[ClosureStep] = []
+
+        def add(g: int) -> None:
+            gens.append(g)
+            start = len(elems)
+            words: list[tuple[int, int, int]] = []
+            queue = [(x, g) for x in elems]
+            if not reached[g]:
+                reached[g] = 1
+                elems.append(g)
+                queue += [(g, h) for h in gens]
+            while queue:
+                r, h = queue.pop()
+                y = mul[r][h]
+                if not reached[y]:
+                    reached[y] = 1
+                    elems.append(y)
+                    words.append((y, r, h))
+                    queue += [(y, k) for k in gens]
+            steps.append(ClosureStep(g, tuple(elems[start:]), tuple(words)))
+
+        for g in dict.fromkeys((self.one_idx, self.zero_idx, self.minus_one_idx)):
+            add(g)
+        for g in range(self.size):
+            if not reached[g]:
+                add(g)
+        return tuple(steps)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generating set of closure_steps, constants first."""
+        return tuple(step.generator for step in self.closure_steps)
+
+    @cached_property
+    def commutative_semigroup(self) -> bool:
+        """True when the table is commutative and associative.
+
+        Associativity is Light's test (Clifford and Preston, The Algebraic
+        Theory of Semigroups I, 1961, section 1.2) on the generators:
+        (x*g)*y == x*(g*y) for every generator g and all x, y, which costs
+        m^2 * |generators| instead of m^3.
+
+        Light's closure: the set A of elements a with (x*a)*y == x*(a*y)
+        for all x, y is closed under products.  For a, b in A and any x, y,
+            (x*(a*b))*y = ((x*a)*b)*y     (a in A, with x and b)
+                        = (x*a)*(b*y)     (b in A, with x*a and y)
+                        = x*(a*(b*y))     (a in A, with x and b*y)
+                        = x*((a*b)*y)     (b in A, with a and y).
+        Every element is a left-nested word in the generators (see
+        closure_steps), so when every generator is in A, so is every element
+        by induction on the word, and the table is associative.  The
+        converse is immediate.
+        """
+        mul = self.mul
+        # rows are compared as lists: a tuple per row would fill the
+        # interpreter's small-tuple free lists on small tables
+        if any(map(ne, map(list, zip(*mul)), map(list, mul))):
+            return False
+        for g in self.generators:
+            row_g = mul[g]
+            for rx in mul:
+                # (x*g)*y for all y against x*(g*y) for all y
+                if [*mul[rx[g]]] != [*map(rx.__getitem__, row_g)]:
+                    return False
+        return True
 
 
 def sign3_table() -> TernaryTable:
@@ -119,26 +213,30 @@ def validate_table(t: TernaryTable) -> list[Violation]:
 
     Structural defects (bad indices) raise StructuralError from the
     constructor instead; this only reports axiom violations, each with
-    a witness tuple of element indices.
+    a witness tuple of element indices.  Commutativity and the m^3
+    associativity scan run only when Light's test on the generators
+    (TernaryTable.commutative_semigroup) fails, since otherwise they
+    find nothing.
     """
     out: list[Violation] = []
     m, mul = t.size, t.mul
     one, zero, minus = t.one_idx, t.zero_idx, t.minus_one_idx
 
-    for x in range(m):
-        for y in range(x + 1, m):
-            if mul[x][y] != mul[y][x]:
-                out.append(Violation("commutativity", f"{x}*{y} != {y}*{x}", (x, y)))
-    rows = mul
-    for x in range(m):
-        rx = rows[x]
-        for y in range(m):
-            rxy = rows[rx[y]]
-            ry = rows[y]
-            for z in range(m):
-                if rxy[z] != rx[ry[z]]:
-                    out.append(Violation(
-                        "associativity", f"({x}*{y})*{z} != {x}*({y}*{z})", (x, y, z)))
+    if not t.commutative_semigroup:
+        for x in range(m):
+            for y in range(x + 1, m):
+                if mul[x][y] != mul[y][x]:
+                    out.append(Violation("commutativity", f"{x}*{y} != {y}*{x}", (x, y)))
+        rows = mul
+        for x in range(m):
+            rx = rows[x]
+            for y in range(m):
+                rxy = rows[rx[y]]
+                ry = rows[y]
+                for z in range(m):
+                    if rxy[z] != rx[ry[z]]:
+                        out.append(Violation(
+                            "associativity", f"({x}*{y})*{z} != {x}*({y}*{z})", (x, y, z)))
     for x in range(m):
         if mul[one][x] != x:
             out.append(Violation("identity", f"1*{x} != {x}", (x,)))
@@ -159,62 +257,76 @@ def validate_table(t: TernaryTable) -> list[Violation]:
 def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
     """All characters of t, sorted by value vector.
 
-    Depth-first assignment in element-index order; every assignment is
-    propagated through the table immediately, so products of known
-    elements are forced and contradictions prune the branch.  Raises
-    ResourceLimitError over MAX_TABLE_ELEMENTS.
+    Depth-first search that branches on the generators of t only, in the
+    order of t.closure_steps, with h(1) = 1, h(0) = 0 and h(-1) = -1
+    fixed.  When a step's generator gets its value, each element first
+    reached in the step gets its value from its word, h(r*g) = h(r)h(g),
+    and each new value h(y) is propagated through its products with the
+    assigned generators and constants: h(y*g) = h(y)h(g) must hold for
+    every generator g of the step or an earlier one, or the branch is
+    pruned.  Raises ResourceLimitError over MAX_TABLE_ELEMENTS.
+
+    Why a leaf is a character on a commutative semigroup.  Let S_k be
+    the elements reached by step k, the subsemigroup generated by the
+    generators up to step k's generator g.  By induction on k, h is
+    multiplicative on S_k.  First, h(x*g') = h(x)h(g') for x in S_k and
+    g' a generator up to g: it is checked when x is new in step k, and
+    the induction gives it when x and g' lie in S_(k-1).  Otherwise x is
+    in S_(k-1) and g' = g; write x = g1*...*gn with earlier generators gi:
+        x*g = g*x = (...((g*g1)*g2)...)*gn,
+    where each product is of an element p of S_k by some gi, checked
+    when p is new and given by the induction when p is in S_(k-1), so
+    h(x*g) = h(g)h(g1)...h(gn) = h(g)h(x).  Then h(x*y) = h(x)h(y) for
+    x, y in S_k by induction on the word of y: for y = r*g',
+        h(x*(r*g')) = h((x*r)*g') = h(x*r)h(g') = h(x)h(r)h(g') = h(x)h(y).
+    On a table that fails Light's test (TernaryTable.commutative_semigroup)
+    a leaf is kept only when h(x*y) = h(x)h(y) for every pair x, y.
     """
     m = t.size
     if m > MAX_TABLE_ELEMENTS:
         raise ResourceLimitError(
             f"table has {m} elements, table bound is {MAX_TABLE_ELEMENTS}")
     mul = t.mul
-    values: list[int | None] = [None] * m
-    known: list[int] = []
+    # a constant has one choice, none when two constants share an index
+    fixed: dict[int, tuple[int, ...]] = {}
+    for idx, v in ((t.one_idx, 1), (t.zero_idx, 0), (t.minus_one_idx, -1)):
+        fixed[idx] = (v,) if fixed.get(idx, (v,)) == (v,) else ()
+
+    # Per step: the generator, its choices, whether the step reaches it
+    # first, the words of its new elements, and per generator h so far
+    # the products y*h of the new elements y.
+    plan = []
+    gens: list[int] = []
+    for g, new, words in t.closure_steps:
+        gens.append(g)
+        checks = [(h, [mul[y][h] for y in new]) for h in gens]
+        plan.append((g, fixed.get(g, SIGNS), new[:1] == (g,), words, new, checks))
+    values = [0] * m
     found: list[tuple[int, ...]] = []
+    leaves_are_characters = t.commutative_semigroup
 
-    def assign(x: int, v: int, trail: list[int]) -> bool:
-        # Returns False on contradiction; trail records indices to undo.
-        queue = [(x, v)]
-        while queue:
-            y, w = queue.pop()
-            cur = values[y]
-            if cur is not None:
-                if cur != w:
-                    return False
+    def multiplicative() -> bool:
+        return all([values[p] for p in mul[x]] == [values[x] * v for v in values]
+                   for x in range(m))
+
+    def search(k: int) -> None:
+        if k == len(plan):
+            if leaves_are_characters or multiplicative():
+                found.append(tuple(values))
+            return
+        g, choices, fresh, words, new, checks = plan[k]
+        for v in choices:
+            if fresh:
+                values[g] = v
+            elif values[g] != v:
                 continue
-            values[y] = w
-            known.append(y)
-            trail.append(y)
-            for z in known:
-                p = mul[y][z]
-                pv = w * values[z]  # type: ignore[operator]
-                queue.append((p, pv))
-        return True
+            for y, r, h in words:
+                values[y] = values[r] * values[h]
+            if all([values[p] for p in products] == [values[y] * values[h] for y in new]
+                   for h, products in checks):
+                search(k + 1)
 
-    def undo(trail: list[int]) -> None:
-        for y in trail:
-            values[y] = None
-            known.pop()
-
-    def search() -> None:
-        for x in range(m):
-            if values[x] is None:
-                for v in SIGNS:
-                    trail: list[int] = []
-                    if assign(x, v, trail):
-                        search()
-                    undo(trail)
-                return
-        found.append(tuple(values))  # type: ignore[arg-type]
-
-    trail0: list[int] = []
-    ok = (assign(t.one_idx, 1, trail0)
-          and assign(t.minus_one_idx, -1, trail0)
-          and assign(t.zero_idx, 0, trail0))
-    if ok:
-        search()
-    undo(trail0)
+    search(0)
     del search  # the recursive closure is a reference cycle holding the table
     return tuple(Character.from_values(t, vals) for vals in sorted(found))
 

@@ -352,6 +352,17 @@ def test_validate_table_bound(tmp_path, capsys, monkeypatch):
     assert "fan has 1537 elements, table bound is 513" in capsys.readouterr().err
 
 
+def test_validate_at_table_bound_within_1gb(tmp_path):
+    # a 4x7 ladder is a 513-element table, the table bound: Light's test
+    # and the search on generators cost m^2 per generator, where the m^3
+    # associativity scan and the element-by-element search took about 15 s
+    path = tmp_path / "ladder.fan"
+    path.write_text(serialize_chain(ladder(random.Random(513), 4, 7)))
+    out = _run_under_1gb("validate", str(path), timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "valid fan: 256 characters on 513 elements\n"
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     for sub in ("a", "b"):
         assert main(["gen", "--seed", "5", "--count", "3",

@@ -23,7 +23,7 @@ from fanforge.ternary import (
     zero_set_order,
 )
 
-from conftest import E1
+from conftest import E1, E2, ladder
 
 
 def table_characters(chain):
@@ -126,24 +126,80 @@ def test_zero_set_order_examples():
     assert zero_set_order(tr, tr) == "equal"
 
 
-def test_enumeration_matches_exhaustive_assignment(corpus):
-    # oracle: filter all 3^m value vectors for multiplicativity directly
-    def brute(t):
-        found = []
-        for values in itertools.product((-1, 0, 1), repeat=t.size):
-            if (values[t.one_idx] != 1 or values[t.minus_one_idx] != -1
-                    or values[t.zero_idx] != 0):
-                continue
-            if all(values[t.mul[x][y]] == values[x] * values[y]
-                   for x in range(t.size) for y in range(t.size)):
-                found.append(values)
-        return sorted(found)
+def brute_force_characters(t):
+    """Every value vector fixing the constants, filtered for h(xy) = h(x)h(y)."""
+    found = []
+    for values in itertools.product((-1, 0, 1), repeat=t.size):
+        if (values[t.one_idx] != 1 or values[t.minus_one_idx] != -1
+                or values[t.zero_idx] != 0):
+            continue
+        if multiplicative(t, values):
+            found.append(values)
+    return sorted(found)
 
-    tables = [sign3_table()]
-    tables += [chain_to_table(c) for c in corpus if chain_to_table(c).size <= 9][:4]
-    assert len(tables) >= 3
+
+def multiplicative(t, values):
+    return all(values[t.mul[x][y]] == values[x] * values[y]
+               for x in range(t.size) for y in range(t.size))
+
+
+def is_commutative(t):
+    return all(t.mul[x][y] == t.mul[y][x] for x in range(t.size) for y in range(t.size))
+
+
+def corrupted_copies(rng, tables, copies, asymmetric=0.2):
+    """Each table copied `copies` times with one symmetric entry xy = yx
+    overwritten; in a share `asymmetric` of the copies one side of it is
+    then changed again, so that the copy is not commutative."""
+    out = []
     for t in tables:
-        assert [h.values for h in enumerate_characters(t)] == brute(t)
+        for _ in range(copies):
+            mul = [list(row) for row in t.mul]
+            x, y = rng.sample(range(t.size), 2)
+            z = rng.randrange(t.size)
+            mul[x][y] = mul[y][x] = z
+            if rng.random() < asymmetric:
+                mul[x][y] = rng.choice([v for v in range(t.size) if v != z])
+            out.append(TernaryTable(t.size, t.one_idx, t.zero_idx, t.minus_one_idx,
+                                    tuple(map(tuple, mul))))
+    return out
+
+
+def test_enumeration_matches_exhaustive_assignment(corpus):
+    # oracle: filter all 3^m value vectors for multiplicativity directly,
+    # on fan tables, on tables with odd constants and on non-commutative ones
+    s3 = sign3_table()
+    # 1 = -1 and 1 = 0: two constants on one index leave no character
+    tables = [s3, TernaryTable(3, s3.one_idx, s3.zero_idx, s3.one_idx, s3.mul),
+              TernaryTable(3, s3.zero_idx, s3.zero_idx, s3.minus_one_idx, s3.mul)]
+    small = [t for t in map(chain_to_table, corpus) if t.size <= 9]
+    tables += small[:4] + [left_zero_product()]
+    # a commutative semigroup whose "1" is any element, identity or not
+    square = product_table(s3, s3)
+    tables += [TernaryTable(9, one, square.zero_idx, square.minus_one_idx, square.mul)
+               for one in range(9) if one not in (square.zero_idx, square.minus_one_idx)]
+    broken = corrupted_copies(random.Random(9), [chain_to_table(E1)] + small[:8], 3,
+                              asymmetric=1.0)
+    assert not any(map(is_commutative, broken))
+    tables += broken
+    for t in tables:
+        assert [h.values for h in enumerate_characters(t)] == brute_force_characters(t)
+
+
+def test_enumeration_on_one_asymmetric_entry():
+    # {0, 1, -1, a, -a} with a*a = 1, then a*(-a) = 0 but (-a)*a = -1.
+    # No character exists: h(a) = 0 forces h(1) = h(a*a) = 0, and h(a) = +-1
+    # gives h(a*(-a)) = 0 != -1.  Propagating only products of a later
+    # element by an earlier one never reads a*(-a), and returned both maps
+    # with h(a) = +-1.
+    t = chain_to_table(E2)
+    assert (t.size, t.mul[3][4], t.mul[4][3]) == (5, t.minus_one_idx, t.minus_one_idx)
+    mul = [list(row) for row in t.mul]
+    mul[3][4] = t.zero_idx
+    broken = TernaryTable(5, t.one_idx, t.zero_idx, t.minus_one_idx, tuple(map(tuple, mul)))
+    assert len(oracle_enumerate_by_elements(broken)) == 2
+    assert brute_force_characters(broken) == []
+    assert enumerate_characters(broken) == ()
 
 
 def test_five_way_equivalence_on_sample(corpus):
@@ -174,6 +230,13 @@ def product_table(a: TernaryTable, b: TernaryTable) -> TernaryTable:
         zero_idx=index[(a.zero_idx, b.zero_idx)],
         minus_one_idx=index[(a.minus_one_idx, b.minus_one_idx)],
         mul=mul)
+
+
+def left_zero_product() -> TernaryTable:
+    """sign3 times the monoid {e, a, b} with xy = x for x, y in {a, b}:
+    associative, not commutative, 9 elements."""
+    monoid = TernaryTable(3, 0, 0, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)))
+    return product_table(sign3_table(), monoid)
 
 
 def test_product_of_sign3_is_not_a_fan():
@@ -388,3 +451,158 @@ def test_masks_match_oracles_on_129_element_ladder():
     assert fan_report(table, chars) == oracle_fan_report(table, chars) == []
     subset = chars[::2]
     assert fan_report(table, subset) == oracle_fan_report(table, subset)
+
+
+# -- oracles for the table model on generators ----------------------------------
+# The m^3 axiom scan and the element-by-element character search, kept as
+# references for Light's test and the search on generators.
+
+def oracle_validate_table(t):
+    """validate_table with the commutativity and m^3 associativity scans
+    always run."""
+    out = []
+    m, mul = t.size, t.mul
+    one, zero, minus = t.one_idx, t.zero_idx, t.minus_one_idx
+    for x in range(m):
+        for y in range(x + 1, m):
+            if mul[x][y] != mul[y][x]:
+                out.append(ternary.Violation("commutativity", f"{x}*{y} != {y}*{x}", (x, y)))
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    out.append(ternary.Violation(
+                        "associativity", f"({x}*{y})*{z} != {x}*({y}*{z})", (x, y, z)))
+    for x in range(m):
+        if mul[one][x] != x:
+            out.append(ternary.Violation("identity", f"1*{x} != {x}", (x,)))
+        if mul[zero][x] != zero:
+            out.append(ternary.Violation("absorption", f"0*{x} != 0", (x,)))
+        if mul[mul[x][x]][x] != x:
+            out.append(ternary.Violation("cube", f"{x}^3 != {x}", (x,)))
+        if mul[minus][x] == x and x != zero:
+            out.append(ternary.Violation("minus-fixes", f"(-1)*{x} = {x} but {x} != 0", (x,)))
+    if mul[minus][minus] != one:
+        out.append(ternary.Violation("minus-square", "(-1)*(-1) != 1", (minus,)))
+    if one == minus:
+        out.append(ternary.Violation("one-minus-distinct", "1 = -1", (one,)))
+    return out
+
+
+def oracle_enumerate_by_elements(t):
+    """Sorted value vectors of a depth-first search in element-index order,
+    each value propagated through its products with every known element.
+    It reads mul[later][earlier] only, so on a non-commutative table a
+    leaf need not be a character."""
+    m, mul = t.size, t.mul
+    values = [None] * m
+    known = []
+    found = []
+
+    def assign(x, v, trail):
+        queue = [(x, v)]
+        while queue:
+            y, w = queue.pop()
+            if values[y] is not None:
+                if values[y] != w:
+                    return False
+                continue
+            values[y] = w
+            known.append(y)
+            trail.append(y)
+            queue += [(mul[y][z], w * values[z]) for z in known]
+        return True
+
+    def undo(trail):
+        for y in trail:
+            values[y] = None
+            known.pop()
+
+    def search():
+        for x in range(m):
+            if values[x] is None:
+                for v in (1, 0, -1):
+                    trail = []
+                    if assign(x, v, trail):
+                        search()
+                    undo(trail)
+                return
+        found.append(tuple(values))
+
+    trail0 = []
+    if (assign(t.one_idx, 1, trail0) and assign(t.minus_one_idx, -1, trail0)
+            and assign(t.zero_idx, 0, trail0)):
+        search()
+    return sorted(found)
+
+
+def oracle_generated(t, gens):
+    """The elements reached from gens by products in either order."""
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for y in list(reached):
+            for p in (t.mul[x][y], t.mul[y][x]):
+                if p not in reached:
+                    reached.add(p)
+                    frontier.append(p)
+    return reached
+
+
+@pytest.fixture(scope="module")
+def corrupted(corpus):
+    # one symmetric entry overwritten per copy, a fifth of them then made
+    # asymmetric; tables of at most 33 elements keep the m^3 scan quick
+    tables = [t for t in map(chain_to_table, corpus[:120]) if t.size <= 33]
+    copies = corrupted_copies(random.Random(13), tables, 3)
+    assert len(copies) >= 200
+    assert sum(not is_commutative(t) for t in copies) >= 20
+    return copies
+
+
+def test_validate_table_matches_m3_scan(corpus, corrupted):
+    fans = [chain_to_table(c) for c in corpus[:60]]
+    # an associative table that is not commutative fails the verdict too
+    lz = left_zero_product()
+    assert {v.code for v in oracle_validate_table(lz)} & {"commutativity", "associativity"} \
+        == {"commutativity"}
+    for t in fans + corrupted + [lz]:
+        want = oracle_validate_table(t)
+        assert validate_table(t) == want
+        structural = {"commutativity", "associativity"}
+        assert t.commutative_semigroup == (not any(v.code in structural for v in want))
+    assert all(t.commutative_semigroup for t in fans)
+    # most corruptions break associativity; those are the scan's witnesses
+    assert sum(not t.commutative_semigroup for t in corrupted) > len(corrupted) // 2
+
+
+def test_enumeration_matches_element_propagation(corpus, corrupted):
+    fans = [chain_to_table(c) for c in corpus[:60]]
+    for t in fans + corrupted:
+        want = [v for v in oracle_enumerate_by_elements(t) if multiplicative(t, v)]
+        assert [h.values for h in enumerate_characters(t)] == want
+        if is_commutative(t):
+            # on a commutative table the element propagation needs no filter
+            assert oracle_enumerate_by_elements(t) == want
+
+
+@pytest.mark.parametrize("levels,dim", [(4, 5), (4, 6), (5, 6), (4, 7)])
+def test_generators_reach_every_element_on_ladders(levels, dim):
+    table = chain_to_table(ladder(random.Random(levels * dim), levels, dim))
+    assert table.size == 1 + levels * 2 ** dim
+    gens = table.generators
+    assert gens[:3] == (table.one_idx, table.zero_idx, table.minus_one_idx)
+    assert len(gens) <= 16
+    assert oracle_generated(table, gens) == set(range(table.size))
+    # every element is reached once, as a generator or as a word r*g with
+    # r reached before it and g a generator of its step or an earlier one
+    order = []
+    for k, (g, new, words) in enumerate(table.closure_steps):
+        assert g == gens[k]
+        for y, r, h in words:
+            assert table.mul[r][h] == y and h in gens[:k + 1]
+            assert r in order or r in new[:new.index(y)]
+        assert [y for y, _, _ in words] == [y for y in new if y != g]
+        order += new
+    assert sorted(order) == list(range(table.size))
