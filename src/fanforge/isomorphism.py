@@ -382,16 +382,17 @@ def check_forest(forest: Forest) -> list[Violation]:
     one set on each run of j ending at a reach value present at depth k,
     so RC1 and RC2 work once per run and repeat their lines for its j.
 
-    RC2-RC4 read one node per `Forest.shape`.  A subtree isomorphism keeps
-    depths and reaches (depth plus height), so equal shapes give equal
-    counts; a node reaches j <= m exactly when it does once cut at depth m,
-    so isomorphic cuts at m agree in RC3 up to m.  RC2 cannot fail at r = k:
-    there j1 = j2 = k and B^{k,k} = A^{k,k} = {h}.  For r > k, counts at
-    depth j2 sum row j2 of a member's histogram of predecessors by (depth,
-    min(reach, r)), so only rows where two members differ are walked.
+    RC2-RC4 compare nodes by class in the forest cut at the depth m each
+    reads, `Forest.shape(m)`: m = r for RC2 on S^k_r, the shallower length
+    for an RC3/RC4 pair.  Up to the cut, a cut isomorphism keeps depths and
+    reaches, so equal classes give equal counts.  RC2 marks the classes
+    meeting C^k_r, where A counts run, and cannot fail at r = k: there j1 =
+    j2 = k and B^{k,k} = A^{k,k} = {h}.  For r > k, counts at depth j2 sum
+    row j2 of a member's histogram of predecessors by (depth, min(reach,
+    r)), so only rows where two members differ are walked.
     """
     rc1, rc2 = [], []
-    depths, deep, shape = forest.depths, forest.deep, forest.shape
+    depths, deep, shape = forest.depths, forest.deep, functools.cache(forest.shape)
     for k in range(1, forest.length + 1):
         first, s = k, sum(forest.profile[k].values())
         for r, c in forest.profile[k].items():
@@ -399,7 +400,9 @@ def check_forest(forest: Forest) -> list[Violation]:
             if not _power_of_two(s):
                 rc1 += [Violation("RC1", f"RC1 violated: card(S^{k}_{j})={s} not a power of 2",
                                   (k, j, s)) for j in range(first, r + 1)]
-            reps = {shape[h]: h for h in forest.level(k) if deep[h] >= r} if r > k else {}
+            cls = shape(r) if r > k else ()
+            reps = {cls[h]: h for h in forest.level(k) if deep[h] >= r} if r > k else {}
+            exact = {cls[h] for h in forest.level(k) if deep[h] == r} if len(reps) > 1 else ()
             hist = {h: Counter((depths[g], min(deep[g], r)) for g in forest.descendants(h)
                                if depths[g] <= r) for h in reps.values()} if len(reps) > 1 else {}
             keys = set().union(*hist.values())
@@ -409,7 +412,7 @@ def check_forest(forest: Forest) -> list[Violation]:
                 for j1 in range(rows[0], r + 1):
                     for j2 in (d for d in rows if d <= j1):
                         b = {sum(c[(j2, e)] for e in range(j1, r + 1)) for c in hist.values()}
-                        a = {c[(j2, j1)] for h, c in hist.items() if deep[h] == r}
+                        a = {c[(j2, j1)] for h, c in hist.items() if cls[h] in exact}
                         bad += [(j1, j2, kind, min(n), max(n))
                                 for kind, n in (("B", b), ("A", a)) if len(n) > 1]
                 for j in range(first, r + 1):
@@ -422,23 +425,19 @@ def check_forest(forest: Forest) -> list[Violation]:
             first, s = r + 1, s - c
     out = rc1 + rc2
 
-    # RC3/RC4: all pairs are walked, in order, only if two root shapes disagree
-    roots = forest.roots
-    lengths = [forest.deep[r] for r in roots]
-    reps = {shape[x]: a for a, x in enumerate(roots)}
-
-    @functools.cache
-    def truncated(m: int) -> list[int]:         # per root, its shape cut at depth m
-        cut = forest.truncate(m)
-        return [cut.shape[x] for x in cut.roots]
+    # RC3/RC4: all pairs are walked, in order, only if two root classes disagree
+    roots, full = forest.roots, shape(forest.length)
+    lengths = [deep[x] for x in roots]
+    reps = {full[x]: a for a, x in enumerate(roots)}
 
     def agree(a: int, b: int) -> bool:
-        cut = truncated(min(lengths[a], lengths[b]))
-        return cut[a] == cut[b]
+        cls = shape(min(lengths[a], lengths[b]))
+        return cls[roots[a]] == cls[roots[b]]
 
     if all(itertools.starmap(agree, itertools.combinations(reps.values(), 2))):
         return out
-    card = {(s, j, jp): len(forest.pred_nodes(roots[a], j, jp, "B"))  # card(S^jp_j) per shape
+    profiles = {s: forest.restrict(forest.components[a]).profile for s, a in reps.items()}
+    card = {(s, j, jp): sum(c for e, c in profiles[s][jp].items() if e >= j)  # card(S^jp_j)
             for s, a in reps.items() for j in range(1, lengths[a] + 1) for jp in range(1, j + 1)}
     for a, b in itertools.combinations(range(len(roots)), 2):
         m = min(lengths[a], lengths[b])
@@ -446,7 +445,7 @@ def check_forest(forest: Forest) -> list[Violation]:
             continue
         for j in range(1, m + 1):
             for jp in range(1, j + 1):
-                ca, cb = card[shape[roots[a]], j, jp], card[shape[roots[b]], j, jp]
+                ca, cb = card[full[roots[a]], j, jp], card[full[roots[b]], j, jp]
                 if ca != cb:
                     name = f"L_{j}" if jp == j else f"S^{jp}_{j}"
                     out.append(Violation(

@@ -59,10 +59,10 @@ class Forest:
     def deep(self) -> tuple[int, ...]:
         """Per node, the largest depth among its descendants (and itself)."""
         out = list(self.depths)
-        for i in sorted(range(len(self)), key=lambda j: -self.depths[j]):
-            p = self.parents[i]
-            if p is not None and out[i] > out[p]:
-                out[p] = out[i]
+        for d in range(self.length, 1, -1):
+            for i in self.level(d):
+                p = self.parents[i]
+                out[p] = max(out[p], out[i])
         return tuple(out)
 
     @cached_property
@@ -80,10 +80,10 @@ class Forest:
 
     @cached_property
     def root_of(self) -> tuple[int, ...]:
-        out = [0] * len(self)
-        for i in sorted(range(len(self)), key=lambda j: self.depths[j]):
-            p = self.parents[i]
-            out[i] = i if p is None else out[p]
+        out = list(range(len(self)))
+        for d in range(2, self.length + 1):
+            for i in self.level(d):
+                out[i] = out[self.parents[i]]
         return tuple(out)
 
     def ancestor(self, i: int, depth: int) -> int:
@@ -126,13 +126,14 @@ class Forest:
             return tuple(i for i in self._levels[k - 1] if deep[i] >= j)
         return tuple(i for i in self._levels[k - 1] if deep[i] == j)
 
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        """Per node, an AHU class id, deepest first: equal exactly for isomorphic subtrees."""
+    def shape(self, cut: int) -> tuple[int, ...]:
+        """Per node, its AHU class in the forest cut at depth `cut` (-1 below), deepest first."""
         ids: dict[tuple[int, ...], int] = {}
-        out = [0] * len(self)
-        for i in sorted(range(len(self)), key=lambda j: -self.depths[j]):
-            out[i] = ids.setdefault(tuple(sorted(out[c] for c in self.children[i])), len(ids))
+        out = [-1] * len(self)
+        for d in range(cut, 0, -1):
+            for i in self.level(d):     # a node at the cut counts as a leaf
+                kids = self.children[i] if d < cut else ()
+                out[i] = ids.setdefault(tuple(sorted(out[c] for c in kids)), len(ids))
         return tuple(out)
 
     def pred_nodes(self, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:

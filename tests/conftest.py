@@ -7,7 +7,7 @@ from fanforge import gf2
 from fanforge.chains import FanChain
 from fanforge.corpus import generate_corpus, random_transition
 from fanforge.formats import parse_forest
-from fanforge.spectral import FanSpace
+from fanforge.spectral import FanSpace, Forest
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,6 +42,14 @@ def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
         taus.append(rows)
         reach = step
     return FanChain((dim,) * levels, minus, tuple(taus))
+
+
+def forked_paths(n: int) -> Forest:
+    """Two n-level paths, the second with another child under its depth
+    n - 1 node: refused, and at every depth the two differ at depth n."""
+    path = [None] + list(range(n - 1))          # node d - 1 sits at depth d
+    parents = path + [None if p is None else p + n for p in path] + [2 * n - 2]
+    return Forest(tuple(range(1, n + 1)) * 2 + (n,), tuple(parents))
 
 
 @pytest.fixture(scope="session")

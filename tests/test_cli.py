@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace
 
-from conftest import DATA, E1, E1P, EA, EB, TRIV, ladder
+from conftest import DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder
 
 
 @pytest.fixture
@@ -317,16 +318,34 @@ def test_deep_path_check_forest_within_1gb(tmp_path):
     FanChain((2,) * 8192, (1,) * 8192, (identity_rows(2),) * 8191),
     # one level of 16384 roots
     FanChain((15,), (1,), ()),
-], ids=["comb", "two-paths", "roots"])
+    # two disjoint paths of 8192 and 8191 levels: every level but the
+    # last has two members, whose uncut subtrees differ
+    FanChain((2,) * 8191 + (1,), (1,) * 8192, (identity_rows(2),) * 8190 + ((1,),)),
+], ids=["comb", "two-paths", "roots", "unequal-paths"])
 def test_deep_check_forest_within_1gb(tmp_path, chain):
-    # RC2 counts one member per subtree shape and RC3/RC4 one component
-    # per root shape: per-node reach counts are quadratic in the depth,
-    # and comparing every pair of roots quadratic in their number
+    # RC2 counts one member per class of the forest cut at the reach it
+    # reads, and RC3/RC4 one component per root class: per-node reach
+    # counts are quadratic in the depth, comparing every pair of roots
+    # quadratic in their number, and comparing uncut subtrees quadratic
+    # on paths of unequal length
     forest = tmp_path / "real.forest"
     forest.write_text(serialize_forest(FanSpace(chain).forest))
     out = _run_under_1gb("check-forest", str(forest), timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "no violations found\n"
+
+
+def test_deep_refused_check_forest_within_1gb(tmp_path):
+    # at every depth the two members differ only at depth 512, so RC2
+    # builds both predecessor histograms at each level (quadratic), and
+    # RC3 reads each root class's stratum sizes off its component profile;
+    # a predecessor walk per (j, j') of a component is cubic in the depth
+    forest = tmp_path / "forked.forest"
+    forest.write_text(serialize_forest(forked_paths(512)))
+    out = _run_under_1gb("check-forest", str(forest), timeout=8)
+    assert out.returncode == 1, out.stderr
+    codes = Counter(line.split()[0] for line in out.stdout.splitlines())
+    assert codes == {"RC1": 1, "RC2": 2 * 511, "RC3": 1, "RC4": 1}
 
 
 def test_deep_path_sgs_within_1gb(tmp_path):

@@ -14,7 +14,7 @@ from fanforge.isomorphism import _power_of_two, check_forest, forest_canonical
 from fanforge.spectral import FanSpace, Forest
 from fanforge.ternary import Violation
 
-from conftest import ladder
+from conftest import forked_paths, ladder
 
 
 # -- oracle -------------------------------------------------------------------
@@ -153,10 +153,22 @@ def repeated_forest(rng: random.Random, max_roots: int = 12) -> Forest:
                         for old in order))
 
 
+def broom(k: int) -> Forest:
+    """One root with a path under it ending at each depth 2..k: every
+    depth holds many reach values, so RC2 reads many cut depths."""
+    depths, parents = [1], [None]
+    for length in range(2, k + 1):
+        for d in range(2, length + 1):
+            parents.append(0 if d == 2 else len(depths) - 1)
+            depths.append(d)
+    return Forest(tuple(depths), tuple(parents))
+
+
 def test_check_forest_matches_oracle_in_order(impossible_forests, corpus_spaces):
     rng = random.Random(20170302)
     forests = [random_forest(rng) for _ in range(320)]
     forests += list(impossible_forests.values())
+    forests += [broom(k) for k in range(2, 9)]
     forests += [space.forest for space in corpus_spaces[:20]]
     forests += [FanSpace(ladder(random.Random(s), 3, 4)).forest for s in range(3)]
     repeated = [repeated_forest(rng) for _ in range(120)]
@@ -172,11 +184,19 @@ def test_check_forest_matches_oracle_in_order(impossible_forests, corpus_spaces)
     assert codes == {"RC1", "RC2", "RC3", "RC4"}
     # repeated root shapes: clean forests with two or more shapes, and
     # refused ones whose every pair is walked with equal shapes among them
-    shapes = [[f.shape[r] for r in f.roots] for f in repeated]
+    shapes = [[f.shape(f.length)[r] for r in f.roots] for f in repeated]
     clean = [len(set(s)) > 1 for f, s in zip(repeated, shapes) if not check_forest(f)]
     walked = [len(set(s)) < len(s) for f, s in zip(repeated, shapes)
               if any(v.code == "RC4" for v in check_forest(f))]
     assert sum(clean) >= 5 and sum(walked) >= 20
+
+
+def test_check_forest_matches_oracle_on_forked_paths():
+    # the refused family tests/test_cli.py runs at 512 levels
+    for n in range(2, 11):
+        got = check_forest(forked_paths(n))
+        assert got == oracle_check_forest(forked_paths(n))
+        assert [v.code for v in got].count("RC2") == 2 * (n - 1)
 
 
 def test_forest_queries_match_scans(impossible_forests):
@@ -224,10 +244,15 @@ def test_shape_ids_match_subtree_codes(corpus_spaces):
     forests += [space.forest for space in corpus_spaces]
     merged = 0
     for f in forests:
-        codes = subtree_codes(f)
-        for a, b in itertools.combinations(range(len(f)), 2):
-            assert (f.shape[a] == f.shape[b]) == (codes[a] == codes[b])
-        merged += len(f) - len(set(f.shape))
+        for m in range(1, f.length + 1):
+            ids = f.shape(m)
+            kept = [i for i, d in enumerate(f.depths) if d <= m]   # truncate keeps node order
+            codes = subtree_codes(f.truncate(m))
+            assert all(ids[i] == -1 for i, d in enumerate(f.depths) if d > m)
+            # equal ids exactly for equal codes: the pairing is one to one
+            pairs = set(zip((ids[i] for i in kept), codes))
+            assert len(pairs) == len({ids[i] for i in kept}) == len(set(codes))
+        merged += len(f) - len(set(f.shape(f.length)))
     assert merged > 1000        # many nodes share a shape, across depths too
 
 
