@@ -42,6 +42,7 @@ from .levels import (
     dimension,
     extend_basis,
     involution,
+    involution_failures,
     is_dependent,
     kappa,
     predecessor_fan,

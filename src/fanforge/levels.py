@@ -9,10 +9,16 @@ machinery reduces to elimination on those vectors.
 Multiplying a level by two fixed characters of deeper zero-set is a
 translation, hence an involution of the level.  verify_involution
 checks the full property suite of that family on a concrete space.
+All of it but successor transport and the fixed common specialization
+reads only the tuple of shifts over levels 1..dmin, and many pairs
+share a tuple, so involution_failures, which sweeps every pair of a
+space, checks each distinct tuple once and adds each pair's own two
+comparisons.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -80,23 +86,19 @@ def closure(space: FanSpace, chars) -> tuple[ChainChar, ...]:
 def extend_basis(space: FanSpace, indep, target) -> tuple[ChainChar, ...]:
     """Grow an independent set to a basis of the span of indep plus target.
 
-    Candidates are scanned in the order target gives them.
+    Candidates are scanned in the order target gives them.  All of
+    indep and target must lie on one level.
     """
     indep = tuple(indep)
     target = tuple(target)
-    if indep and target:
-        if _level_of(space, indep) != _level_of(space, target):
-            raise ValueError("characters come from mixed depths")
+    if not indep + target:
+        return ()
+    top = 1 << space.dim(_level_of(space, indep + target))
     span = gf2.Span()
-    for v in _homogenized(space, indep) if indep else []:
-        if not span.add(v):
+    for h in indep:
+        if not span.add(h.mask | top):
             raise ValueError("starting set is dependent")
-    chosen = list(indep)
-    for h in target:
-        d = h.depth
-        if span.add(h.mask | (1 << space.dim(d))):
-            chosen.append(h)
-    return tuple(chosen)
+    return indep + tuple(h for h in target if span.add(h.mask | top))
 
 
 def basis_of(space: FanSpace, chars) -> tuple[ChainChar, ...]:
@@ -145,16 +147,14 @@ def involution(space: FanSpace, handle: InvolutionHandle, h: ChainChar) -> Chain
     return out
 
 
-def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> PropertyReport:
-    """Check the whole involution family of a character pair.
+def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
+                  ) -> tuple[list[tuple[list[CheckResult], list[CheckResult]]], CheckResult]:
+    """The checks of the involution family that read only the shifts.
 
-    Per admissible level d (at or above both zero-sets): level
-    automorphism, self-inverse, successor transport g1 -> g2, fixed
-    common specializations, and permutation of every stratum.  Per
-    character of depth at most dmin: compatibility with its parent edge,
-    which implies compatibility with specialization between every level
-    pair d' <= d; a failure's witness is (h1, parent of h1) for the first
-    failing h1 in node order, also the first to fail any of its successors.
+    shifts[d - 1] is the translation on level d, for d = 1..dmin with
+    dmin = len(shifts).  Per level d this gives the automorphism and
+    self-inverse checks, then the S/C stratum-permutation checks for
+    j = d..dmin; after the levels comes specialization-compat.
 
     The map is a translation of an affine GF(2) set: it preserves
     same-level triple products when it maps the level onto itself, and
@@ -162,48 +162,112 @@ def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> Property
     So the pairs (reach of h, reach of its image), with 0 for an image
     off the level, decide the automorphism and every S^d_j (reach >= j)
     and C^d_j (reach == j) check from one read of each level.
-    """
-    report = PropertyReport()
-    dmin = min(g1.depth, g2.depth)
-    shifts = {d: translation_mask(space, g1, g2, d) for d in range(1, dmin + 1)}
 
+    Compatibility with each character's parent edge implies
+    compatibility with specialization between every level pair d' <= d;
+    a failure's witness is (h1, parent of h1) for the first failing h1
+    in node order, also the first to fail any of its successors.
+    """
+    dmin = len(shifts)
+    levels = []
     witness: tuple = ()
     for d in range(1, dmin + 1):
         level = space.level(d)
-        shift = shifts[d]
+        shift = shifts[d - 1]
         reach = {h.mask: space.deep(h) for h in level}
         moves = {(r, reach.get(m ^ shift, 0)) for m, r in reach.items()}
-        report.add(f"automorphism(level {d})", all(r2 for _, r2 in moves), (shift,))
-        report.add(
-            f"involution(level {d})",
-            all((m ^ shift) ^ shift == m for m in reach), (shift,))
-        s1, s2 = space.successor(g1, d), space.successor(g2, d)
-        report.add(
-            f"successor-transport(level {d})",
-            ChainChar(d, s1.mask ^ shift) == s2, (s1, s2))
-        if s1 == s2:
-            report.add(
-                f"fixed-common-specialization(level {d})",
-                s1.mask ^ shift == s1.mask, (s1,))
+        head = [
+            CheckResult(f"automorphism(level {d})", all(r2 for _, r2 in moves), (shift,)),
+            CheckResult(f"involution(level {d})",
+                        all((m ^ shift) ^ shift == m for m in reach), (shift,)),
+        ]
+        strata = []
         for j in range(d, dmin + 1):
-            report.add(
+            strata.append(CheckResult(
                 f"stratum-permutation(S^{d}_{j})",
-                not any(r >= j > r2 for r, r2 in moves), (shift,))
+                not any(r >= j > r2 for r, r2 in moves), (shift,)))
             # C^d_j needs the handle to reach below index j as well (vacuous
             # when j is the full length): a depth-j handle can swap a j-deep
             # member with one reaching deeper.
             if j < dmin or j == space.length:
-                report.add(
+                strata.append(CheckResult(
                     f"stratum-permutation(C^{d}_{j})",
-                    not any(r == j != r2 for r, r2 in moves), (shift,))
+                    not any(r == j != r2 for r, r2 in moves), (shift,)))
+        levels.append((head, strata))
         if d > 1 and not witness:
             parent = {h.mask: space.successor(h, d - 1).mask for h in level}
             for h1 in level:
-                if parent.get(h1.mask ^ shift) != parent[h1.mask] ^ shifts[d - 1]:
+                if parent.get(h1.mask ^ shift) != parent[h1.mask] ^ shifts[d - 2]:
                     witness = (h1, ChainChar(d - 1, parent[h1.mask]))
                     break
-    report.add("specialization-compat", not witness, witness)
-    return report
+    return levels, CheckResult("specialization-compat", not witness, witness)
+
+
+def _report_checks(space: FanSpace, g1: ChainChar, g2: ChainChar,
+                   shifts: tuple[int, ...], shift_checks) -> list[CheckResult]:
+    """One pair's checks in report order: the shift checks of each level
+    with the pair's successor transport (and, for a common successor,
+    its fixed-point check) after the level's first two."""
+    levels, compat = shift_checks
+    out = []
+    for d, (head, strata) in enumerate(levels, 1):
+        s1, s2 = space.successor(g1, d), space.successor(g2, d)
+        shift = shifts[d - 1]
+        out += head
+        out.append(CheckResult(
+            f"successor-transport(level {d})", s1.mask ^ shift == s2.mask, (s1, s2)))
+        if s1 == s2:
+            out.append(CheckResult(
+                f"fixed-common-specialization(level {d})", shift == 0, (s1,)))
+        out += strata
+    out.append(compat)
+    return out
+
+
+def _shifts(space: FanSpace, g1: ChainChar, g2: ChainChar) -> tuple[int, ...]:
+    return tuple(translation_mask(space, g1, g2, d)
+                 for d in range(1, min(g1.depth, g2.depth) + 1))
+
+
+def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> PropertyReport:
+    """Check the whole involution family of a character pair.
+
+    Per admissible level d (at or above both zero-sets): level
+    automorphism, self-inverse, successor transport g1 -> g2, fixed
+    common specializations, and permutation of every stratum; then
+    compatibility with specialization (see _shift_checks).  All but
+    the transport and fixed-point checks depend only on the shifts.
+    """
+    shifts = _shifts(space, g1, g2)
+    return PropertyReport(_report_checks(space, g1, g2, shifts, _shift_checks(space, shifts)))
+
+
+def involution_failures(space: FanSpace) -> Iterator[tuple[ChainChar, ChainChar, CheckResult]]:
+    """(g1, g2, check) for every failing check of verify_involution over
+    the ordered pairs of space.chars, in pair order then report order.
+
+    The shift checks run once per distinct shift tuple.  A pair's own
+    checks all pass exactly when each level's shift is the quotient of
+    its two successors there; a pair whose tuple also passed builds no
+    check at all.
+    """
+    memo: dict[tuple[int, ...], tuple] = {}
+    up = {g: [space.successor(g, d).mask for d in range(1, g.depth + 1)]
+          for g in space.chars}
+    for g1 in space.chars:
+        for g2 in space.chars:
+            shifts = _shifts(space, g1, g2)
+            if shifts not in memo:
+                checks = _shift_checks(space, shifts)
+                levels, compat = checks
+                memo[shifts] = (checks, compat.passed and all(
+                    c.passed for head, strata in levels for c in head + strata))
+            checks, ok = memo[shifts]
+            if ok and all(m1 ^ m2 == s for m1, m2, s in zip(up[g1], up[g2], shifts)):
+                continue
+            for check in _report_checks(space, g1, g2, shifts, checks):
+                if not check.passed:
+                    yield g1, g2, check
 
 
 def predecessor_fan(space: FanSpace, h: ChainChar) -> tuple[ChainChar, ...]:

@@ -25,7 +25,7 @@ from .chains import (
 from .formats import parse_chain, serialize_chain
 from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest
-from .levels import verify_involution
+from .levels import involution_failures
 from .spectral import FanSpace
 from .ternary import Character, TernaryTable
 
@@ -140,14 +140,8 @@ def check_forest_regularity(model: FanModel) -> list[str]:
 
 def check_involutions(model: FanModel) -> list[str]:
     """Full involution property suite for every pair of characters."""
-    failures = []
-    space = model.space
-    for g1 in space.chars:
-        for g2 in space.chars:
-            report = verify_involution(space, g1, g2)
-            for bad in report.failures():
-                failures.append(f"handle ({g1}, {g2}): {bad.name} fails")
-    return failures
+    return [f"handle ({g1}, {g2}): {bad.name} fails"
+            for g1, g2, bad in involution_failures(model.space)]
 
 
 def check_sgs(model: FanModel, seeds: tuple[int, ...] = (0,)) -> list[str]:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import fanforge.levels
 from fanforge import gf2
 from fanforge.chains import FanChain
 from fanforge.corpus import generate_corpus, random_transition
@@ -68,3 +69,19 @@ def impossible_forests():
         i: parse_forest((DATA / f"impossible{i}.forest").read_text())
         for i in (1, 2, 3)
     }
+
+
+def patch_random_shifts(monkeypatch, rng):
+    """Replace translation_mask by random shifts, each the quotient of two
+    same-level characters, drawn once per (space, g1, g2, d).  Real handles
+    always pass, so this is how failures are made."""
+    drawn = {}
+
+    def random_shift(space, g1, g2, d):
+        key = (id(space), g1, g2, d)
+        if key not in drawn:
+            a, b = rng.choice(space.level(d)), rng.choice(space.level(d))
+            drawn[key] = a.mask ^ b.mask
+        return drawn[key]
+
+    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)

@@ -6,7 +6,11 @@ from fanforge import gf2, suite
 from fanforge.chains import FanChain, validate_chain
 from fanforge.corpus import generate_corpus, random_transition
 from fanforge.errors import ResourceLimitError
+from fanforge.levels import verify_involution
+from fanforge.spectral import FanSpace
 from fanforge.suite import run_suite
+
+from conftest import patch_random_shifts
 
 
 def test_corpus_is_deterministic():
@@ -61,3 +65,17 @@ def test_run_suite_refuses_over_bound_corpus_before_any_section(monkeypatch):
     with pytest.raises(ResourceLimitError, match="fan has 1025 elements, table bound is 513"):
         run_suite(generate_corpus(5, count=2) + [big])
     assert ran == []
+
+
+def test_check_involutions_matches_per_pair_loop(monkeypatch):
+    patch_random_shifts(monkeypatch, random.Random(4))
+    total = 0
+    for chain in generate_corpus(0, count=6):
+        space = FanSpace(chain)
+        expected = [f"handle ({g1}, {g2}): {bad.name} fails"
+                    for g1 in space.chars for g2 in space.chars
+                    for bad in verify_involution(space, g1, g2).failures()]
+        # the section reads only the space
+        assert suite.check_involutions(suite.FanModel(None, space, {}, ())) == expected
+        total += len(expected)
+    assert total > 0

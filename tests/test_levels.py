@@ -15,6 +15,7 @@ from fanforge.levels import (
     embed_predecessors,
     extend_basis,
     involution,
+    involution_failures,
     is_dependent,
     kappa,
     predecessor_fan,
@@ -23,7 +24,7 @@ from fanforge.levels import (
 )
 from fanforge.spectral import FanSpace
 
-from conftest import E1, EB, TRIV
+from conftest import E1, EB, TRIV, patch_random_shifts
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -84,6 +85,11 @@ def test_mixed_depth_rejected():
     s = FanSpace(E1)
     with pytest.raises(ValueError):
         is_dependent(s, [R, C1])
+    # with or without a starting set, a basis needs one level
+    for call in (lambda: extend_basis(s, (), (R, C1)), lambda: extend_basis(s, (C1,), (R,)),
+                 lambda: basis_of(s, (R, C1)), lambda: dimension(s, (R, C1))):
+        with pytest.raises(ValueError, match="mixed depths"):
+            call()
 
 
 def test_closure_is_idempotent_and_spans(corpus_spaces):
@@ -206,33 +212,20 @@ def verify_involution_by_strata(space, g1, g2):
     return report
 
 
-def patch_random_shifts(monkeypatch, rng):
-    """Replace translation_mask by random shifts, each the quotient of two
-    same-level characters, drawn once per (space, g1, g2, d).  Real handles
-    always pass, so this is how failures are made."""
-    drawn = {}
-
-    def random_shift(space, g1, g2, d):
-        key = (id(space), g1, g2, d)
-        if key not in drawn:
-            a, b = rng.choice(space.level(d)), rng.choice(space.level(d))
-            drawn[key] = a.mask ^ b.mask
-        return drawn[key]
-
-    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)
-
-
 def test_verify_involution_matches_strata_oracle(corpus_spaces):
     # every handle of the corpus and of a 5-level corpus: whole reports,
     # so check names, order, outcomes and witnesses all agree
     deeper = [FanSpace(c) for c in generate_corpus(5, count=60, max_levels=5, max_dim=4)]
     handles = 0
     for space in corpus_spaces + deeper:
+        failures = []
         for g1 in space.chars:
             for g2 in space.chars:
-                assert verify_involution(space, g1, g2) == verify_involution_by_strata(
-                    space, g1, g2), (space.chain, g1, g2)
+                report = verify_involution(space, g1, g2)
+                assert report == verify_involution_by_strata(space, g1, g2), (space.chain, g1, g2)
+                failures += [(g1, g2, bad) for bad in report.failures()]
                 handles += 1
+        assert list(involution_failures(space)) == failures, space.chain
     assert handles >= 30000, handles
 
 
@@ -246,7 +239,30 @@ def test_verify_involution_matches_strata_oracle_on_random_shifts(corpus_spaces,
             report = verify_involution(space, g1, g2)
             assert report == verify_involution_by_strata(space, g1, g2), (space.chain, g1, g2)
             outcomes[report.ok] += 1
+        # every pair, so failing shift tuples are met again by other pairs
+        failures = [(g1, g2, bad) for g1 in space.chars for g2 in space.chars
+                    for bad in verify_involution(space, g1, g2).failures()]
+        assert list(involution_failures(space)) == failures, space.chain
     assert outcomes[True] >= 1000 and outcomes[False] >= 1000, outcomes
+
+
+def test_involution_failures_checks_each_shift_tuple_once(monkeypatch):
+    calls = []
+    shift_checks = fanforge.levels._shift_checks
+
+    def counted(space, shifts):
+        calls[-1].append(shifts)
+        return shift_checks(space, shifts)
+
+    monkeypatch.setattr(fanforge.levels, "_shift_checks", counted)
+    pairs = 0
+    for chain in generate_corpus(0, count=60):   # the corpus of `suite --seed 0`
+        space = FanSpace(chain)
+        calls.append([])
+        assert list(involution_failures(space)) == []
+        assert len(set(calls[-1])) == len(calls[-1])
+        pairs += len(space.chars) ** 2
+    assert (sum(map(len, calls)), pairs) == (587, 8829)
 
 
 def compat_all_depths(space, g1, g2):
