@@ -89,6 +89,21 @@ class Span:
     def rank(self) -> int:
         return len(self._pivots)
 
+    def orthogonal(self, v: int) -> int:
+        """The vector orthogonal to the span that agrees with v off the pivots.
+
+        Back substitution: pivots are set by increasing top bit, each to
+        the parity of its row on the lower coordinates, which are settled
+        by then, so every row has even overlap with the result.  A pivot
+        coordinate is fixed by the ones below it: orthogonal(1 << p) is 0
+        exactly when p is a pivot.
+        """
+        for top in sorted(self._pivots):
+            v &= ~(1 << top)
+            if (self._pivots[top] & v).bit_count() & 1:
+                v |= 1 << top
+        return v
+
 
 class Solver:
     """Span that tracks how each pivot was combined from the inserted vectors.

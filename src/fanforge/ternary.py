@@ -10,19 +10,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ne
+from operator import itemgetter, ne
 from typing import NamedTuple
 
+from . import gf2
 from .errors import NotAFanError, ResourceLimitError, StructuralError
 
 SIGNS = (1, 0, -1)
 
 #: Largest table chain_to_table builds and enumerate_characters accepts.
-#: The table is quadratic in it.  Light's test costs m^2 per generator
-#: (the m^3 scan runs only on a table that fails it) and the triple
-#: closure is cubic in the character count: `fanforge validate` at 513
-#: elements takes about 2-2.5 s on a 2-vCPU Xeon, most of it in fan_report.
-MAX_TABLE_ELEMENTS = 513
+#: The table is quadratic in it, and Light's test, which costs m^2 per
+#: generator (the m^3 scan runs only on a table that fails it), is the
+#: largest step: `fanforge validate` takes about 0.2 s at 513 elements
+#: and 2.5 s at 2049 on a 2-vCPU Xeon, within 50 MB.
+MAX_TABLE_ELEMENTS = 2049
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,20 @@ class TernaryTable:
         converse is immediate.
         """
         mul = self.mul
-        # rows are compared as lists: a tuple per row would fill the
-        # interpreter's small-tuple free lists on small tables
+        if self.size == 1:
+            return True     # itemgetter of one index returns no tuple
+        # The commutativity check compares rows as lists: a tuple per row
+        # read higher peak RSS on the sweep benchmark.  Light's loop builds
+        # one tuple per row with itemgetter, each freed before the next; it
+        # runs 3.5 times faster than a list per row at the same peak RSS.
         if any(map(ne, map(list, zip(*mul)), map(list, mul))):
             return False
         for g in self.generators:
             row_g = mul[g]
-            for rx in mul:
-                # (x*g)*y for all y against x*(g*y) for all y
-                if [*mul[rx[g]]] != [*map(rx.__getitem__, row_g)]:
-                    return False
+            # for each x, the row of x*g = g*x, (x*g)*y for all y, against
+            # x*(g*y) for all y
+            if any(map(ne, map(mul.__getitem__, row_g), map(itemgetter(*row_g), mul))):
+                return False
         return True
 
 
@@ -193,7 +198,7 @@ def _require_same_table(*chars: Character) -> TernaryTable:
         raise ValueError("need at least one character")
     t = chars[0].table
     for h in chars[1:]:
-        if h.table != t:
+        if h.table is not t and h.table != t:
             raise ValueError("characters live on different tables")
     return t
 
@@ -257,62 +262,144 @@ def validate_table(t: TernaryTable) -> list[Violation]:
 def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
     """All characters of t, sorted by value vector.
 
-    Depth-first search that branches on the generators of t only, in the
-    order of t.closure_steps, with h(1) = 1, h(0) = 0 and h(-1) = -1
-    fixed.  When a step's generator gets its value, each element first
-    reached in the step gets its value from its word, h(r*g) = h(r)h(g),
-    and each new value h(y) is propagated through its products with the
-    assigned generators and constants: h(y*g) = h(y)h(g) must hold for
-    every generator g of the step or an earlier one, or the branch is
-    pruned.  Raises ResourceLimitError over MAX_TABLE_ELEMENTS.
+    Characters by linear algebra, one solve per support (Schwarz, "The
+    theory of characters of finite commutative semigroups", Czechoslovak
+    Math. J. 4, 1954; Clifford and Preston 1961).  Every
+    element x has a word in the generators (t.closure_steps), which gives
+    L(x), its set of letters, and P(x), the parity of each letter, a GF(2)
+    vector with the generator of step k at bit k + 1.  A generator reached
+    by a word before it is added (a constant, on a corrupted table) keeps
+    that word's P, so P lives on the generators that are reached first as
+    themselves, the free generators.  Raises ResourceLimitError over
+    MAX_TABLE_ELEMENTS.
 
-    Why a leaf is a character on a commutative semigroup.  Let S_k be
-    the elements reached by step k, the subsemigroup generated by the
-    generators up to step k's generator g.  By induction on k, h is
-    multiplicative on S_k.  First, h(x*g') = h(x)h(g') for x in S_k and
-    g' a generator up to g: it is checked when x is new in step k, and
-    the induction gives it when x and g' lie in S_(k-1).  Otherwise x is
-    in S_(k-1) and g' = g; write x = g1*...*gn with earlier generators gi:
-        x*g = g*x = (...((g*g1)*g2)...)*gn,
-    where each product is of an element p of S_k by some gi, checked
-    when p is new and given by the induction when p is in S_(k-1), so
-    h(x*g) = h(g)h(g1)...h(gn) = h(g)h(x).  Then h(x*y) = h(x)h(y) for
-    x, y in S_k by induction on the word of y: for y = r*g',
-        h(x*(r*g')) = h((x*r)*g') = h(x*r)h(g') = h(x)h(r)h(g') = h(x)h(y).
-    On a table that fails Light's test (TernaryTable.commutative_semigroup)
-    a leaf is kept only when h(x*y) = h(x)h(y) for every pair x, y.
+    Supports.  A depth-first search in the order of t.closure_steps puts
+    each free generator in or out of the support (_support_search); the
+    constants are fixed: 1 and -1 in, 0 out.  A leaf is a set F of
+    elements, those whose letters are all in.
+
+    Signs.  A character with support F is h(x) = (-1)^(s.P(x)) on F and 0
+    off it, for a vector s on the free generators in F.  For each support
+    one GF(2) elimination (gf2.Span, bit 0 the right-hand side) solves
+        s.(P(y*g) ^ P(y) ^ P(g)) = 0  for every y in F and generator g in F,
+        s.P(1) = 0 and s.P(-1) = 1,
+    and the solutions are an affine space: one point plus one kernel
+    vector per free coordinate.  Each solution's neg mask is an XOR of
+    per-bit element masks, so a character costs O(1) big-int operations.
+    Two constants on one index leave no support (1 = 0 or 0 = -1) or an
+    inconsistent system (1 = -1), so such a table has no character.
+
+    Why a solution is a character on a commutative semigroup.  The 0/1
+    map [x in F] is multiplicative (see _support_search), so y*g is in F
+    exactly when y and g are, and h(y*g) = h(y)h(g) holds for every
+    element y and generator g: both sides are 0 unless y and g are in F,
+    and then it is the edge equation.  Then h(x*y) = h(x)h(y) for all x,
+    y by induction on the word of y: for y = r*g,
+        h(x*(r*g)) = h((x*r)*g) = h(x*r)h(g) = h(x)h(r)h(g) = h(x)h(y),
+    and the constant equations give h(1) = 1 and h(-1) = -1.  Conversely,
+    a character's support is a leaf, h(x) = (-1)^(s.P(x)) on it with s
+    its signs on the free generators (induction on the word of x), and
+    it satisfies every equation; distinct solutions differ at a free
+    generator, so each character comes out once.  On a table that fails
+    Light's test (TernaryTable.commutative_semigroup) the solutions still
+    include every character, and one is kept only when h(x*y) = h(x)h(y)
+    for every pair x, y.
     """
     m = t.size
     if m > MAX_TABLE_ELEMENTS:
         raise ResourceLimitError(
             f"table has {m} elements, table bound is {MAX_TABLE_ELEMENTS}")
     mul = t.mul
-    # a constant has one choice, none when two constants share an index
+    steps = t.closure_steps
+    parity = [0] * m
+    free: list[tuple[int, int]] = []    # (free generator, its bit)
+    for k, (g, new, words) in enumerate(steps):
+        if new[:1] == (g,):
+            parity[g] = 2 << k
+            free.append((g, 2 << k))
+        for y, r, h in words:
+            parity[y] = parity[r] ^ parity[h]
+    # row b: the elements x with bit b of P(x) set, so that the neg mask
+    # of signs s is the pullback of s through these rows
+    columns = [0] * (len(steps) + 1)
+    for x, p in enumerate(parity):
+        for b in gf2.bits(p):
+            columns[b] |= 1 << x
+
+    found: list[Character] = []
+    for inside in _support_search(t):
+        support = sum(1 << x for x in inside)
+        equations = {parity[t.one_idx], parity[t.minus_one_idx] | 1}
+        for g in t.generators:
+            if support >> g & 1:
+                pg = parity[g]
+                equations.update([parity[mul[y][g]] ^ parity[y] ^ pg for y in inside])
+        span = gf2.Span(equations)
+        point = span.orthogonal(1)
+        if not point & 1:
+            continue                    # 0 = 1 is a combination of the equations
+        negs = [gf2.pullback(point, columns) & support]
+        for g, bit in free:
+            if support >> g & 1:
+                kernel = span.orthogonal(bit)
+                if kernel:              # bit is not a pivot: a free coordinate
+                    step = gf2.pullback(kernel, columns) & support
+                    negs += [n ^ step for n in negs]
+        found += [Character(t, support, n) for n in negs]
+    if not t.commutative_semigroup:
+        found = [h for h in found if _multiplicative(mul, h.values)]
+    found.sort(key=_value_order(m))
+    return tuple(found)
+
+
+def _support_search(t: TernaryTable) -> list[list[int]]:
+    """The supports of t's characters, each as its elements in index order.
+
+    Depth-first search that branches on the generators of t only, in the
+    order of t.closure_steps, with each free generator in (1) or out (0)
+    and the constants fixed: 1 and -1 in, 0 out.  When a step's generator
+    gets its value, each element first reached in the step gets its value
+    from its word, v(r*g) = v(r)v(g), and each new value v(y) is
+    propagated through its products with the assigned generators and
+    constants: v(y*g) = v(y)v(g) must hold for every generator g of the
+    step or an earlier one, or the branch is pruned.  A character's
+    support passes every check, so it is a leaf on any table.
+
+    Why a leaf is multiplicative on a commutative semigroup.  Let S_k be
+    the elements reached by step k, the subsemigroup generated by the
+    generators up to step k's generator g.  By induction on k, v is
+    multiplicative on S_k.  First, v(x*g') = v(x)v(g') for x in S_k and
+    g' a generator up to g: it is checked when x is new in step k, and
+    the induction gives it when x and g' lie in S_(k-1).  Otherwise x is
+    in S_(k-1) and g' = g; write x = g1*...*gn with earlier generators gi:
+        x*g = g*x = (...((g*g1)*g2)...)*gn,
+    where each product is of an element p of S_k by some gi, checked
+    when p is new and given by the induction when p is in S_(k-1), so
+    v(x*g) = v(g)v(g1)...v(gn) = v(g)v(x).  Then v(x*y) = v(x)v(y) for
+    x, y in S_k by induction on the word of y: for y = r*g',
+        v(x*(r*g')) = v((x*r)*g') = v(x*r)v(g') = v(x)v(r)v(g') = v(x)v(y).
+    """
+    m, mul = t.size, t.mul
+    # a constant has one choice, none when 0 shares an index with 1 or -1
     fixed: dict[int, tuple[int, ...]] = {}
-    for idx, v in ((t.one_idx, 1), (t.zero_idx, 0), (t.minus_one_idx, -1)):
+    for idx, v in ((t.one_idx, 1), (t.zero_idx, 0), (t.minus_one_idx, 1)):
         fixed[idx] = (v,) if fixed.get(idx, (v,)) == (v,) else ()
 
     # Per step: the generator, its choices, whether the step reaches it
-    # first, the words of its new elements, and per generator h so far
-    # the products y*h of the new elements y.
+    # first, the words of its new elements, and per generator g so far
+    # the products y*g of the new elements y.
     plan = []
     gens: list[int] = []
     for g, new, words in t.closure_steps:
         gens.append(g)
         checks = [(h, [mul[y][h] for y in new]) for h in gens]
-        plan.append((g, fixed.get(g, SIGNS), new[:1] == (g,), words, new, checks))
+        plan.append((g, fixed.get(g, (1, 0)), new[:1] == (g,), words, new, checks))
     values = [0] * m
-    found: list[tuple[int, ...]] = []
-    leaves_are_characters = t.commutative_semigroup
-
-    def multiplicative() -> bool:
-        return all([values[p] for p in mul[x]] == [values[x] * v for v in values]
-                   for x in range(m))
+    found: list[list[int]] = []
 
     def search(k: int) -> None:
         if k == len(plan):
-            if leaves_are_characters or multiplicative():
-                found.append(tuple(values))
+            found.append([x for x in range(m) if values[x]])
             return
         g, choices, fresh, words, new, checks = plan[k]
         for v in choices:
@@ -321,14 +408,37 @@ def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
             elif values[g] != v:
                 continue
             for y, r, h in words:
-                values[y] = values[r] * values[h]
-            if all([values[p] for p in products] == [values[y] * values[h] for y in new]
+                values[y] = values[r] & values[h]
+            if all([values[p] for p in products] == [values[y] & values[h] for y in new]
                    for h, products in checks):
                 search(k + 1)
 
     search(0)
     del search  # the recursive closure is a reference cycle holding the table
-    return tuple(Character.from_values(t, vals) for vals in sorted(found))
+    return found
+
+
+def _multiplicative(mul: tuple[tuple[int, ...], ...], values: tuple[int, ...]) -> bool:
+    return all([values[p] for p in mul[x]] == [values[x] * v for v in values]
+               for x in range(len(mul)))
+
+
+def _value_order(m: int):
+    """Sort key for characters in value-vector order, read off the masks.
+
+    Byte x of the key is 0x90, 0x91 or 0x92 for h(x) = -1, 0 or +1,
+    element 0 most significant: the sum of 2 * '0'/'1' and '0'/'1' ASCII
+    digit strings of the +1 and 0 masks, which never carries.  On the
+    1024 characters of a 2049-element ladder it sorts in 0.02 s, where
+    the value tuples take 0.5 s, a fifth of `fanforge validate` there.
+    """
+    fmt, full = f"0{m}b", (1 << m) - 1
+
+    def key(h: Character) -> int:
+        plus = format(h.support & ~h.neg, fmt)[::-1].encode()
+        zero = format(full & ~h.support, fmt)[::-1].encode()
+        return 2 * int.from_bytes(plus, "big") + int.from_bytes(zero, "big")
+    return key
 
 
 def pointwise_product(chars: list[Character] | tuple[Character, ...]) -> tuple[int, ...]:
@@ -348,13 +458,25 @@ def triple_product(h1: Character, h2: Character, h3: Character) -> Character:
 
 
 def specializes(g: Character, h: Character) -> bool:
-    """h lies in the closure of g, tested as h = h*h*g pointwise."""
-    return _product((h, h, g)) == h
+    """h lies in the closure of g, tested as h = h*h*g pointwise.
+
+    On masks h*h*g has support h.support & g.support and neg g.neg cut
+    to that support, since h.neg appears twice.
+    """
+    _require_same_table(g, h)
+    s = h.support & g.support
+    return (s, g.neg & s) == (h.support, h.neg)
 
 
 def specializes_by_square_shift(g: Character, h: Character) -> bool:
-    """Variant test h^2 = h*g."""
-    return _product((h, h)) == _product((h, g))
+    """Variant test h^2 = h*g.
+
+    On masks h^2 is (h.support, 0) and h*g is (h.support & g.support,
+    (h.neg ^ g.neg) cut to that support).
+    """
+    _require_same_table(g, h)
+    s = h.support & g.support
+    return (h.support, 0) == (s, (h.neg ^ g.neg) & s)
 
 
 def specializes_by_units(g: Character, h: Character) -> bool:
@@ -392,8 +514,65 @@ def zero_set_order(g: Character, h: Character) -> str:
     return "incomparable"
 
 
+def _support_chain(chars: list[Character] | tuple[Character, ...]) -> list[int] | None:
+    """The distinct supports of chars, largest first, when they form a
+    chain under inclusion; None otherwise."""
+    supports = sorted({h.support for h in chars}, key=int.bit_count, reverse=True)
+    if any(small & ~big for big, small in zip(supports, supports[1:])):
+        return None
+    return supports
+
+
+def _closed_by_classes(chars: list[Character] | tuple[Character, ...]) -> bool:
+    """True when every triple product of chars is in chars, by a test per
+    support class; False when the supports are not a chain or a class
+    fails its test.
+
+    A support class is the set N of neg masks of the characters with one
+    support s.  When the supports form a chain, the product of a, b and c
+    has the smallest of their supports, s, and neg (a.neg ^ b.neg ^
+    c.neg) cut to s, so it is in chars exactly when that XOR of cut negs
+    lies in N.  The test, for every class:
+      - N is an affine GF(2) space c + D, that is |N| = 2^rank(D) for D
+        spanned by the n ^ c, n in N;
+      - the neg of every character whose support contains s, cut to s,
+        lies in N.
+    It is sufficient: in a triple with smallest support s, one factor is
+    in the class and the cut negs of the other two lie in N by the second
+    part, and an affine space holds the XOR of any three of its points.
+    It is necessary: three factors from the class need N closed under
+    x ^ y ^ z, which makes it affine, and the triple (a, a, b) with a in
+    the class and b above it needs b's cut neg in N.  So triple_closure
+    runs its scan only when it lists a violation or the supports are not
+    a chain.
+    """
+    supports = _support_chain(chars)
+    if supports is None:
+        return False
+    classes: dict[int, set[int]] = {s: set() for s in supports}
+    for h in chars:
+        classes[h.support].add(h.neg)
+    above: list[int] = []       # negs of the characters with a larger support
+    for s in supports:
+        negs = classes[s]
+        c = min(negs)
+        if len(negs) != 1 << gf2.Span(n ^ c for n in negs).rank:
+            return False
+        if any(n & s not in negs for n in above):
+            return False
+        above += negs
+    return True
+
+
 def triple_closure(chars: list[Character] | tuple[Character, ...]) -> list[Violation]:
-    """One violation per multiset {a, b, c} of chars whose product is not in chars."""
+    """One violation per multiset {a, b, c} of chars whose product is not in chars.
+
+    The scan over the c^3/6 multisets runs only when the per-class test
+    (_closed_by_classes) fails or the supports are not a chain, since
+    otherwise it finds nothing.
+    """
+    if _closed_by_classes(chars):
+        return []
     pool = {(h.support, h.neg) for h in chars}
     out: list[Violation] = []
     for a, b, c in itertools.combinations_with_replacement(chars, 3):
@@ -405,40 +584,66 @@ def triple_closure(chars: list[Character] | tuple[Character, ...]) -> list[Viola
     return out
 
 
+def _separating_columns(m: int, chars: tuple[Character, ...]):
+    """Per element x in index order, a column equal for x and y exactly
+    when every character has h(x) = h(y).
+
+    The column is x's (support, neg) bits on an affine basis of every
+    support class: each character whose neg is affinely independent of
+    the negs of the basis characters before it with the same support,
+    that is, linearly independent with a coordinate 1 appended.  Every
+    character of the class has its neg in the affine hull of the basis
+    negs, the XOR of an odd number of them, so it is the product of an
+    odd number of basis characters (one support, negs added mod 2), and
+    two elements that agree on the basis agree on it.
+    """
+    spans: dict[int, gf2.Span] = {}
+    lift = 1 << m
+    basis = [h for h in chars if spans.setdefault(h.support, gf2.Span()).add(h.neg | lift)]
+    if not basis:
+        return [()] * m
+    fmt = f"0{m}b"
+    return zip(*[format(mask, fmt)[::-1] for h in basis for mask in (h.support, h.neg)])
+
+
 def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None) -> list[Violation]:
     """Operative fan criterion: separation, triple closure, chained zero-sets.
 
     Empty report means t is accepted as a fan.  Characters are
-    enumerated when not supplied.
+    enumerated when not supplied.  Separation compares each element's
+    column of character values (_separating_columns).  The zero sets are
+    the complements of the supports, built once per distinct support in
+    first-seen order.
     """
     if chars is None:
         chars = enumerate_characters(t)
     out: list[Violation] = []
 
-    columns: dict[tuple[int, ...], int] = {}
-    for x in range(t.size):
-        col = tuple([h(x) for h in chars])
-        if col in columns:
+    first: dict[tuple[str, ...], int] = {}
+    for x, col in enumerate(_separating_columns(t.size, chars)):
+        if col in first:
             out.append(Violation(
-                "separation", f"no character separates {columns[col]} and {x}",
-                (columns[col], x)))
+                "separation", f"no character separates {first[col]} and {x}",
+                (first[col], x)))
         else:
-            columns[col] = x
+            first[col] = x
+    if not chars:
+        return out + [Violation("separation", "table has no characters", ())]
 
     out += triple_closure(chars)
 
-    zsets = sorted({h.zero_set() for h in chars}, key=len)
+    full = (1 << t.size) - 1
+    zsets = sorted({frozenset(gf2.bits(full & ~s))
+                    for s in dict.fromkeys(h.support for h in chars)}, key=len)
     for small, big in zip(zsets, zsets[1:]):
         if not small < big:
             out.append(Violation(
                 "zero-set-chain", "character zero-sets are not totally ordered",
                 (tuple(sorted(small)), tuple(sorted(big)))))
-    if chars and zsets and zsets[0] != frozenset({t.zero_idx}):
+    floor = tuple(sorted(zsets[0]))
+    if floor != (t.zero_idx,):
         out.append(Violation(
-            "zero-set-floor", "smallest character zero-set is not {0}",
-            (tuple(sorted(zsets[0])),)))
-    if not chars:
-        out.append(Violation("separation", "table has no characters", ()))
+            "zero-set-floor", "smallest character zero-set is not {0}", (floor,)))
     return out
 
 

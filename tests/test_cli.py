@@ -225,7 +225,7 @@ def test_deep_path_chain_within_1gb(tmp_path):
         out = _run_under_1gb(command, str(path))
         if command == "validate":
             assert out.returncode == 3, out.stderr
-            assert f"fan has {2 * n + 1} elements, table bound is 513" in out.stderr
+            assert f"fan has {2 * n + 1} elements, table bound is 2049" in out.stderr
         else:
             assert out.returncode == 0, out.stderr
             assert len(out.stdout.splitlines()) == n
@@ -363,23 +363,24 @@ def test_deep_path_sgs_within_1gb(tmp_path):
 
 
 def test_validate_table_bound(tmp_path, capsys, monkeypatch):
-    # a 6x8 chain has 1537 elements; refused before its table is built
+    # a 5x9 chain has 2561 elements; refused before its table is built
     big = tmp_path / "big.fan"
-    big.write_text(serialize_chain(FanChain((8,) * 6, (1,) * 6, (identity_rows(8),) * 5)))
+    big.write_text(serialize_chain(FanChain((9,) * 5, (1,) * 5, (identity_rows(9),) * 4)))
     monkeypatch.setattr(fanforge.chains, "_slice_vectors", None)   # the table's first step
     assert main(["validate", str(big)]) == 3
-    assert "fan has 1537 elements, table bound is 513" in capsys.readouterr().err
+    assert "fan has 2561 elements, table bound is 2049" in capsys.readouterr().err
 
 
 def test_validate_at_table_bound_within_1gb(tmp_path):
-    # a 4x7 ladder is a 513-element table, the table bound: Light's test
-    # and the search on generators cost m^2 per generator, where the m^3
-    # associativity scan and the element-by-element search took about 15 s
+    # a 4x9 ladder is a 2049-element table, the table bound: Light's test
+    # costs m^2 per generator, the characters one GF(2) solve per support
+    # and the triple closure one test per support class, where the cubic
+    # closure scan alone would take about 90 s
     path = tmp_path / "ladder.fan"
-    path.write_text(serialize_chain(ladder(random.Random(513), 4, 7)))
-    out = _run_under_1gb("validate", str(path), timeout=30)
+    path.write_text(serialize_chain(ladder(random.Random(2049), 4, 9)))
+    out = _run_under_1gb("validate", str(path), timeout=10)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "valid fan: 256 characters on 513 elements\n"
+    assert out.stdout == "valid fan: 1024 characters on 2049 elements\n"
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

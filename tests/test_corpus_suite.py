@@ -61,8 +61,8 @@ def test_run_suite_builds_one_model_per_fan(monkeypatch):
 def test_run_suite_refuses_over_bound_corpus_before_any_section(monkeypatch):
     ran = []
     monkeypatch.setattr(suite, "check_cardinality", lambda model: ran.append(model) or [])
-    big = FanChain((9, 9), (1, 1), (gf2.identity_rows(9),))
-    with pytest.raises(ResourceLimitError, match="fan has 1025 elements, table bound is 513"):
+    big = FanChain((11, 11), (1, 1), (gf2.identity_rows(11),))
+    with pytest.raises(ResourceLimitError, match="fan has 4097 elements, table bound is 2049"):
         run_suite(generate_corpus(5, count=2) + [big])
     assert ran == []
 

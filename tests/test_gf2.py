@@ -77,3 +77,21 @@ def test_affine_span_is_odd_sums():
             brute.add(acc)
     assert gf2.affine_span(masks) == brute
     assert gf2.affine_span([]) == set()
+
+
+
+def test_orthogonal_is_back_substitution():
+    # on 6 coordinates: the pivots are the top bits of the span's nonzero
+    # vectors, and each v has exactly one orthogonal vector agreeing with
+    # it off the pivots, which orthogonal returns
+    rng = random.Random(3)
+    for _ in range(50):
+        rows = [rng.randrange(64) for _ in range(rng.randint(0, 5))]
+        span = gf2.Span(rows)
+        members = [w for w in range(64) if w in span]
+        pivots = sum({1 << (w.bit_length() - 1) for w in members if w})
+        orthogonal = [w for w in range(64) if all(gf2.dot(w, r) == 0 for r in members)]
+        for v in range(64):
+            assert [w for w in orthogonal if (w ^ v) & ~pivots == 0] == [span.orthogonal(v)]
+        for p in range(6):
+            assert (span.orthogonal(1 << p) == 0) == bool(pivots >> p & 1)

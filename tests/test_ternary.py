@@ -606,3 +606,135 @@ def test_generators_reach_every_element_on_ladders(levels, dim):
         assert [y for y, _, _ in words] == [y for y in new if y != g]
         order += new
     assert sorted(order) == list(range(table.size))
+
+
+# -- oracles for the table model by GF(2) algebra --------------------------------
+# The sign search on generators and the cubic triple-closure scan, kept as
+# references for the solve per support and the per-class closure test.
+
+def oracle_enumerate_on_generators(t):
+    """Sorted value vectors of every character of t.
+
+    Depth-first search that branches on the generators of t only, in the
+    order of t.closure_steps, with h(1) = 1, h(0) = 0 and h(-1) = -1
+    fixed.  When a step's generator gets its value, each element first
+    reached in the step gets its value from its word, h(r*g) = h(r)h(g),
+    and each new value h(y) is propagated through its products with the
+    assigned generators and constants: h(y*g) = h(y)h(g) must hold for
+    every generator g of the step or an earlier one, or the branch is
+    pruned.
+
+    Why a leaf is a character on a commutative semigroup.  Let S_k be
+    the elements reached by step k, the subsemigroup generated by the
+    generators up to step k's generator g.  By induction on k, h is
+    multiplicative on S_k.  First, h(x*g') = h(x)h(g') for x in S_k and
+    g' a generator up to g: it is checked when x is new in step k, and
+    the induction gives it when x and g' lie in S_(k-1).  Otherwise x is
+    in S_(k-1) and g' = g; write x = g1*...*gn with earlier generators gi:
+        x*g = g*x = (...((g*g1)*g2)...)*gn,
+    where each product is of an element p of S_k by some gi, checked
+    when p is new and given by the induction when p is in S_(k-1), so
+    h(x*g) = h(g)h(g1)...h(gn) = h(g)h(x).  Then h(x*y) = h(x)h(y) for
+    x, y in S_k by induction on the word of y: for y = r*g',
+        h(x*(r*g')) = h((x*r)*g') = h(x*r)h(g') = h(x)h(r)h(g') = h(x)h(y).
+    On a table that fails Light's test a leaf is kept only when it is
+    multiplicative.
+    """
+    m, mul = t.size, t.mul
+    # a constant has one choice, none when two constants share an index
+    fixed = {}
+    for idx, v in ((t.one_idx, 1), (t.zero_idx, 0), (t.minus_one_idx, -1)):
+        fixed[idx] = (v,) if fixed.get(idx, (v,)) == (v,) else ()
+    plan = []
+    gens = []
+    for g, new, words in t.closure_steps:
+        gens.append(g)
+        checks = [(h, [mul[y][h] for y in new]) for h in gens]
+        plan.append((g, fixed.get(g, (1, 0, -1)), new[:1] == (g,), words, new, checks))
+    values = [0] * m
+    found = []
+
+    def search(k):
+        if k == len(plan):
+            if t.commutative_semigroup or multiplicative(t, values):
+                found.append(tuple(values))
+            return
+        g, choices, fresh, words, new, checks = plan[k]
+        for v in choices:
+            if fresh:
+                values[g] = v
+            elif values[g] != v:
+                continue
+            for y, r, h in words:
+                values[y] = values[r] * values[h]
+            if all([values[p] for p in products] == [values[y] * values[h] for y in new]
+                   for h, products in checks):
+                search(k + 1)
+
+    search(0)
+    return sorted(found)
+
+
+def oracle_triple_closure(chars):
+    """triple_closure's scan over every multiset, with no per-class test."""
+    pool = {(h.support, h.neg) for h in chars}
+    out = []
+    for a, b, c in itertools.combinations_with_replacement(chars, 3):
+        s = a.support & b.support & c.support
+        if (s, (a.neg ^ b.neg ^ c.neg) & s) not in pool:
+            out.append(ternary.Violation(
+                "triple-closure", "product of three characters is not a character",
+                (a.values, b.values, c.values)))
+    return out
+
+
+def constant_reached_by_word(t):
+    constants = (t.one_idx, t.zero_idx, t.minus_one_idx)
+    return any(g in constants and new[:1] != (g,) for g, new, _ in t.closure_steps)
+
+
+def test_enumeration_matches_search_on_generators(corpus, corrupted):
+    # brute force too where 3^m allows it
+    tables = [chain_to_table(c) for c in corpus] + corrupted
+    for t in tables:
+        want = oracle_enumerate_on_generators(t)
+        assert [h.values for h in enumerate_characters(t)] == want
+        if t.size <= 9:
+            assert want == brute_force_characters(t)
+    assert sum(t.size <= 9 for t in tables) >= 20
+    # a constant reached by a word before it is added as a generator keeps
+    # that word's parity in the sign equations
+    assert any(map(constant_reached_by_word, corrupted))
+
+
+@pytest.mark.parametrize("levels,dim", [(4, 5), (4, 7), (4, 9)])
+def test_enumeration_on_ladders_up_to_table_bound(levels, dim):
+    chain = ladder(random.Random(levels * dim), levels, dim)
+    table = chain_to_table(chain)
+    assert table.size <= MAX_TABLE_ELEMENTS
+    chars = enumerate_characters(table)
+    from_chain = sorted(chain_char_to_table_char(chain, table, h).values
+                        for h in FanSpace(chain).chars)
+    assert [h.values for h in chars] == oracle_enumerate_on_generators(table) == from_chain
+    assert fan_report(table, chars) == []
+
+
+def test_triple_closure_gate_matches_scan(corpus):
+    # each corpus table's characters and three random subsets of them, and
+    # a table whose supports are not a chain
+    rng = random.Random(16)
+    tables = [chain_to_table(c) for c in corpus] + [product_table(sign3_table(), sign3_table())]
+    outcomes = set()
+    for t in tables:
+        chars = enumerate_characters(t)
+        subsets = [tuple(sorted(rng.sample(chars, rng.randint(1, len(chars))), key=chars.index))
+                   for _ in range(3)]
+        for sample in [chars] + subsets:
+            want = oracle_triple_closure(sample)
+            assert ternary.triple_closure(sample) == want
+            chain = ternary._support_chain(sample) is not None
+            if chain:
+                # the per-class test is exact on a chain of supports
+                assert ternary._closed_by_classes(sample) == (want == [])
+            outcomes.add((chain, want == []))
+    assert outcomes == {(chain, closed) for chain in (True, False) for closed in (True, False)}
