@@ -138,7 +138,7 @@ def chain_characters(c: FanChain) -> tuple[ChainChar, ...]:
     out = []
     for d, k in enumerate(c.dims, start=1):
         minus = c.minus[d - 1]
-        out.extend(ChainChar(d, lam) for lam in range(1 << k) if gf2.dot(lam, minus))
+        out.extend(ChainChar(d, lam) for lam in range(1 << k) if (lam & minus).bit_count() & 1)
     return tuple(out)
 
 

@@ -92,12 +92,13 @@ def _cmd_rootsys(args) -> int:
 
 def _cmd_strata(args) -> int:
     space = _load_chain(args.chain)
+    labels = [char_label(space.chain, h) for h in space.chars]
     for k in range(1, space.length + 1):
         for j in range(k, space.length + 1):
             for kind in ("S", "C"):
-                members = space.stratum_members(kind, k, j)
-                labels = " ".join(char_label(space.chain, h) for h in members)
-                print(f"{kind}^{k}_{j} card={len(members)}: {labels}")
+                members = space.forest.stratum(kind, k, j)
+                print(f"{kind}^{k}_{j} card={len(members)}: "
+                      f"{' '.join(labels[i] for i in members)}")
     return 0
 
 

@@ -21,7 +21,8 @@ class FormatError(ValueError):
 
 
 def mask_to_bits(mask: int, width: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(width))
+    """The low `width` bits of mask, coordinate 0 first ("" for width <= 0)."""
+    return format(mask & ((1 << width) - 1), f"0{width}b")[::-1] if width > 0 else ""
 
 
 def bits_to_mask(bits: str, width: int | None = None) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import gf2
 from .chains import ChainChar
 from .levels import PropertyReport, closure, extend_basis, is_dependent
 from .spectral import FanSpace
@@ -179,23 +180,36 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     return GeneratingSystem(tuple(bases), tuple(provenance))
 
 
+def _spans_exactly(basis, k: int, masks: set[int]) -> bool:
+    """basis is an independent set of depth-k characters whose odd
+    products are exactly the given masks.
+
+    Its affine span has at most 2^(r-1) points for r members, with
+    equality exactly when the members are independent, so comparing the
+    sizes first decides independence without a second elimination.
+    """
+    return (bool(basis) and all(g.depth == k for g in basis)
+            and len(masks) == 1 << (len(basis) - 1)
+            and gf2.affine_span(g.mask for g in basis) == masks)
+
+
 def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:
     """Check level spanning, stratum-compatibility, and successor closure.
 
     S^k_j changes with j only past a reach value present at level k, and a
-    basis closed under parents is closed under every successor."""
+    basis closed under parents is closed under every successor.  Spans
+    are compared as mask sets, so each basis member must also sit at the
+    level's depth."""
     report = PropertyReport()
     n = space.length
+    chars, forest = space.chars, space.forest
     for k in range(1, n + 1):
         bk = gs.level_basis(k)
         report.add(f"spans-level({k})",
-                   set(closure(space, bk)) == set(space.level(k))
-                   and not is_dependent(space, bk))
-        for j in list(space.forest.profile[k])[1:]:
+                   _spans_exactly(bk, k, {h.mask for h in space.level(k)}))
+        for j in list(forest.profile[k])[1:]:
             part = tuple(g for g in bk if space.deep(g) >= j)
-            members = set(space.stratum_members("S", k, j))
-            good = (set(closure(space, part)) == members
-                    and (not part or not is_dependent(space, part)))
+            good = _spans_exactly(part, k, {chars[i].mask for i in forest.stratum("S", k, j)})
             report.add(f"stratum-basis({k},{j})", good,
                        tuple(part) if not good else ())
     for k in range(2, n + 1):

@@ -47,9 +47,21 @@ def pullback(lam: int, rows: tuple[int, ...]) -> int:
     selected by lam.
     """
     out = 0
-    for i in bits(lam):
-        out ^= rows[i]
+    while lam:
+        low = lam & -lam
+        out ^= rows[low.bit_length() - 1]
+        lam ^= low
     return out
+
+
+def pullback_table(rows: tuple[int, ...]) -> list[int]:
+    """pullback(lam, rows) for every functional lam on the len(rows)-bit
+    space, indexed by lam: each row doubles the table, since the
+    functionals with bit i set are those without it, shifted by row i."""
+    table = [0]
+    for row in rows:
+        table += [m ^ row for m in table]
+    return table
 
 
 def identity_rows(k: int) -> tuple[int, ...]:

@@ -5,9 +5,10 @@ which every up-set is a chain.  Forest is the pure order data (used both
 for extracted root systems and for externally supplied candidates);
 FanSpace wraps a chain with its characters and answers order queries in
 chain coordinates.  Its only order data is the forest: each character's
-parent is one pullback along the transition into its depth, and every
-successor is read off the parent links, so the state is linear in the
-number of characters.
+parent is its functional pulled back along the transition into its
+depth, read from one pullback table per transition, and every successor
+is read off the parent links, so the state is linear in the number of
+characters.
 """
 
 from __future__ import annotations
@@ -184,17 +185,30 @@ class FanSpace:
 
     def __init__(self, chain: FanChain):
         self.chain = chain
-        self.chars = chain_characters(chain)
-        # chain_characters emits the levels as contiguous blocks in depth order
-        self._level_end = [0] * (chain.n + 1)
-        for i, h in enumerate(self.chars):
-            self._level_end[h.depth] = i + 1
-        self._node = {h: i for i, h in enumerate(self.chars)}
-        parents = tuple(
-            None if h.depth == 1
-            else self._node[ChainChar(h.depth - 1, gf2.pullback(h.mask, chain.taus[h.depth - 2]))]
-            for h in self.chars)
-        self.forest = Forest(tuple(h.depth for h in self.chars), parents)
+        self.chars = chars = chain_characters(chain)
+        # chain_characters emits the levels as contiguous blocks in depth
+        # order, 2^(k-1) characters on a level of dimension k
+        depths: list[int] = []
+        end = [0]
+        for d, k in enumerate(chain.dims, start=1):
+            depths += [d] * (1 << (k - 1))
+            end.append(len(depths))
+        self._level_end = end
+        self._node = {h: i for i, h in enumerate(chars)}
+        # A parent is its functional pulled back along the transition into
+        # its depth: one pullback table per transition, read through the
+        # mask -> node list of the level above.
+        parents: list[int | None] = [None] * end[1]
+        for d in range(2, chain.n + 1):
+            pos: list[int | None] = [None] * (1 << chain.dims[d - 2])
+            for i in range(end[d - 2], end[d - 1]):
+                pos[chars[i].mask] = i
+            pb = gf2.pullback_table(chain.taus[d - 2])
+            above = [pos[pb[h.mask]] for h in chars[end[d - 1]:end[d]]]
+            if None in above:     # only a transition that moves minus does this
+                raise RuntimeError(f"a depth-{d} character pulls back to no character")
+            parents += above
+        self.forest = Forest(tuple(depths), tuple(parents))
 
     # -- basic queries -------------------------------------------------
 

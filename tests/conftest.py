@@ -45,6 +45,12 @@ def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
     return FanChain((dim,) * levels, minus, tuple(taus))
 
 
+def oracle_mask_to_bits(mask: int, width: int) -> str:
+    """formats.mask_to_bits as first written, one bit test per
+    coordinate: the oracle for its output."""
+    return "".join("1" if mask >> i & 1 else "0" for i in range(width))
+
+
 def forked_paths(n: int) -> Forest:
     """Two n-level paths, the second with another child under its depth
     n - 1 node: refused, and at every depth the two differ at depth n."""

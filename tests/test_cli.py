@@ -11,11 +11,13 @@ import fanforge.chains
 from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import main
 from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
+from fanforge.generators import standard_generating_system
 from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
-from fanforge.spectral import FanSpace
+from fanforge.spectral import FanSpace, Forest
 
-from conftest import DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder
+from conftest import DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, oracle_mask_to_bits
+from test_spectral import oracle_parents
 
 
 @pytest.fixture
@@ -75,6 +77,39 @@ def test_sgs(files, capsys):
     out = capsys.readouterr().out
     assert "basis k=1: d1:1" in out
     assert "verified" in out
+
+
+def test_3072_character_output_matches_rendering(tmp_path, capsys):
+    # the order data from per-character pullbacks and labels from one bit
+    # test per coordinate, rendered here line by line
+    chain = ladder(random.Random(3072), 6, 10)
+    path = tmp_path / "ladder.fan"
+    path.write_text(serialize_chain(chain))
+    space = FanSpace(chain)
+    forest = Forest(space.forest.depths, oracle_parents(space))
+    label = [f"d{h.depth}:{oracle_mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
+             for h in space.chars]
+    n = chain.n
+    gs = standard_generating_system(space, 3)
+    checks = n + sum(len(reaches) - 1 for reaches in forest.profile[1:]) + n - 1
+    expected = {
+        ("chars",): "".join(f"{lab}\n" for lab in label),
+        ("levels",): "".join(
+            f"level d={d} size={len(forest.level(d))}: "
+            f"{' '.join(label[i] for i in forest.level(d))}\n" for d in range(1, n + 1)),
+        ("rootsys",): serialize_forest(forest),
+        ("strata",): "".join(
+            f"{kind}^{k}_{j} card={len(forest.stratum(kind, k, j))}: "
+            f"{' '.join(label[i] for i in forest.stratum(kind, k, j))}\n"
+            for k in range(1, n + 1) for j in range(k, n + 1) for kind in ("S", "C")),
+        ("sgs", "--seed", "3"): "".join(
+            f"basis k={k}: {' '.join(label[space.node(h)] for h in gs.level_basis(k))}\n"
+            for k in range(1, n + 1)) + f"verified: {checks} checks pass\n",
+    }
+    assert len(label) == 3072
+    for command, text in expected.items():
+        assert main([command[0], str(path), *command[1:]]) == 0
+        assert capsys.readouterr().out == text, command
 
 
 def test_iso_success_prints_map(files, capsys):

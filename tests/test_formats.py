@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import fanforge.formats
 from fanforge.formats import (
     FormatError,
     bits_to_mask,
@@ -12,7 +15,7 @@ from fanforge.formats import (
 )
 from fanforge.spectral import FanSpace
 
-from conftest import CHAIN3, E1, E2, EA, EB, TRIV
+from conftest import CHAIN3, E1, E2, EA, EB, TRIV, oracle_mask_to_bits
 
 
 def test_bits_are_little_endian():
@@ -23,6 +26,24 @@ def test_bits_are_little_endian():
         bits_to_mask("10", 3)
     with pytest.raises(FormatError):
         bits_to_mask("2x")
+
+
+def test_mask_to_bits_matches_bitwise_oracle():
+    # masks with bits at and above the width, which are dropped
+    rng = random.Random(4)
+    for width in range(17):
+        masks = list(range(1 << min(width + 2, 10))) + [rng.getrandbits(40) for _ in range(200)]
+        for mask in masks:
+            assert mask_to_bits(mask, width) == oracle_mask_to_bits(mask, width)
+    assert mask_to_bits(0b111, 0) == "" and mask_to_bits(0b1101, 2) == "10"
+
+
+def test_chain_files_match_bitwise_oracle(corpus, monkeypatch):
+    texts = [serialize_chain(c) for c in corpus]
+    for chain, text in zip(corpus, texts):
+        assert serialize_chain(parse_chain(text)) == text
+    monkeypatch.setattr(fanforge.formats, "mask_to_bits", oracle_mask_to_bits)
+    assert [serialize_chain(c) for c in corpus] == texts
 
 
 def test_chain_file_example():

@@ -165,6 +165,19 @@ def test_verify_sgs_flags_non_adapted_basis():
     assert any(c.name == "stratum-basis(1,2)" and not c.passed for c in report.checks)
 
 
+def test_verify_sgs_refuses_a_basis_from_another_level():
+    # EB's two levels both have the masks 1 and 3, so a level-2 basis has
+    # exactly the masks of level 1 and only its depth gives it away
+    space = FanSpace(EB)
+    gs = standard_generating_system(space)
+    assert {h.mask for h in space.level(1)} == {h.mask for h in space.level(2)}
+    moved = GeneratingSystem((gs.bases[1], gs.bases[1]))
+    report = verify_sgs(space, moved)
+    assert [c.name for c in report.checks] == [c.name for c in verify_sgs(space, gs).checks]
+    assert any(c.name == "spans-level(1)" and not c.passed for c in report.checks)
+    assert not report.ok and not _oracle_verify_sgs(space, moved)
+
+
 def _random_bases(rng, space, gs):
     """Per level the given basis or, half the time, a random subset of the
     level: as many members as the level dimension, or any number."""

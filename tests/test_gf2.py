@@ -35,6 +35,13 @@ def test_pullback_is_functional_composition():
             assert gf2.dot(pulled, v) == gf2.dot(lam, gf2.mat_vec(rows, v))
 
 
+def test_pullback_table_lists_every_pullback():
+    rng = random.Random(3)
+    for k in range(6):
+        rows = tuple(rng.randrange(16) for _ in range(k))  # 4 -> k
+        assert gf2.pullback_table(rows) == [gf2.pullback(lam, rows) for lam in range(1 << k)]
+
+
 def test_span_rank_and_membership():
     span = gf2.Span([0b001, 0b010])
     assert span.rank == 2

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from fanforge.chains import ChainChar, FanChain
+import fanforge.chains
+from fanforge.chains import MAX_CHARACTERS, ChainChar, FanChain
 from fanforge.corpus import random_transition
 from fanforge.errors import StructuralError
 from fanforge.gf2 import pullback
 from fanforge.spectral import FanSpace, Forest
 
-from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV
+from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -97,6 +98,37 @@ def test_successors_match_pullback_table(corpus):
             d = min(h.depth for h in hs)
             mask = table[(hs[0], d)].mask ^ table[(hs[1], d)].mask ^ table[(hs[2], d)].mask
             assert space.triple(*hs) == ChainChar(d, mask)
+
+
+def oracle_parents(space):
+    """The parent rule FanSpace used before its pullback tables: per
+    character, one pullback along the transition into its depth, looked
+    up among the characters."""
+    node = {h: i for i, h in enumerate(space.chars)}
+    return tuple(
+        None if h.depth == 1
+        else node[ChainChar(h.depth - 1, pullback(h.mask, space.chain.taus[h.depth - 2]))]
+        for h in space.chars)
+
+
+def test_parents_match_per_character_pullbacks(corpus_spaces):
+    rng = random.Random(17)
+    ladders = [FanSpace(ladder(random.Random(seed), 6, 10)) for seed in range(3)]
+    wide = FanSpace(FanChain((13, 13), (1, 1), (random_transition(rng, 13, 13, 1, 1),)))
+    n = MAX_CHARACTERS
+    path = FanSpace(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)))
+    for space in corpus_spaces + ladders + [wide, path]:
+        assert space.forest.parents == oracle_parents(space)
+    assert [len(s) for s in ladders] == [3072] * 3 and len(wide) == 8192 and len(path) == n
+
+
+def test_pullback_off_the_level_above_raises(monkeypatch):
+    # the transition sends minus_1 = 1 to 2, not to minus_2 = 1, so the
+    # depth-2 character with mask 1 pulls back to the zero functional;
+    # chain_characters refuses such a chain, so its check is switched off
+    monkeypatch.setattr(fanforge.chains, "_require_valid", lambda c: None)
+    with pytest.raises(RuntimeError, match="pulls back to no character"):
+        FanSpace(FanChain((1, 2), (1, 1), ((0, 1),)))
 
 
 def test_interval_is_a_chain_matching_depths(corpus_spaces):
