@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from . import gf2
@@ -124,11 +125,15 @@ def transition(c: FanChain, d: int, e: int) -> tuple[int, ...]:
     return c.transitions[(d, e)]
 
 
-def chain_characters(c: FanChain) -> tuple[ChainChar, ...]:
-    """All characters: per depth d, the functionals sending minus_d to 1.
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")     # swaps the parity bytes 0 and 1
 
-    Raises ResourceLimitError, before enumerating, when the chain has
-    more than MAX_CHARACTERS characters.
+
+def level_masks(c: FanChain) -> list[list[int]]:
+    """Per depth, the functionals sending minus_d to 1, ascending.
+
+    Raises StructuralError on an invalid chain and ResourceLimitError,
+    before enumerating, when the chain has more than MAX_CHARACTERS
+    characters.
     """
     _require_valid(c)
     count = sum(1 << (k - 1) for k in c.dims)
@@ -136,10 +141,34 @@ def chain_characters(c: FanChain) -> tuple[ChainChar, ...]:
         raise ResourceLimitError(
             f"chain has {count} characters, bound is {MAX_CHARACTERS}")
     out = []
-    for d, k in enumerate(c.dims, start=1):
-        minus = c.minus[d - 1]
-        out.extend(ChainChar(d, lam) for lam in range(1 << k) if (lam & minus).bit_count() & 1)
+    for k, minus in zip(c.dims, c.minus):
+        # parity[lam] = <lam, minus>, one byte per functional: coordinate i
+        # doubles the table, the upper half flipped when minus has bit i
+        parity = b"\0"
+        for i in range(k):
+            parity += parity.translate(_FLIP) if minus >> i & 1 else parity
+        out.append(list(compress(range(1 << k), parity)))
+    return out
+
+
+def characters_of_levels(levels: list[list[int]]) -> tuple[ChainChar, ...]:
+    """The ChainChars of level_masks output, depth by depth."""
+    out: list[ChainChar] = []
+    for d, masks in enumerate(levels, start=1):
+        # tuple.__new__ mapped over (depth, mask) pairs builds the same
+        # instances as ChainChar(d, m) without a Python-level call per
+        # character, which the NamedTuple constructor is
+        out += map(tuple.__new__, repeat(ChainChar), zip(repeat(d), masks))
     return tuple(out)
+
+
+def chain_characters(c: FanChain) -> tuple[ChainChar, ...]:
+    """All characters: per depth d, the functionals sending minus_d to 1.
+
+    Raises ResourceLimitError, before enumerating, when the chain has
+    more than MAX_CHARACTERS characters.
+    """
+    return characters_of_levels(level_masks(c))
 
 
 def cardinalities(c: FanChain) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from .formats import (
     FormatError,
     bits_to_mask,
     char_label,
+    level_labels,
     mask_to_bits,
     parse_chain,
     parse_forest,
@@ -30,6 +31,10 @@ from .isomorphism import build_isomorphism, check_forest, normal_form_chain, rep
 from .spectral import FanSpace
 from .suite import run_suite
 from .ternary import SIGNS, enumerate_characters, fan_report, validate_table
+
+#: Most lines plus member labels `strata` prints: a path of n levels
+#: prints about 1.5 n^2, so the bound refuses paths past 835 levels.
+MAX_STRATA_ENTRIES = 1 << 20
 
 
 def _load_chain(path: str) -> FanSpace:
@@ -66,16 +71,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_chars(args) -> int:
     space = _load_chain(args.chain)
-    for h in space.chars:
-        print(char_label(space.chain, h))
+    for d, masks in enumerate(space.masks, start=1):
+        print("\n".join(level_labels(space.chain, d, masks)))
     return 0
 
 
 def _cmd_levels(args) -> int:
     space = _load_chain(args.chain)
-    for d in range(1, space.length + 1):
-        members = " ".join(char_label(space.chain, h) for h in space.level(d))
-        print(f"level d={d} size={len(space.level(d))}: {members}")
+    for d, masks in enumerate(space.masks, start=1):
+        members = " ".join(level_labels(space.chain, d, masks))
+        print(f"level d={d} size={len(masks)}: {members}")
     return 0
 
 
@@ -92,13 +97,23 @@ def _cmd_rootsys(args) -> int:
 
 def _cmd_strata(args) -> int:
     space = _load_chain(args.chain)
-    labels = [char_label(space.chain, h) for h in space.chars]
-    for k in range(1, space.length + 1):
-        for j in range(k, space.length + 1):
+    forest, n = space.forest, space.length
+    # every (k, j) pair prints an S and a C line, and a node of depth k
+    # and reach e is a member of S^k_j for j = k..e and of one C line
+    entries = n * (n + 1) + sum(forest.deep) - sum(forest.depths) + 2 * len(forest)
+    if entries > MAX_STRATA_ENTRIES:
+        raise ResourceLimitError(
+            f"strata output has {entries} lines and member labels, "
+            f"bound is {MAX_STRATA_ENTRIES}")
+    labels: list[str] = []
+    for d, masks in enumerate(space.masks, start=1):
+        labels += level_labels(space.chain, d, masks)
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
             for kind in ("S", "C"):
-                members = space.forest.stratum(kind, k, j)
+                members = forest.stratum(kind, k, j)
                 print(f"{kind}^{k}_{j} card={len(members)}: "
-                      f"{' '.join(labels[i] for i in members)}")
+                      f"{' '.join(map(labels.__getitem__, members))}")
     return 0
 
 

@@ -126,6 +126,16 @@ def char_label(chain: FanChain, h: ChainChar) -> str:
     return f"d{h.depth}:{mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
 
 
+def level_labels(chain: FanChain, d: int, masks: list[int]) -> list[str]:
+    """char_label of each depth-d mask, read from one table of the level's
+    labels: each coordinate doubles the table, the masks with bit i set
+    being those without it, with a 1 in place i of the bit string."""
+    table = [f"d{d}:"]
+    for _ in range(chain.dims[d - 1]):
+        table = [b + "0" for b in table] + [b + "1" for b in table]
+    return list(map(table.__getitem__, masks))
+
+
 def root_system_dot(chain: FanChain, chars, parents) -> str:
     """DOT text for a root system; edges point from child to parent."""
     lines = ["digraph rootsystem {"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
-from .chains import ChainChar, FanChain, chain_characters
+from .chains import ChainChar, FanChain, characters_of_levels, level_masks
 from .errors import StructuralError
 
 
@@ -180,31 +180,31 @@ class FanSpace:
     """Character space of a valid chain, with order machinery.
 
     Characters are ChainChar pairs ordered by (depth, mask); that order
-    is also the node order of the forest.
+    is also the node order of the forest.  masks[d - 1] lists the masks
+    of depth d in that order.
     """
 
     def __init__(self, chain: FanChain):
         self.chain = chain
-        self.chars = chars = chain_characters(chain)
-        # chain_characters emits the levels as contiguous blocks in depth
-        # order, 2^(k-1) characters on a level of dimension k
+        self.masks = masks = level_masks(chain)
+        self.chars = chars = characters_of_levels(masks)
+        self._node = dict(zip(chars, range(len(chars))))
         depths: list[int] = []
         end = [0]
-        for d, k in enumerate(chain.dims, start=1):
-            depths += [d] * (1 << (k - 1))
+        for d, level in enumerate(masks, start=1):
+            depths += [d] * len(level)
             end.append(len(depths))
         self._level_end = end
-        self._node = {h: i for i, h in enumerate(chars)}
         # A parent is its functional pulled back along the transition into
         # its depth: one pullback table per transition, read through the
         # mask -> node list of the level above.
         parents: list[int | None] = [None] * end[1]
         for d in range(2, chain.n + 1):
             pos: list[int | None] = [None] * (1 << chain.dims[d - 2])
-            for i in range(end[d - 2], end[d - 1]):
-                pos[chars[i].mask] = i
+            for i, m in enumerate(masks[d - 2], end[d - 2]):
+                pos[m] = i
             pb = gf2.pullback_table(chain.taus[d - 2])
-            above = [pos[pb[h.mask]] for h in chars[end[d - 1]:end[d]]]
+            above = list(map(pos.__getitem__, map(pb.__getitem__, masks[d - 1])))
             if None in above:     # only a transition that moves minus does this
                 raise RuntimeError(f"a depth-{d} character pulls back to no character")
             parents += above

@@ -5,7 +5,7 @@ import pytest
 
 import fanforge.levels
 from fanforge import gf2
-from fanforge.chains import FanChain
+from fanforge.chains import ChainChar, FanChain
 from fanforge.corpus import generate_corpus, random_transition
 from fanforge.formats import parse_forest
 from fanforge.spectral import FanSpace, Forest
@@ -43,6 +43,13 @@ def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
         taus.append(rows)
         reach = step
     return FanChain((dim,) * levels, minus, tuple(taus))
+
+
+def oracle_characters(c: FanChain) -> list[ChainChar]:
+    """One parity test per functional of every level: how the characters
+    were first enumerated, the oracle for chains.level_masks."""
+    return [ChainChar(d, lam) for d, (k, minus) in enumerate(zip(c.dims, c.minus), start=1)
+            for lam in range(1 << k) if (lam & minus).bit_count() & 1]
 
 
 def oracle_mask_to_bits(mask: int, width: int) -> str:

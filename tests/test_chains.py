@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import fanforge.chains
 from fanforge.chains import (
+    MAX_CHARACTERS,
     ChainChar,
     FanChain,
     SliceElement,
@@ -13,6 +15,7 @@ from fanforge.chains import (
     chain_elements,
     chain_to_table,
     evaluate_element,
+    level_masks,
     multiply_elements,
     roundtrip_isomorphism,
     table_to_chain,
@@ -20,10 +23,12 @@ from fanforge.chains import (
     validate_chain,
 )
 from fanforge.corpus import random_transition
-from fanforge.errors import NotAFanError, StructuralError
+from fanforge.errors import NotAFanError, ResourceLimitError, StructuralError
+from fanforge.gf2 import identity_rows
+from fanforge.spectral import FanSpace
 from fanforge.ternary import Character, enumerate_characters, sign3_table, validate_table
 
-from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV
+from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder, oracle_characters
 from test_ternary import product_table
 
 
@@ -65,6 +70,45 @@ def test_chain_characters_examples():
     assert [h.depth for h in chain_characters(E1)] == [1, 2, 2]
     assert len(chain_characters(TRIV)) == 1
     assert chain_characters(E2) == (ChainChar(1, 1), ChainChar(1, 2))
+
+
+def test_level_masks_match_per_functional_filter():
+    # every minus up to width 8, seeded ones up to width 14
+    rng = random.Random(14)
+    for k in range(1, 15):
+        minuses = range(1, 1 << k) if k <= 8 else [rng.randrange(1, 1 << k) for _ in range(6)]
+        for minus in minuses:
+            c = FanChain((k,), (minus,), ())
+            assert level_masks(c) == [[h.mask for h in oracle_characters(c)]]
+
+
+def test_chain_characters_are_chain_chars(corpus):
+    chains = corpus + [ladder(random.Random(seed), 6, 10) for seed in range(2)]
+    for c in chains:
+        chars = chain_characters(c)
+        assert chars == tuple(oracle_characters(c))
+        for h in chars:
+            d, m = h
+            assert type(h) is ChainChar
+            assert h == ChainChar(d, m) and hash(h) == hash(ChainChar(d, m))
+            assert (h.depth, h.mask) == (d, m)
+
+
+def test_character_space_refused_before_enumerating(monkeypatch):
+    # a minus-moving transition is invalid; (15, 15) has 32768 characters,
+    # twice MAX_CHARACTERS, and neither may reach the enumeration
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a refused chain")
+
+    monkeypatch.setattr(fanforge.chains, "compress", no_enumeration)
+    with pytest.raises(StructuralError, match="does not send -1 to -1"):
+        FanSpace(FanChain((1, 2), (1, 1), ((0, 1),)))
+    big = FanChain((15, 15), (1, 1), (identity_rows(15),))
+    with pytest.raises(ResourceLimitError,
+                       match=f"chain has 32768 characters, bound is {MAX_CHARACTERS}"):
+        FanSpace(big)
+    with pytest.raises(ResourceLimitError):
+        chain_characters(big)
 
 
 def test_transition_examples():

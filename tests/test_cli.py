@@ -9,14 +9,16 @@ import pytest
 
 import fanforge.chains
 from fanforge.chains import MAX_CHARACTERS, FanChain
-from fanforge.cli import main
+from fanforge.cli import MAX_STRATA_ENTRIES, main
 from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
 from fanforge.generators import standard_generating_system
 from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace, Forest
 
-from conftest import DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, oracle_mask_to_bits
+from conftest import (
+    DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, oracle_characters, oracle_mask_to_bits,
+)
 from test_spectral import oracle_parents
 
 
@@ -80,17 +82,19 @@ def test_sgs(files, capsys):
 
 
 def test_3072_character_output_matches_rendering(tmp_path, capsys):
-    # the order data from per-character pullbacks and labels from one bit
-    # test per coordinate, rendered here line by line
+    # the characters from one parity test per functional, the order data
+    # from per-character pullbacks and labels from one bit test per
+    # coordinate, rendered here line by line
     chain = ladder(random.Random(3072), 6, 10)
     path = tmp_path / "ladder.fan"
     path.write_text(serialize_chain(chain))
-    space = FanSpace(chain)
-    forest = Forest(space.forest.depths, oracle_parents(space))
+    chars = oracle_characters(chain)
+    node = {h: i for i, h in enumerate(chars)}
+    forest = Forest(tuple(h.depth for h in chars), oracle_parents(chain, chars))
     label = [f"d{h.depth}:{oracle_mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
-             for h in space.chars]
+             for h in chars]
     n = chain.n
-    gs = standard_generating_system(space, 3)
+    gs = standard_generating_system(FanSpace(chain), 3)
     checks = n + sum(len(reaches) - 1 for reaches in forest.profile[1:]) + n - 1
     expected = {
         ("chars",): "".join(f"{lab}\n" for lab in label),
@@ -103,7 +107,7 @@ def test_3072_character_output_matches_rendering(tmp_path, capsys):
             f"{' '.join(label[i] for i in forest.stratum(kind, k, j))}\n"
             for k in range(1, n + 1) for j in range(k, n + 1) for kind in ("S", "C")),
         ("sgs", "--seed", "3"): "".join(
-            f"basis k={k}: {' '.join(label[space.node(h)] for h in gs.level_basis(k))}\n"
+            f"basis k={k}: {' '.join(label[node[h]] for h in gs.level_basis(k))}\n"
             for k in range(1, n + 1)) + f"verified: {checks} checks pass\n",
     }
     assert len(label) == 3072
@@ -235,7 +239,7 @@ def test_character_bound(tmp_path, capsys):
 _UNDER_1GB = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from fanforge.cli import main
+from fanforge.cli import MAX_STRATA_ENTRIES, main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -243,6 +247,30 @@ sys.exit(main(sys.argv[1:]))
 def _path_chain(n: int) -> FanChain:
     """One character per level: every bound holds at MAX_CHARACTERS levels."""
     return FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))
+
+
+def _path_strata_entries(n: int) -> int:
+    """Lines plus member labels of `strata` on an n-level path: an S and a
+    C line per pair k <= j, the depth-k node in S^k_j for every j >= k,
+    and in C^k_n."""
+    return n * (n + 1) + n * (n + 1) // 2 + n
+
+
+def test_strata_prints_a_path_just_under_its_bound(tmp_path, capsys):
+    n = 835
+    assert _path_strata_entries(n) <= MAX_STRATA_ENTRIES < _path_strata_entries(n + 1)
+    for levels in (n, n + 1):
+        (tmp_path / f"path{levels}.fan").write_text(serialize_chain(_path_chain(levels)))
+    assert main(["strata", str(tmp_path / "path835.fan")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == n * (n + 1)
+    assert sum(len(ln.split(": ")[1].split()) for ln in lines) == n * (n + 1) // 2 + n
+    assert lines[:2] == ["S^1_1 card=1: d1:1", "C^1_1 card=0: "]
+    assert lines[-1] == f"C^{n}_{n} card=1: d{n}:1"
+    assert main(["strata", str(tmp_path / "path836.fan")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"strata output has {_path_strata_entries(n + 1)} lines" in out.err
 
 
 def _run_under_1gb(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
@@ -256,11 +284,16 @@ def test_deep_path_chain_within_1gb(tmp_path):
     n = MAX_CHARACTERS
     path = tmp_path / "path.fan"
     path.write_text(serialize_chain(_path_chain(n)))
-    for command in ("chars", "levels", "rootsys", "validate"):
+    for command in ("chars", "levels", "rootsys", "validate", "strata"):
         out = _run_under_1gb(command, str(path))
         if command == "validate":
             assert out.returncode == 3, out.stderr
             assert f"fan has {2 * n + 1} elements, table bound is 2049" in out.stderr
+        elif command == "strata":
+            assert out.returncode == 3, out.stderr
+            assert out.stdout == ""
+            assert (f"strata output has {_path_strata_entries(n)} lines and member labels, "
+                    f"bound is {MAX_STRATA_ENTRIES}") in out.stderr
         else:
             assert out.returncode == 0, out.stderr
             assert len(out.stdout.splitlines()) == n

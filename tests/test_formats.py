@@ -6,6 +6,7 @@ import fanforge.formats
 from fanforge.formats import (
     FormatError,
     bits_to_mask,
+    level_labels,
     mask_to_bits,
     parse_chain,
     parse_forest,
@@ -13,6 +14,7 @@ from fanforge.formats import (
     serialize_chain,
     serialize_forest,
 )
+from fanforge.chains import FanChain
 from fanforge.spectral import FanSpace
 
 from conftest import CHAIN3, E1, E2, EA, EB, TRIV, oracle_mask_to_bits
@@ -36,6 +38,19 @@ def test_mask_to_bits_matches_bitwise_oracle():
         for mask in masks:
             assert mask_to_bits(mask, width) == oracle_mask_to_bits(mask, width)
     assert mask_to_bits(0b111, 0) == "" and mask_to_bits(0b1101, 2) == "10"
+
+
+def test_level_labels_match_bitwise_oracle():
+    # every mask up to width 12, seeded ones at widths 13 and 14, on the
+    # deepest level of a two-level chain so that the depth prefix shows
+    rng = random.Random(13)
+    for k in range(1, 15):
+        chain = FanChain((1, k), (1, 1), ((1,) + (0,) * (k - 1),))
+        masks = list(range(1 << k)) if k <= 12 else [rng.randrange(1 << k) for _ in range(500)]
+        assert level_labels(chain, 2, masks) == [
+            f"d2:{oracle_mask_to_bits(m, k)}" for m in masks]
+        assert level_labels(chain, 1, [1]) == ["d1:1"]
+    assert level_labels(CHAIN3, 3, []) == []
 
 
 def test_chain_files_match_bitwise_oracle(corpus, monkeypatch):

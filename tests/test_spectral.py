@@ -100,15 +100,15 @@ def test_successors_match_pullback_table(corpus):
             assert space.triple(*hs) == ChainChar(d, mask)
 
 
-def oracle_parents(space):
+def oracle_parents(chain, chars):
     """The parent rule FanSpace used before its pullback tables: per
     character, one pullback along the transition into its depth, looked
     up among the characters."""
-    node = {h: i for i, h in enumerate(space.chars)}
+    node = {h: i for i, h in enumerate(chars)}
     return tuple(
         None if h.depth == 1
-        else node[ChainChar(h.depth - 1, pullback(h.mask, space.chain.taus[h.depth - 2]))]
-        for h in space.chars)
+        else node[ChainChar(h.depth - 1, pullback(h.mask, chain.taus[h.depth - 2]))]
+        for h in chars)
 
 
 def test_parents_match_per_character_pullbacks(corpus_spaces):
@@ -118,7 +118,7 @@ def test_parents_match_per_character_pullbacks(corpus_spaces):
     n = MAX_CHARACTERS
     path = FanSpace(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)))
     for space in corpus_spaces + ladders + [wide, path]:
-        assert space.forest.parents == oracle_parents(space)
+        assert space.forest.parents == oracle_parents(space.chain, space.chars)
     assert [len(s) for s in ladders] == [3072] * 3 and len(wide) == 8192 and len(path) == n
 
 
