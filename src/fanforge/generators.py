@@ -91,9 +91,11 @@ def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
     boundary is one such part, and a greedy pass keeps a basis of each
     prefix.
     """
-    fiber = space.level(level) if h0 is None else _fiber(space, h0)
-    scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
-    return extend_basis(space, (), scan)
+    forest = space.forest
+    fiber = forest.level(level) if h0 is None else forest.children[space.node(h0)]
+    scan = sorted(policy.order(fiber), key=forest.deep.__getitem__, reverse=True)
+    chars = space.chars
+    return extend_basis(space, (), [chars[i] for i in scan])
 
 
 def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,
@@ -202,14 +204,15 @@ def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:
     level's depth."""
     report = PropertyReport()
     n = space.length
-    chars, forest = space.chars, space.forest
+    forest = space.forest
     for k in range(1, n + 1):
         bk = gs.level_basis(k)
-        report.add(f"spans-level({k})",
-                   _spans_exactly(bk, k, {h.mask for h in space.level(k)}))
+        masks = space.masks[k - 1]
+        first = forest.level(k)[0]      # the level's masks are in node order
+        report.add(f"spans-level({k})", _spans_exactly(bk, k, set(masks)))
         for j in list(forest.profile[k])[1:]:
             part = tuple(g for g in bk if space.deep(g) >= j)
-            good = _spans_exactly(part, k, {chars[i].mask for i in forest.stratum("S", k, j)})
+            good = _spans_exactly(part, k, {masks[i - first] for i in forest.stratum("S", k, j)})
             report.add(f"stratum-basis({k},{j})", good,
                        tuple(part) if not good else ())
     for k in range(2, n + 1):

@@ -13,12 +13,64 @@ characters.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
 from .chains import ChainChar, FanChain, characters_of_levels, level_masks
 from .errors import StructuralError
+
+
+def _graded_levels(depths, parents) -> tuple[tuple[int, ...], ...] | None:
+    """The nodes of each depth in index order, or None unless the roots
+    are exactly the depth-1 nodes and every depth-d node's parent is a
+    depth-(d - 1) node.
+
+    No forest is deeper than it has nodes, so the greatest depth is
+    checked against the node count before anything is made per depth.
+    """
+    n = len(depths)
+    if not n:
+        return ()
+    ordered = sorted(depths)
+    if ordered[0] != 1 or ordered[-1] > n:
+        return None
+    # order lists the nodes depth by depth and ps their parents in that
+    # order; ordered[a:b] is the block of depth d
+    if ordered == list(depths):
+        order, ps = range(n), parents
+    else:
+        order = sorted(range(n), key=depths.__getitem__)
+        ps = [parents[i] for i in order]
+    b = bisect_right(ordered, 1)
+    if ps[:b].count(None) != b:
+        return None
+    levels = [tuple(order[:b])]
+    for d in range(2, ordered[-1] + 1):
+        a, b = b, bisect_right(ordered, d, b)
+        if not set(levels[-1]).issuperset(ps[a:b]):
+            return None
+        levels.append(tuple(order[a:b]))
+    return tuple(levels)
+
+
+def _first_fault(depths, parents) -> str:
+    """What is wrong with the first node, in index order, that breaks the
+    grading by depth."""
+    for i, (d, p) in enumerate(zip(depths, parents)):
+        if d < 1:
+            return f"node {i} has depth {d}"
+        if p is None:
+            if d != 1:
+                return f"node {i} has no parent but depth {d}"
+        else:
+            if not 0 <= p < len(depths):
+                return f"node {i} has parent {p} out of range"
+            if depths[p] != d - 1:
+                return f"node {i} at depth {d} has parent at depth {depths[p]}"
+    return "forest is not graded by depth"
 
 
 @dataclass(frozen=True)
@@ -29,55 +81,50 @@ class Forest:
     def __post_init__(self):
         if len(self.depths) != len(self.parents):
             raise StructuralError("depths and parents must have equal length")
-        for i, (d, p) in enumerate(zip(self.depths, self.parents)):
-            if d < 1:
-                raise StructuralError(f"node {i} has depth {d}")
-            if p is None:
-                if d != 1:
-                    raise StructuralError(f"node {i} has no parent but depth {d}")
-            else:
-                if not 0 <= p < len(self.depths):
-                    raise StructuralError(f"node {i} has parent {p} out of range")
-                if self.depths[p] != d - 1:
-                    raise StructuralError(f"node {i} at depth {d} has parent at depth {self.depths[p]}")
+        levels = _graded_levels(self.depths, self.parents)
+        if levels is None:
+            raise StructuralError(_first_fault(self.depths, self.parents))
+        object.__setattr__(self, "_levels", levels)
 
     def __len__(self) -> int:
         return len(self.depths)
 
     @cached_property
     def length(self) -> int:
-        return max(self.depths, default=0)
+        return len(self._levels)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in self.depths]
-        for i, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(i)
-        return tuple(tuple(k) for k in kids)
+        parents = self.parents
+        for level in self._levels[1:]:
+            for i in level:
+                kids[parents[i]].append(i)
+        return tuple(map(tuple, kids))
 
     @cached_property
     def deep(self) -> tuple[int, ...]:
         """Per node, the largest depth among its descendants (and itself)."""
         out = list(self.depths)
-        for d in range(self.length, 1, -1):
-            for i in self.level(d):
-                p = self.parents[i]
-                out[p] = max(out[p], out[i])
+        parents = self.parents
+        for level in reversed(self._levels[1:]):
+            for i in level:
+                p = parents[i]
+                if out[i] > out[p]:
+                    out[p] = out[i]
         return tuple(out)
 
     @cached_property
     def profile(self) -> tuple[dict[int, int], ...]:
         """profile[k][j] = card(C^k_j) for the reaches j present at depth k,
         ascending; card(S^k_j) is the sum over reaches >= j."""
-        hist: list[dict[int, int]] = [{} for _ in range(self.length + 1)]
-        for d, e in zip(self.depths, self.deep):
-            hist[d][e] = hist[d].get(e, 0) + 1
-        return tuple({j: h[j] for j in sorted(h)} for h in hist)
+        deep = self.deep
+        return ({},) + tuple(dict(sorted(Counter([deep[i] for i in level]).items()))
+                             for level in self._levels)
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parents) if p is None)
+        return self._levels[0] if self._levels else ()
 
     @cached_property
     def root_of(self) -> tuple[int, ...]:
@@ -101,13 +148,6 @@ class Forest:
         for g in out:
             out.extend(self.children[g])
         return tuple(sorted(out))
-
-    @cached_property
-    def _levels(self) -> tuple[tuple[int, ...], ...]:
-        by_depth: list[list[int]] = [[] for _ in range(self.length)]
-        for i, d in enumerate(self.depths):
-            by_depth[d - 1].append(i)
-        return tuple(tuple(nodes) for nodes in by_depth)
 
     def level(self, d: int) -> tuple[int, ...]:
         return self._levels[d - 1] if 1 <= d <= self.length else ()
@@ -181,14 +221,14 @@ class FanSpace:
 
     Characters are ChainChar pairs ordered by (depth, mask); that order
     is also the node order of the forest.  masks[d - 1] lists the masks
-    of depth d in that order.
+    of depth d in that order.  chars and the character -> node map are
+    built on first read, so a command that reads only the masks and the
+    forest builds no ChainChar.
     """
 
     def __init__(self, chain: FanChain):
         self.chain = chain
         self.masks = masks = level_masks(chain)
-        self.chars = chars = characters_of_levels(masks)
-        self._node = dict(zip(chars, range(len(chars))))
         depths: list[int] = []
         end = [0]
         for d, level in enumerate(masks, start=1):
@@ -210,6 +250,14 @@ class FanSpace:
             parents += above
         self.forest = Forest(tuple(depths), tuple(parents))
 
+    @cached_property
+    def chars(self) -> tuple[ChainChar, ...]:
+        return characters_of_levels(self.masks)
+
+    @cached_property
+    def _node(self) -> dict[ChainChar, int]:
+        return dict(zip(self.chars, range(len(self.chars))))
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -217,7 +265,7 @@ class FanSpace:
         return self.chain.n
 
     def __len__(self) -> int:
-        return len(self.chars)
+        return self._level_end[-1]
 
     def _depth_index(self, d: int) -> int:
         if not 1 <= d <= len(self.chain.dims):

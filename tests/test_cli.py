@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fanforge.chains
+import fanforge.cli
 from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import MAX_STRATA_ENTRIES, main
 from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
@@ -79,6 +80,26 @@ def test_sgs(files, capsys):
     out = capsys.readouterr().out
     assert "basis k=1: d1:1" in out
     assert "verified" in out
+
+
+def test_only_commands_that_read_characters_build_them(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ladder.fan"
+    path.write_text(serialize_chain(ladder(random.Random(5), 4, 5)))
+    loaded = []
+    load = fanforge.cli._load_chain
+
+    def load_and_keep(p):
+        loaded.append(load(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(fanforge.cli, "_load_chain", load_and_keep)
+    for args, built in ((["chars"], False), (["levels"], False), (["strata"], False),
+                        (["rootsys"], False), (["rootsys", "--dot"], True), (["sgs"], True)):
+        loaded.clear()
+        assert main([args[0], str(path), *args[1:]]) == 0
+        assert ("chars" in vars(loaded[0])) == built, args
+        assert ("_node" in vars(loaded[0])) == built, args
+    capsys.readouterr()
 
 
 def test_3072_character_output_matches_rendering(tmp_path, capsys):
@@ -308,6 +329,25 @@ def test_deep_path_forest_realizes_within_1gb(tmp_path):
     out = _run_under_1gb("realize", str(forest))
     assert out.returncode == 0, out.stderr
     assert parse_chain(out.stdout) == _path_chain(n)
+
+
+def test_hostile_forest_depth_refused_at_once(tmp_path):
+    # no forest is deeper than it has nodes, so the depth is refused before
+    # anything is made per depth, as a root and as a child alike
+    cases = {
+        "root": ("node id=0 depth=1000000000 parent=none\n",
+                 "node 0 has no parent but depth 1000000000"),
+        "child": ("node id=0 depth=1 parent=none\nnode id=1 depth=1000000000 parent=0\n",
+                  "node 1 at depth 1000000000 has parent at depth 1"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.forest"
+        path.write_text(text)
+        for command in ("check-forest", "realize"):
+            out = _run_under_1gb(command, str(path), timeout=10)
+            assert out.returncode == 2, out.stderr
+            assert out.stdout == ""
+            assert out.stderr == f"error: inconsistent forest data: {message}\n"
 
 
 def test_deep_path_iso_within_1gb(tmp_path):

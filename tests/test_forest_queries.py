@@ -1,15 +1,23 @@
 """Forest order queries and check_forest against the scan-based definitions.
 
 The oracle functions below are the original definitions: descendants by
-sorting every node, strata and predecessor sets by scanning, and the
-component conditions RC3/RC4 recomputed for every pair.  The library
-reads one node per subtree shape and one component per root shape
-instead; every answer and every ordered violation list must agree.
+sorting every node, levels, children, reaches and profiles by one pass
+over the nodes, strata and predecessor sets by scanning, the forest
+check node by node, and the component conditions RC3/RC4 recomputed for
+every pair.  The library groups the nodes by depth once, reads one node
+per subtree shape and one component per root shape instead; every
+answer, every refusal message and every ordered violation list must
+agree.
 """
 
+import functools
 import itertools
 import random
 
+import pytest
+
+from fanforge.chains import MAX_CHARACTERS
+from fanforge.errors import StructuralError
 from fanforge.isomorphism import _power_of_two, check_forest, forest_canonical
 from fanforge.spectral import FanSpace, Forest
 from fanforge.ternary import Violation
@@ -36,20 +44,73 @@ def oracle_level(f: Forest, d: int) -> tuple[int, ...]:
     return tuple(i for i, dep in enumerate(f.depths) if dep == d)
 
 
+def oracle_levels(f: Forest) -> tuple[tuple[int, ...], ...]:
+    """Forest._levels as first written: one append per node."""
+    by_depth: list[list[int]] = [[] for _ in range(oracle_length(f))]
+    for i, d in enumerate(f.depths):
+        by_depth[d - 1].append(i)
+    return tuple(tuple(nodes) for nodes in by_depth)
+
+
+def oracle_children(f: Forest) -> tuple[tuple[int, ...], ...]:
+    kids: list[list[int]] = [[] for _ in f.depths]
+    for i, p in enumerate(f.parents):
+        if p is not None:
+            kids[p].append(i)
+    return tuple(tuple(k) for k in kids)
+
+
+@functools.lru_cache(maxsize=16)     # oracle_stratum reads it on every call
+def oracle_deep(f: Forest) -> tuple[int, ...]:
+    out = list(f.depths)
+    levels = oracle_levels(f)
+    for d in range(len(levels), 1, -1):
+        for i in levels[d - 1]:
+            p = f.parents[i]
+            out[p] = max(out[p], out[i])
+    return tuple(out)
+
+
+def oracle_profile(f: Forest) -> tuple[dict[int, int], ...]:
+    hist: list[dict[int, int]] = [{} for _ in range(oracle_length(f) + 1)]
+    for d, e in zip(f.depths, oracle_deep(f)):
+        hist[d][e] = hist[d].get(e, 0) + 1
+    return tuple({j: h[j] for j in sorted(h)} for h in hist)
+
+
 def oracle_stratum(f: Forest, kind: str, k: int, j: int) -> tuple[int, ...]:
+    deep = oracle_deep(f)
     if kind == "S":
-        return tuple(i for i in oracle_level(f, k) if f.deep[i] >= j)
-    return tuple(i for i in oracle_level(f, k) if f.deep[i] == j)
+        return tuple(i for i in oracle_level(f, k) if deep[i] >= j)
+    return tuple(i for i in oracle_level(f, k) if deep[i] == j)
 
 
 def oracle_pred_nodes(f: Forest, h: int, j1: int, j2: int, kind: str) -> tuple[int, ...]:
+    deep = oracle_deep(f)
     out = []
     for g in oracle_descendants(f, h):
         if f.depths[g] != j2:
             continue
-        if (f.deep[g] >= j1) if kind == "B" else (f.deep[g] == j1):
+        if (deep[g] >= j1) if kind == "B" else (deep[g] == j1):
             out.append(g)
     return tuple(out)
+
+
+def oracle_fault(depths, parents) -> str | None:
+    """Forest's per-node check as first written: the first bad node's
+    message, or None for a forest."""
+    for i, (d, p) in enumerate(zip(depths, parents)):
+        if d < 1:
+            return f"node {i} has depth {d}"
+        if p is None:
+            if d != 1:
+                return f"node {i} has no parent but depth {d}"
+        else:
+            if not 0 <= p < len(depths):
+                return f"node {i} has parent {p} out of range"
+            if depths[p] != d - 1:
+                return f"node {i} at depth {d} has parent at depth {depths[p]}"
+    return None
 
 
 def oracle_check_forest(forest: Forest) -> list[Violation]:
@@ -266,3 +327,82 @@ def test_check_forest_runs_at_3072_nodes():
     forest = FanSpace(ladder(random.Random(7), 6, 10)).forest
     assert len(forest) == 3072
     assert check_forest(forest) == []
+
+
+# -- the grading by depth ---------------------------------------------------------
+
+
+def path_forest(n: int) -> Forest:
+    """The forest of an n-level chain with one character per level."""
+    return Forest(tuple(range(1, n + 1)), (None,) + tuple(range(n - 1)))
+
+
+def assert_queries_match(f: Forest, pairs=None) -> None:
+    """Every per-level query against its oracle; strata at every k <= j,
+    or at the given (k, j) pairs."""
+    levels = oracle_levels(f)
+    assert f.length == len(levels)
+    assert tuple(f.level(d) for d in range(f.length + 2)) == ((),) + levels + ((),)
+    assert f.level_sizes() == tuple(map(len, levels))
+    assert f.roots == tuple(i for i, p in enumerate(f.parents) if p is None)
+    assert f.children == oracle_children(f)
+    assert f.deep == oracle_deep(f)
+    assert [list(h.items()) for h in f.profile] == [list(h.items()) for h in oracle_profile(f)]
+    n = f.length
+    if pairs is None:
+        pairs = [(k, j) for k in range(1, n + 1) for j in range(k, n + 1)]
+    for k, j in pairs:
+        for kind in ("S", "C"):
+            assert f.stratum(kind, k, j) == oracle_stratum(f, kind, k, j)
+
+
+def test_level_queries_match_node_scans(impossible_forests, corpus_spaces):
+    rng = random.Random(20170302)
+    forests = [random_forest(rng) for _ in range(320)]      # node order shuffled
+    forests += [repeated_forest(rng) for _ in range(120)]
+    forests += [broom(k) for k in range(2, 9)]
+    forests += list(impossible_forests.values())
+    forests += [space.forest for space in corpus_spaces]
+    forests += [FanSpace(ladder(random.Random(s), 6, 10)).forest for s in range(3)]
+    forests += [Forest((), ())]
+    unsorted = 0
+    for f in forests:
+        assert_queries_match(f)
+        unsorted += list(f.depths) != sorted(f.depths)
+    assert unsorted > 300
+    n = MAX_CHARACTERS
+    assert_queries_match(path_forest(n), [(1, 1), (1, 2), (1, n), (2, n - 1), (n // 2, n // 2 + 1),
+                                          (n - 1, n), (n, n)])
+
+
+FAULTS = ("has depth", "has no parent but depth", "out of range", "has parent at depth")
+
+
+def test_forest_validation_matches_node_scan():
+    # one to three random faults in a forest: a depth or a parent redrawn,
+    # out of range or absurdly deep among them; the refusal names the
+    # first bad node in index order, as the node-by-node check did
+    rng = random.Random(20170305)
+    refused = 0
+    kinds = set()
+    for _ in range(3000):
+        f = random_forest(rng) if rng.random() < 0.7 else repeated_forest(rng)
+        depths, parents = list(f.depths), list(f.parents)
+        m = len(depths)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(m)
+            if rng.random() < 0.5:
+                depths[i] = rng.choice([rng.randint(-1, f.length + 2), 10 ** 9])
+            else:
+                parents[i] = rng.choice([None, rng.randint(-2, m + 1), rng.randrange(m)])
+        want = oracle_fault(depths, parents)
+        if want is None:
+            assert Forest(tuple(depths), tuple(parents)).depths == tuple(depths)
+            continue
+        with pytest.raises(StructuralError) as exc:
+            Forest(tuple(depths), tuple(parents))
+        assert str(exc.value) == want
+        refused += 1
+        kinds.update(kind for kind in FAULTS if kind in want)
+    assert refused > 2000
+    assert kinds == set(FAULTS)

@@ -15,6 +15,7 @@ from fanforge.formats import (
     serialize_forest,
 )
 from fanforge.chains import FanChain
+from fanforge.errors import StructuralError
 from fanforge.spectral import FanSpace
 
 from conftest import CHAIN3, E1, E2, EA, EB, TRIV, oracle_mask_to_bits
@@ -100,6 +101,21 @@ def test_forest_parse_errors():
         parse_forest("node id=0 depth=1 parent=none\nnode id=0 depth=1 parent=none\n")
     with pytest.raises(FormatError):
         parse_forest("node id=0 depth=2 parent=none\n")
+
+
+def test_forest_parse_wraps_the_structural_message():
+    for text, message in (
+            ("node id=0 depth=2 parent=none\n", "node 0 has no parent but depth 2"),
+            ("node id=0 depth=1 parent=none\nnode id=1 depth=2 parent=4\n",
+             "node 1 has parent 4 out of range"),
+            ("node id=0 depth=1 parent=none\nnode id=1 depth=3 parent=0\n",
+             "node 1 at depth 3 has parent at depth 1"),
+            ("node id=0 depth=0 parent=none\n", "node 0 has depth 0")):
+        with pytest.raises(FormatError) as exc:
+            parse_forest(text)
+        assert str(exc.value) == f"inconsistent forest data: {message}"
+        assert isinstance(exc.value.__cause__, StructuralError)
+        assert str(exc.value.__cause__) == message
 
 
 def test_dot_output_shape():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import fanforge.generators as generators
 from fanforge.chains import ChainChar, FanChain
 from fanforge.corpus import generate_corpus
 from fanforge.generators import (
@@ -118,6 +119,29 @@ def test_fiber_tower_matches_staged_oracle(corpus_spaces):
                 assert got == oracle(h0, h0.depth + 1)
                 fibers += 1
     assert len(big) == 3072 and fibers > 5000
+
+
+def oracle_fiber_tower_basis(space, h0, level, policy):
+    """fiber_tower_basis as first written: the fiber's characters handed to
+    the policy, then sorted by their reach."""
+    if h0 is None:
+        fiber = space.level(level)
+    else:
+        fiber = [space.chars[i] for i in space.forest.children[space.node(h0)]]
+    scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
+    return extend_basis(space, (), scan)
+
+
+def test_seeded_sgs_draws_as_on_characters(corpus_spaces, monkeypatch):
+    # shuffling node indices consumes the rng as shuffling the characters
+    # did, so every seed builds the same system
+    spaces = corpus_spaces[:60] + [FanSpace(ladder(random.Random(s), 4, 5)) for s in range(3)]
+    seeds = (None, 0, 1, 7, 2017, 65535)
+    got = [standard_generating_system(space, seed) for space in spaces for seed in seeds]
+    monkeypatch.setattr(generators, "fiber_tower_basis", oracle_fiber_tower_basis)
+    want = [standard_generating_system(space, seed) for space in spaces for seed in seeds]
+    assert got == want
+    assert len({gs.bases for gs in got[-len(seeds):]}) == len(seeds)
 
 
 def test_sgs_verifies_on_fixtures():

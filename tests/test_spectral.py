@@ -236,6 +236,40 @@ def test_forest_validation():
         Forest((1, 2), (None, 5))
 
 
+@pytest.mark.parametrize("depths, parents, message", [
+    ((1, 1), (None,), "depths and parents must have equal length"),
+    ((1, 0), (None, 0), "node 1 has depth 0"),
+    ((-2,), (None,), "node 0 has depth -2"),
+    ((1, 2), (None, None), "node 1 has no parent but depth 2"),
+    ((10 ** 9,), (None,), "node 0 has no parent but depth 1000000000"),
+    ((1, 2), (None, 5), "node 1 has parent 5 out of range"),
+    ((1, 2), (None, -1), "node 1 has parent -1 out of range"),
+    ((1, 3), (None, 0), "node 1 at depth 3 has parent at depth 1"),
+    ((1, 1), (None, 0), "node 1 at depth 1 has parent at depth 1"),
+    ((1, 10 ** 9), (None, 0), "node 1 at depth 1000000000 has parent at depth 1"),
+    # several bad nodes: the first in index order is named, whatever its depth
+    ((1, 2, 3, 0, 2), (None, 0, 0, None, 7), "node 2 at depth 3 has parent at depth 1"),
+    ((3, 1, 2, 1), (2, None, 1, 9), "node 3 has parent 9 out of range"),
+    ((2, 1, 1, 5), (1, None, None, 0), "node 3 at depth 5 has parent at depth 2"),
+])
+def test_forest_validation_messages(depths, parents, message):
+    with pytest.raises(StructuralError) as exc:
+        Forest(depths, parents)
+    assert str(exc.value) == message
+
+
+def test_characters_are_built_on_first_read(corpus):
+    for chain in corpus:
+        space = FanSpace(chain)
+        assert len(space) == sum(map(len, space.masks))
+        assert space.forest.length == space.length
+        assert "chars" not in vars(space) and "_node" not in vars(space)
+        assert len(space) == len(space.chars)
+        assert space.levels() == [tuple(ChainChar(d, m) for m in masks)
+                                  for d, masks in enumerate(space.masks, start=1)]
+        assert [space.node(h) for h in space.chars] == list(range(len(space)))
+
+
 def test_forest_truncate_and_restrict():
     f = FanSpace(EB).forest
     top = f.truncate(1)
