@@ -8,6 +8,8 @@ error, 3 resource bound exceeded (every bound is fixed, with no override).
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from pathlib import Path
 
@@ -105,15 +107,21 @@ def _cmd_strata(args) -> int:
         raise ResourceLimitError(
             f"strata output has {entries} lines and member labels, "
             f"bound is {MAX_STRATA_ENTRIES}")
-    labels: list[str] = []
-    for d, masks in enumerate(space.masks, start=1):
-        labels += level_labels(space.chain, d, masks)
-    for k in range(1, n + 1):
+    # one read of each level's reaches: C^k_j is the bucket of reach j,
+    # S^k_j the members reaching j or deeper, both in node order
+    for k, masks in enumerate(space.masks, start=1):
+        members = list(zip(map(forest.deep.__getitem__, forest.level(k)),
+                           level_labels(space.chain, k, masks)))
+        exact: dict[int, list[str]] = {}
+        for reach, label in members:
+            exact.setdefault(reach, []).append(label)
+        lines = []
         for j in range(k, n + 1):
-            for kind in ("S", "C"):
-                members = forest.stratum(kind, k, j)
-                print(f"{kind}^{k}_{j} card={len(members)}: "
-                      f"{' '.join(map(labels.__getitem__, members))}")
+            deeper = [label for reach, label in members if reach >= j]
+            lines.append(f"S^{k}_{j} card={len(deeper)}: {' '.join(deeper)}")
+            c = exact.get(j, [])
+            lines.append(f"C^{k}_{j} card={len(c)}: {' '.join(c)}")
+        print("\n".join(lines))
     return 0
 
 
@@ -226,60 +234,65 @@ def _cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter asks the terminal for its width on every formatter it
+    # makes, once per add_argument; this is the width it would compute
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="fanforge",
+        prog="fanforge", formatter_class=formatter,
         description="Finite fan workbench: chain files in, order data out.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("validate", help="validate a chain file end to end")
+    p = add_parser("validate", help="validate a chain file end to end")
     p.add_argument("chain")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("chars", help="list the characters of a chain")
+    p = add_parser("chars", help="list the characters of a chain")
     p.add_argument("chain")
     p.set_defaults(fn=_cmd_chars)
 
-    p = sub.add_parser("levels", help="list levels by depth")
+    p = add_parser("levels", help="list levels by depth")
     p.add_argument("chain")
     p.set_defaults(fn=_cmd_levels)
 
-    p = sub.add_parser("rootsys", help="print the specialization forest")
+    p = add_parser("rootsys", help="print the specialization forest")
     p.add_argument("chain")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.set_defaults(fn=_cmd_rootsys)
 
-    p = sub.add_parser("strata", help="list all S/C strata with members")
+    p = add_parser("strata", help="list all S/C strata with members")
     p.add_argument("chain")
     p.set_defaults(fn=_cmd_strata)
 
-    p = sub.add_parser("sgs", help="build and verify a generating system")
+    p = add_parser("sgs", help="build and verify a generating system")
     p.add_argument("chain")
     p.add_argument("--seed", type=int, default=None,
                    help="draw construction choices from this seed instead of taking the first candidate")
     p.set_defaults(fn=_cmd_sgs)
 
-    p = sub.add_parser("iso", help="construct an isomorphism between two chains")
+    p = add_parser("iso", help="construct an isomorphism between two chains")
     p.add_argument("chain_a")
     p.add_argument("chain_b")
     p.add_argument("--seed", type=int, default=None,
                    help="build both generating systems with this seed (reproducible per seed)")
     p.set_defaults(fn=_cmd_iso)
 
-    p = sub.add_parser("represent", help="find the element inducing a value map")
+    p = add_parser("represent", help="find the element inducing a value map")
     p.add_argument("chain")
     p.add_argument("values", help="file of '<char-label> <value>' lines")
     p.set_defaults(fn=_cmd_represent)
 
-    p = sub.add_parser("check-forest", help="run necessary realizability checks")
+    p = add_parser("check-forest", help="run necessary realizability checks")
     p.add_argument("forest")
     p.set_defaults(fn=_cmd_check_forest)
 
-    p = sub.add_parser("realize", help="decide whether a chain has a given forest")
+    p = add_parser("realize", help="decide whether a chain has a given forest")
     p.add_argument("forest")
     p.add_argument("--out", default=None, help="write the normal-form chain here")
     p.set_defaults(fn=_cmd_realize)
 
-    p = sub.add_parser("gen", help="generate a seeded corpus of chain files")
+    p = add_parser("gen", help="generate a seeded corpus of chain files")
     p.add_argument("--seed", type=int, required=True, help="corpus seed")
     p.add_argument("--levels", type=int, default=4, help="maximum level count")
     p.add_argument("--maxdim", type=int, default=4, help="maximum level dimension")
@@ -287,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=".", help="directory for the .fan files")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("suite", help="run the property suite on a seeded corpus")
+    p = add_parser("suite", help="run the property suite on a seeded corpus")
     p.add_argument("--seed", type=int, default=0, help="corpus seed")
     p.add_argument("--levels", type=int, default=4, help="maximum level count")
     p.add_argument("--maxdim", type=int, default=4, help="maximum level dimension")

@@ -13,13 +13,15 @@ All of it but successor transport and the fixed common specialization
 reads only the tuple of shifts over levels 1..dmin, and many pairs
 share a tuple, so involution_failures, which sweeps every pair of a
 space, checks each distinct tuple once and adds each pair's own two
-comparisons.
+comparisons.  Both read a pair's shifts off the space's successor-mask
+table, one row per character.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import xor
 
 from . import gf2
 from .chains import ChainChar
@@ -134,7 +136,10 @@ class InvolutionHandle:
 
 def translation_mask(space: FanSpace, g1: ChainChar, g2: ChainChar, d: int) -> int:
     """The shift by which h -> h*g1*g2 acts on level d functionals."""
-    return space.successor(g1, d).mask ^ space.successor(g2, d).mask
+    if not 1 <= d <= min(g1.depth, g2.depth):
+        raise ValueError(f"no shift of a depth-{g1.depth}, depth-{g2.depth} pair at depth {d}")
+    up = space.successor_masks
+    return up[g1][d - 1] ^ up[g2][d - 1]
 
 
 def involution(space: FanSpace, handle: InvolutionHandle, h: ChainChar) -> ChainChar:
@@ -225,8 +230,10 @@ def _report_checks(space: FanSpace, g1: ChainChar, g2: ChainChar,
 
 
 def _shifts(space: FanSpace, g1: ChainChar, g2: ChainChar) -> tuple[int, ...]:
-    return tuple(translation_mask(space, g1, g2, d)
-                 for d in range(1, min(g1.depth, g2.depth) + 1))
+    """The translation_mask of each level d = 1..min depth, read off the
+    two successor-mask rows at once."""
+    up = space.successor_masks
+    return tuple(map(xor, up[g1], up[g2]))
 
 
 def verify_involution(space: FanSpace, g1: ChainChar, g2: ChainChar) -> PropertyReport:
@@ -252,8 +259,7 @@ def involution_failures(space: FanSpace) -> Iterator[tuple[ChainChar, ChainChar,
     check at all.
     """
     memo: dict[tuple[int, ...], tuple] = {}
-    up = {g: [space.successor(g, d).mask for d in range(1, g.depth + 1)]
-          for g in space.chars}
+    up = space.successor_masks
     for g1 in space.chars:
         for g2 in space.chars:
             shifts = _shifts(space, g1, g2)

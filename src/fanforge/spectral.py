@@ -221,9 +221,9 @@ class FanSpace:
 
     Characters are ChainChar pairs ordered by (depth, mask); that order
     is also the node order of the forest.  masks[d - 1] lists the masks
-    of depth d in that order.  chars and the character -> node map are
-    built on first read, so a command that reads only the masks and the
-    forest builds no ChainChar.
+    of depth d in that order.  chars, the character -> node map and the
+    successor-mask table are built on first read, so a command that
+    reads only the masks and the forest builds no ChainChar.
     """
 
     def __init__(self, chain: FanChain):
@@ -257,6 +257,16 @@ class FanSpace:
     @cached_property
     def _node(self) -> dict[ChainChar, int]:
         return dict(zip(self.chars, range(len(self.chars))))
+
+    @cached_property
+    def successor_masks(self) -> dict[ChainChar, tuple[int, ...]]:
+        """Per character g, the masks of its successors at depths
+        1..depth(g): its parent's row plus its own mask, built on first
+        read in node order, so every parent's row comes first."""
+        rows: list[tuple[int, ...]] = []
+        for g, p in zip(self.chars, self.forest.parents):
+            rows.append((g.mask,) if p is None else rows[p] + (g.mask,))
+        return dict(zip(self.chars, rows))
 
     # -- basic queries -------------------------------------------------
 

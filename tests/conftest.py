@@ -85,9 +85,9 @@ def impossible_forests():
 
 
 def patch_random_shifts(monkeypatch, rng):
-    """Replace translation_mask by random shifts, each the quotient of two
-    same-level characters, drawn once per (space, g1, g2, d).  Real handles
-    always pass, so this is how failures are made."""
+    """Replace levels._shifts by random shifts, each the quotient of two
+    same-level characters, drawn once per (space, g1, g2, d) in level
+    order.  Real handles always pass, so this is how failures are made."""
     drawn = {}
 
     def random_shift(space, g1, g2, d):
@@ -97,4 +97,8 @@ def patch_random_shifts(monkeypatch, rng):
             drawn[key] = a.mask ^ b.mask
         return drawn[key]
 
-    monkeypatch.setattr(fanforge.levels, "translation_mask", random_shift)
+    def random_shifts(space, g1, g2):
+        return tuple(random_shift(space, g1, g2, d)
+                     for d in range(1, min(g1.depth, g2.depth) + 1))
+
+    monkeypatch.setattr(fanforge.levels, "_shifts", random_shifts)

@@ -1,5 +1,7 @@
+import argparse
 import os
 import random
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -100,6 +102,30 @@ def test_only_commands_that_read_characters_build_them(tmp_path, monkeypatch, ca
         assert ("chars" in vars(loaded[0])) == built, args
         assert ("_node" in vars(loaded[0])) == built, args
     capsys.readouterr()
+
+
+def test_commands_build_no_successor_mask_table(tmp_path, monkeypatch, capsys):
+    # only the involution checks read the table
+    path = tmp_path / "ladder.fan"
+    path.write_text(serialize_chain(ladder(random.Random(5), 4, 5)))
+    forest = tmp_path / "ladder.forest"
+    forest.write_text(serialize_forest(FanSpace(parse_chain(path.read_text())).forest))
+    built = []
+    init = FanSpace.__init__
+
+    def init_and_keep(self, chain):
+        init(self, chain)
+        built.append(self)
+
+    monkeypatch.setattr(FanSpace, "__init__", init_and_keep)
+    for argv in (["chars", path], ["levels", path], ["strata", path], ["rootsys", path],
+                 ["rootsys", path, "--dot"], ["sgs", path], ["sgs", path, "--seed", "3"],
+                 ["iso", path, path], ["iso", path, path, "--seed", "3"],
+                 ["check-forest", forest]):
+        assert main(list(map(str, argv))) == 0, argv
+    capsys.readouterr()
+    assert len(built) == 11
+    assert not any("successor_masks" in vars(space) for space in built)
 
 
 def test_3072_character_output_matches_rendering(tmp_path, capsys):
@@ -526,6 +552,71 @@ def test_validate_checks_129_element_ladder_in_full(tmp_path, capsys, monkeypatc
     path.write_text(serialize_chain(ladder(random.Random(129), 4, 5)))
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "valid fan: 64 characters on 129 elements\n"
+
+
+COMMANDS = ("validate", "chars", "levels", "rootsys", "strata", "sgs", "iso", "represent",
+            "check-forest", "realize", "gen", "suite")
+HELP_AND_ERROR_ARGVS = ([["--help"], ["-h"], [], ["nonsense"], ["iso", "a.fan"],
+                         ["suite", "--seed", "x"], ["sgs", "a.fan", "--seed", "1.5"]]
+                        + [[cmd, "-h"] for cmd in COMMANDS])
+
+
+def _parse_output(parser, argv, capsys):
+    """stdout, stderr and exit code of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (*capsys.readouterr(), exc.value.code)
+
+
+def _argparse_formatter(parser):
+    """The parser with argparse's own formatter, which reads the terminal
+    width each time it is made, on the root and on every subparser."""
+    parser.formatter_class = argparse.HelpFormatter
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(COMMANDS)
+    for p in sub.choices.values():
+        p.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+@pytest.mark.parametrize("columns", [None, "30", "57", "80", "200"])
+def test_help_and_errors_match_argparse_formatter(columns, monkeypatch, capsys):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for argv in HELP_AND_ERROR_ARGVS:
+        got = _parse_output(fanforge.cli.build_parser(), argv, capsys)
+        assert got == _parse_output(_argparse_formatter(fanforge.cli.build_parser()), argv, capsys)
+        assert main(argv) == (2 if got[2] else 0)
+        assert capsys.readouterr() == got[:2]
+
+
+def test_help_width_is_read_per_call(monkeypatch, capsys):
+    outs = []
+    for columns in ("30", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["--help"]) == 0
+        outs.append(capsys.readouterr().out)
+    description = "Finite fan workbench: chain files in, order data out."
+    assert description not in outs[0] and description in outs[1]
+
+
+def test_terminal_width_read_once_per_parser(monkeypatch, capsys):
+    calls = []
+    size = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    fanforge.cli.build_parser()
+    assert len(calls) == 1
+    assert main(["suite", "-h"]) == 0
+    assert main(["iso", "a.fan"]) == 2
+    assert len(calls) == 3
+    capsys.readouterr()
 
 
 def test_input_errors(tmp_path, capsys):

@@ -24,7 +24,7 @@ from fanforge.levels import (
 )
 from fanforge.spectral import FanSpace
 
-from conftest import E1, EB, TRIV, patch_random_shifts
+from conftest import E1, EB, TRIV, ladder, patch_random_shifts
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -173,8 +173,7 @@ def verify_involution_by_strata(space, g1, g2):
     set per (d, j), and the parent-edge check run over all characters."""
     report = PropertyReport()
     dmin = min(g1.depth, g2.depth)
-    shifts = {d: fanforge.levels.translation_mask(space, g1, g2, d)
-              for d in range(1, dmin + 1)}
+    shifts = dict(enumerate(fanforge.levels._shifts(space, g1, g2), start=1))
     for d in range(1, dmin + 1):
         members = {h.mask for h in space.level(d)}
         shift = shifts[d]
@@ -265,12 +264,50 @@ def test_involution_failures_checks_each_shift_tuple_once(monkeypatch):
     assert (sum(map(len, calls)), pairs) == (587, 8829)
 
 
+def test_successor_mask_rows_match_successors(corpus_spaces):
+    deeper = [FanSpace(c) for c in generate_corpus(5, count=60, max_levels=5, max_dim=4)]
+    ladders = [FanSpace(ladder(random.Random(seed), 6, 8)) for seed in (1, 2)]
+    for space in corpus_spaces + deeper + ladders:
+        rows = space.successor_masks
+        assert list(rows) == list(space.chars)
+        for g, row in rows.items():
+            assert row == tuple(space.successor(g, d).mask for d in range(1, g.depth + 1))
+
+
+def test_translation_mask_reads_rows_within_min_depth():
+    s = FanSpace(E1)
+    assert translation_mask(s, C1, C2, 1) == 0
+    assert translation_mask(s, C1, C2, 2) == C1.mask ^ C2.mask
+    for d in (0, 2, 3):
+        with pytest.raises(ValueError):
+            translation_mask(s, R, C1, d)
+    with pytest.raises(ValueError):
+        translation_mask(s, C1, C2, 3)
+
+
+def test_patched_shifts_reach_both_entry_points(monkeypatch):
+    space = FanSpace(EB)
+    seen = []
+
+    def off_level(space, g1, g2):
+        seen.append((g1, g2))
+        return (1 << space.dim(1),) * min(g1.depth, g2.depth)
+
+    monkeypatch.setattr(fanforge.levels, "_shifts", off_level)
+    g = space.chars[-1]
+    assert not verify_involution(space, g, g).ok
+    assert seen == [(g, g)]
+    seen.clear()
+    failures = list(involution_failures(space))
+    assert seen == [(g1, g2) for g1 in space.chars for g2 in space.chars]
+    assert {(g1, g2) for g1, g2, _ in failures} == set(seen)
+
+
 def compat_all_depths(space, g1, g2):
     """Oracle for specialization-compat: the first depth-ordered h1 whose
     image disagrees with the image of some successor, or None."""
     dmin = min(g1.depth, g2.depth)
-    shifts = {d: fanforge.levels.translation_mask(space, g1, g2, d)
-              for d in range(1, dmin + 1)}
+    shifts = dict(enumerate(fanforge.levels._shifts(space, g1, g2), start=1))
     for h1 in space.chars:
         if h1.depth > dmin:
             continue
