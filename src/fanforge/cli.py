@@ -89,9 +89,10 @@ def _cmd_levels(args) -> int:
 def _cmd_rootsys(args) -> int:
     space = _load_chain(args.chain)
     if args.dot:
-        parents = {h: space.successor(h, h.depth - 1)
-                   for h in space.chars if h.depth > 1}
-        print(root_system_dot(space.chain, space.chars, parents), end="")
+        chars = space.chars
+        parents = {chars[i]: chars[p] for i, p in enumerate(space.forest.parents)
+                   if p is not None}
+        print(root_system_dot(space.chain, chars, parents), end="")
     else:
         print(serialize_forest(space.forest), end="")
     return 0

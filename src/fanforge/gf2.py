@@ -121,7 +121,10 @@ class Solver:
     """Span that tracks how each pivot was combined from the inserted vectors.
 
     ``solve(target)`` returns a mask over insertion indices whose XOR
-    equals the target, or None when the target is outside the span.
+    equals the target, or None when the target is outside the span.  It
+    is the reference per-target solve: the library itself builds and
+    checks maps with doubling tables (pullback_table), and keeps this for
+    the tests and the traced benchmark.
     """
 
     def __init__(self) -> None:
@@ -166,7 +169,4 @@ def affine_span(masks: Iterable[int]) -> set[int]:
         return set()
     base = masks[0]
     span = Span(m ^ base for m in masks[1:])
-    points = {0}
-    for piv in span._pivots.values():
-        points |= {p ^ piv for p in points}
-    return {base ^ p for p in points}
+    return {base ^ p for p in pullback_table(tuple(span._pivots.values()))}

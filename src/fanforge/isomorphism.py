@@ -3,7 +3,9 @@
 The central fact driving this module: a finite fan is determined up to
 isomorphism by its specialization forest.  Accordingly it provides the
 canonical forest code, a constructive map builder that pairs the
-standard generating systems of two spaces position by position, an
+standard generating systems of two spaces position by position and
+extends each level's basis map by doubling tables, a certificate that
+checks the map level by level and on the parent edges by node index, an
 exhaustive searcher as independent oracle, a necessary-condition checker
 for candidate forests, and the exact realization of a forest by its
 normal-form chain, read off the ranks of the composite transitions.
@@ -221,27 +223,14 @@ def forests_isomorphic(f1: Forest, f2: Forest) -> bool:
 # -- constructive isomorphism -------------------------------------------------
 
 
-def _affine(pairs, hom_bit: int) -> bool:
-    """Whether x -> y is the restriction of an affine map.
-
-    One elimination pass over the homogenized sources with the images
-    carried along: every source that depends on earlier ones is an odd
-    XOR of them, and its image must be the XOR of their images.
-    """
-    solver = gf2.Solver()
-    images: list[int] = []
-    for x, y in pairs:
-        combo = solver.solve(x | hom_bit)
-        if combo is None:
-            solver.add(x | hom_bit)
-            images.append(y)
-            continue
-        image = 0
-        for i in gf2.bits(combo):
-            image ^= images[i]
-        if image != y:
-            return False
-    return True
+def _affine_extension(pairs: list[tuple[int, int]]) -> dict[int, int]:
+    """The affine map through the (source, image) pairs on the hull of the
+    sources: one doubling table per side (gf2.pullback_table) lists every
+    XOR of the other pairs' differences from the first, indexed alike."""
+    (x0, y0), rest = pairs[0], pairs[1:]
+    src = gf2.pullback_table(tuple(x ^ x0 for x, _ in rest))
+    dst = gf2.pullback_table(tuple(y ^ y0 for _, y in rest))
+    return {x ^ x0: y ^ y0 for x, y in zip(src, dst)}
 
 
 def _certify_isomorphism(space1: FanSpace, space2: FanSpace,
@@ -252,8 +241,10 @@ def _certify_isomorphism(space1: FanSpace, space2: FanSpace,
     preserves same-level triples and is monotone.  So it suffices that
     every level maps bijectively and affinely onto the target level and
     that the map commutes with parent edges; the inverse then has the
-    same properties.  Linear in the number of characters times the
-    level dimension.
+    same properties.  A level is affine when the map is its affine
+    extension from the members that one Span scan finds independent;
+    parent edges are compared on node indices.  Linear in the number of
+    characters times the level dimension.
     """
     if set(mapping) != set(space1.chars):
         raise RuntimeError("map is not total on the source characters")
@@ -265,13 +256,15 @@ def _certify_isomorphism(space1: FanSpace, space2: FanSpace,
         if len(set(images)) != len(images) or set(images) != set(space2.level(d)):
             raise RuntimeError(f"map is not a bijection on level {d}")
         pairs = [(h.mask, g.mask) for h, g in zip(level, images)]
-        if not _affine(pairs, 1 << space1.dim(d)):
+        h0, span = pairs[0][0], gf2.Span()
+        extension = _affine_extension([(h, g) for h, g in pairs if h == h0 or span.add(h ^ h0)])
+        if any(extension[h] != g for h, g in pairs):
             raise RuntimeError(f"map is not affine on level {d}")
-    for g in space1.chars:
-        if g.depth > 1:
-            up = g.depth - 1
-            if space2.successor(mapping[g], up) != mapping[space1.successor(g, up)]:
-                raise RuntimeError(f"map does not commute with the parent edge at {g}")
+    chars, up = space1.chars, space2.forest.parents
+    image = list(map(space2.node, map(mapping.__getitem__, chars)))
+    for i, p in enumerate(space1.forest.parents):
+        if p is not None and up[image[i]] != image[p]:
+            raise RuntimeError(f"map does not commute with the parent edge at {chars[i]}")
 
 
 def build_isomorphism(space1: FanSpace, space2: FanSpace,
@@ -284,10 +277,11 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     the chain up to isomorphism (see normal_form_chain).  Otherwise both
     spaces get their standard generating system under the same seed;
     its choices are made by position, so the i-th basis member of each
-    level of the source is sent to the i-th of the target, each level
-    bijection is extended linearly, and the resulting map is checked by a
-    linear per-level certificate before being returned; a map that fails
-    it raises RuntimeError.
+    level of the source is sent to the i-th of the target.  A level is
+    the odd XORs of its basis, so one doubling table per side lists every
+    member with its image (RuntimeError if the basis misses one), and a
+    linear per-level certificate checks the map before it is returned; a
+    map that fails it raises RuntimeError.
     """
     pairs = itertools.zip_longest(space1.forest.profile, space2.forest.profile, fillvalue={})
     for k, (c1, c2) in enumerate(pairs):
@@ -299,19 +293,12 @@ def build_isomorphism(space1: FanSpace, space2: FanSpace,
     gs2 = standard_generating_system(space2, seed)
     full: dict[ChainChar, ChainChar] = {}
     for k in range(1, space1.length + 1):
-        b2 = gs2.level_basis(k)
-        hom_bit = 1 << space1.dim(k)
-        solver = gf2.Solver()
-        for g in gs1.level_basis(k):
-            solver.add(g.mask | hom_bit)
+        extension = _affine_extension([(g1.mask, g2.mask) for g1, g2 in
+                                       zip(gs1.level_basis(k), gs2.level_basis(k))])
         for h in space1.level(k):
-            combo = solver.solve(h.mask | hom_bit)
-            if combo is None:
+            if h.mask not in extension:
                 raise RuntimeError(f"level-{k} basis does not span its level")
-            mask2 = 0
-            for i in gf2.bits(combo):
-                mask2 ^= b2[i].mask
-            full[h] = ChainChar(k, mask2)
+            full[h] = ChainChar(k, extension[h.mask])
 
     _certify_isomorphism(space1, space2, full)
     return full

@@ -171,15 +171,14 @@ def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
     Compatibility with each character's parent edge implies
     compatibility with specialization between every level pair d' <= d;
     a failure's witness is (h1, parent of h1) for the first failing h1
-    in node order, also the first to fail any of its successors.
+    in node order, also the first to fail any of its successors.  Reaches
+    and parents come from the space's per-level maps, built once per space.
     """
     dmin = len(shifts)
     levels = []
     witness: tuple = ()
-    for d in range(1, dmin + 1):
-        level = space.level(d)
+    for d, (reach, parent) in enumerate(space.level_links[:dmin], 1):
         shift = shifts[d - 1]
-        reach = {h.mask: space.deep(h) for h in level}
         moves = {(r, reach.get(m ^ shift, 0)) for m, r in reach.items()}
         head = [
             CheckResult(f"automorphism(level {d})", all(r2 for _, r2 in moves), (shift,)),
@@ -200,10 +199,9 @@ def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
                     not any(r == j != r2 for r, r2 in moves), (shift,)))
         levels.append((head, strata))
         if d > 1 and not witness:
-            parent = {h.mask: space.successor(h, d - 1).mask for h in level}
-            for h1 in level:
-                if parent.get(h1.mask ^ shift) != parent[h1.mask] ^ shifts[d - 2]:
-                    witness = (h1, ChainChar(d - 1, parent[h1.mask]))
+            for m, up in parent.items():
+                if parent.get(m ^ shift) != up ^ shifts[d - 2]:
+                    witness = (ChainChar(d, m), ChainChar(d - 1, up))
                     break
     return levels, CheckResult("specialization-compat", not witness, witness)
 

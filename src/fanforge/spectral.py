@@ -222,8 +222,8 @@ class FanSpace:
     Characters are ChainChar pairs ordered by (depth, mask); that order
     is also the node order of the forest.  masks[d - 1] lists the masks
     of depth d in that order.  chars, the character -> node map and the
-    successor-mask table are built on first read, so a command that
-    reads only the masks and the forest builds no ChainChar.
+    successor-mask and level-link tables are built on first read, so a
+    command that reads only the masks and the forest builds no ChainChar.
     """
 
     def __init__(self, chain: FanChain):
@@ -267,6 +267,18 @@ class FanSpace:
         for g, p in zip(self.chars, self.forest.parents):
             rows.append((g.mask,) if p is None else rows[p] + (g.mask,))
         return dict(zip(self.chars, rows))
+
+    @cached_property
+    def level_links(self) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
+        """Per level d (index d - 1), the maps mask -> reach and mask ->
+        parent's mask (empty at depth 1), both in node order."""
+        flat = [m for level in self.masks for m in level]
+        links = [({}, {}) for _ in self.masks]
+        for m, d, r, p in zip(flat, self.forest.depths, self.forest.deep, self.forest.parents):
+            links[d - 1][0][m] = r
+            if p is not None:
+                links[d - 1][1][m] = flat[p]
+        return tuple(links)
 
     # -- basic queries -------------------------------------------------
 

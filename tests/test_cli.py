@@ -60,7 +60,7 @@ def test_levels(files, capsys):
     assert "level d=1 size=1" in out and "level d=2 size=2" in out
 
 
-def test_rootsys_and_dot(files, capsys):
+def test_rootsys_and_dot(files, tmp_path, capsys):
     assert main(["rootsys", files["e1"]]) == 0
     plain = capsys.readouterr().out
     assert plain.splitlines()[0] == "node id=0 depth=1 parent=none"
@@ -68,6 +68,27 @@ def test_rootsys_and_dot(files, capsys):
     dot = capsys.readouterr().out
     assert dot.splitlines()[0] == "digraph rootsystem {"
     assert '"d2:10" -> "d1:1";' in dot
+    # three levels, the deepest pulled back by rows (1, 2, 0): a depth-3
+    # functional's parent is the XOR of the rows its bits select
+    path = tmp_path / "three.fan"
+    path.write_text(serialize_chain(FanChain((1, 2, 3), (1, 1, 1), ((1, 0), (1, 2, 0)))))
+    assert main(["rootsys", str(path), "--dot"]) == 0
+    assert capsys.readouterr().out == """digraph rootsystem {
+  "d1:1";
+  "d2:10";
+  "d2:11";
+  "d3:100";
+  "d3:110";
+  "d3:101";
+  "d3:111";
+  "d2:10" -> "d1:1";
+  "d2:11" -> "d1:1";
+  "d3:100" -> "d2:10";
+  "d3:110" -> "d2:11";
+  "d3:101" -> "d2:10";
+  "d3:111" -> "d2:11";
+}
+"""
 
 
 def test_strata(files, capsys):
@@ -95,12 +116,15 @@ def test_only_commands_that_read_characters_build_them(tmp_path, monkeypatch, ca
         return loaded[-1]
 
     monkeypatch.setattr(fanforge.cli, "_load_chain", load_and_keep)
-    for args, built in ((["chars"], False), (["levels"], False), (["strata"], False),
-                        (["rootsys"], False), (["rootsys", "--dot"], True), (["sgs"], True)):
+    # (command, builds the characters, builds the character -> node map);
+    # the DOT edges are read off the forest's parent links by node index
+    for args, built, indexed in ((["chars"], False, False), (["levels"], False, False),
+                                 (["strata"], False, False), (["rootsys"], False, False),
+                                 (["rootsys", "--dot"], True, False), (["sgs"], True, True)):
         loaded.clear()
         assert main([args[0], str(path), *args[1:]]) == 0
         assert ("chars" in vars(loaded[0])) == built, args
-        assert ("_node" in vars(loaded[0])) == built, args
+        assert ("_node" in vars(loaded[0])) == indexed, args
     capsys.readouterr()
 
 

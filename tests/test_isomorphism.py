@@ -357,10 +357,50 @@ def _oracle_accepts(s1, s2, mapping) -> bool:
     return is_ars_morphism(s1, s2, mapping).ok and is_ars_morphism(s2, s1, inverse).ok
 
 
+def _solver_map(space1, space2, seed=None):
+    """The map as first built: each source character solved for as an odd
+    combination of its level's basis, one elimination per character, and
+    sent to the same combination of the target basis.  The oracle for
+    build_isomorphism's doubling tables."""
+    from fanforge import gf2
+    gs1 = standard_generating_system(space1, seed)
+    gs2 = standard_generating_system(space2, seed)
+    out = {}
+    for k in range(1, space1.length + 1):
+        hom_bit = 1 << space1.dim(k)
+        solver = gf2.Solver()
+        for g in gs1.level_basis(k):
+            solver.add(g.mask | hom_bit)
+        for h in space1.level(k):
+            mask = 0
+            for i in gf2.bits(solver.solve(h.mask | hom_bit)):
+                mask ^= gs2.level_basis(k)[i].mask
+            out[h] = ChainChar(k, mask)
+    return out
+
+
+def _translated(space, mapping):
+    """The images of the deepest level with two parents translated by the XOR
+    of two images with different parents: bijective and affine on every
+    level, but the translation moves every image's parent, so every parent
+    edge of that level breaks.  None when no level has two parents."""
+    for d in range(space.length, 1, -1):
+        level = space.level(d)
+        parents = {space.successor(h, d - 1): h for h in level}
+        if len(parents) >= 2:
+            a, b = list(parents.values())[:2]
+            shift = mapping[a].mask ^ mapping[b].mask
+            moved = dict(mapping)
+            moved.update({h: ChainChar(d, mapping[h].mask ^ shift) for h in level})
+            return moved
+    return None
+
+
 def _corrupted(space, mapping):
-    """Two images swapped on the deepest level with two characters, and a
+    """Two images swapped on the deepest level with two characters, a
     3-cycle of images on the deepest level with eight or more (never affine:
-    it fixes a number of points that is not a power of 2)."""
+    it fixes a number of points that is not a power of 2), and a level
+    translated off its parent edges (see _translated)."""
     out = []
     for d in range(space.length, 0, -1):
         level = space.level(d)
@@ -378,7 +418,8 @@ def _corrupted(space, mapping):
             cycled[a], cycled[b], cycled[c] = mapping[b], mapping[c], mapping[a]
             out.append(cycled)
             break
-    return out
+    moved = _translated(space, mapping)
+    return out if moved is None else out + [moved]
 
 
 def test_certificate_agrees_with_oracle(corpus_spaces):
@@ -399,14 +440,46 @@ def test_certificate_agrees_with_oracle(corpus_spaces):
     pairs.append((FanSpace(ladder), FanSpace(_rebase(rng, ladder))))
     assert len(pairs[-1][0]) == 80
     verdicts = []
+    translations = 0
     for s1, s2 in pairs:
         built = build_isomorphism(s1, s2)
+        assert built == _solver_map(s1, s2)
         for mapping in [built] + _corrupted(s1, built):
             oracle = _oracle_accepts(s1, s2, mapping)
             assert _certificate_accepts(s1, s2, mapping) == oracle
             verdicts.append(oracle)
-    assert verdicts[-3:] == [True, False, False]
-    assert verdicts.count(False) >= 10
+        moved = _translated(s1, built)
+        if moved is not None:
+            with pytest.raises(RuntimeError, match="does not commute with the parent edge"):
+                _certify_isomorphism(s1, s2, moved)
+            translations += 1
+    assert verdicts[-4:] == [True, False, False, False]
+    assert verdicts.count(False) >= 10 and translations >= 5
+
+
+def test_doubling_tables_match_solver_on_large_ladder():
+    # 3072 characters against a rebased copy, with and without a seed
+    from conftest import ladder
+    rng = random.Random(11)
+    chain = ladder(rng, 6, 10)
+    s1, s2 = FanSpace(chain), FanSpace(_rebase(rng, chain))
+    assert len(s1) == 3072
+    for seed in (None, 7):
+        assert build_isomorphism(s1, s2, seed) == _solver_map(s1, s2, seed)
+
+
+def test_basis_that_does_not_span_its_level_raises(monkeypatch):
+    # drop the last basis member of every level with two or more: the
+    # doubling tables then miss half the level
+    def short(space, seed=None):
+        gs = standard_generating_system(space, seed)
+        return generators.GeneratingSystem(
+            tuple(b[:-1] if len(b) > 1 else b for b in gs.bases), gs.provenance)
+
+    monkeypatch.setattr(isomorphism, "standard_generating_system", short)
+    s = FanSpace(EA)
+    with pytest.raises(RuntimeError, match="level-1 basis does not span its level"):
+        build_isomorphism(s, s)
 
 
 _OPTIMIZED_REFUSAL = """
