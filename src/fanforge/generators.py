@@ -10,13 +10,15 @@ per level a block of generators under one fixed deep basis element plus
 a single lift for every other basis element that reaches deeper.  Every
 choice is made by position, so two isomorphic spaces get systems that
 agree position by position, which is how the isomorphism builder pairs
-them.
+them.  Construction and verification read the forest by node index and
+never build the space's table of characters.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import pairwise
 
 from . import gf2
 from .chains import ChainChar
@@ -75,11 +77,6 @@ def _under(space: FanSpace, members, h: ChainChar) -> list[ChainChar]:
     return [g for g in members if space.successor(g, k) == h]
 
 
-def _fiber(space: FanSpace, h: ChainChar) -> list[ChainChar]:
-    """The characters one level deeper than h that specialize to it."""
-    return [space.chars[i] for i in space.forest.children[space.node(h)]]
-
-
 def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
                       policy: "_Policy") -> tuple[ChainChar, ...]:
     """Basis of the level-`level` characters under h0, adapted to depth reach.
@@ -94,8 +91,9 @@ def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
     forest = space.forest
     fiber = forest.level(level) if h0 is None else forest.children[space.node(h0)]
     scan = sorted(policy.order(fiber), key=forest.deep.__getitem__, reverse=True)
-    chars = space.chars
-    return extend_basis(space, (), [chars[i] for i in scan])
+    masks, first = space.masks[level - 1], forest.level(level)[0]
+    new = tuple.__new__     # ChainChar(level, m) without a Python-level call
+    return extend_basis(space, (), [new(ChainChar, (level, masks[i - first])) for i in scan])
 
 
 def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,
@@ -149,74 +147,102 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     basis (or a draw among them) and each lift the first eligible
     character, so on isomorphic spaces the systems built with one seed
     have the same reach, the same role and the same draw at each basis
-    position.
+    position.  Reaches and fibers are read off the forest by node index;
+    a ChainChar is made only for a tower's scan and for each lift.
     """
     policy = _Policy(seed)
     n = space.length
+    forest = space.forest
+    deep, children = forest.deep, forest.children
     provenance: list[tuple[ChainChar, tuple]] = []
 
     basis = fiber_tower_basis(space, None, 1, policy)
-    provenance += [(g, ("tower", space.deep(g))) for g in basis]
+    provenance += [(g, ("tower", deep[space.node(g)])) for g in basis]
     bases = [basis]
 
     for k in range(1, n):
-        prev = bases[k - 1]
-        deep_part = [g for g in prev if space.deep(g) == n]
-        h0 = policy.pick(deep_part)
+        reach = [deep[space.node(g)] for g in basis]
+        h0 = policy.pick([g for g, r in zip(basis, reach) if r == n])
         # Tower-adapted basis of the whole fiber under h0, so the block
         # meets every stratum of the fiber in a basis.  (A basis of the
         # deepest stratum alone under-spans when part of the fiber stops
         # higher.)
         block = fiber_tower_basis(space, h0, k + 1, policy)
         provenance += [(g, ("block", h0)) for g in block]
+        masks, first = space.masks[k], forest.level(k + 1)[0]
         lifts = []
-        for h in prev:
-            if h == h0 or space.deep(h) < k + 1:
+        for h, jh in zip(basis, reach):
+            if h == h0 or jh < k + 1:
                 continue
-            jh = space.deep(h)
-            eligible = [g for g in _fiber(space, h) if space.deep(g) == jh]
-            lifts.append((h, policy.pick(eligible)))
+            i = policy.pick([c for c in children[space.node(h)] if deep[c] == jh])
+            lifts.append((h, ChainChar(k + 1, masks[i - first])))
         provenance += [(g, ("lift", h)) for h, g in lifts]
-        bases.append(block + tuple(g for _, g in lifts))
+        basis = block + tuple(g for _, g in lifts)
+        bases.append(basis)
 
     return GeneratingSystem(tuple(bases), tuple(provenance))
 
 
-def _spans_exactly(basis, k: int, masks: set[int]) -> bool:
-    """basis is an independent set of depth-k characters whose odd
-    products are exactly the given masks.
+def _node_or_none(space: FanSpace, g) -> int | None:
+    try:
+        return space.node(g)
+    except KeyError:
+        return None
 
-    Its affine span has at most 2^(r-1) points for r members, with
-    equality exactly when the members are independent, so comparing the
-    sizes first decides independence without a second elimination.
+
+def _fits(part, k: int, reach: list[int], card: int, j: int) -> bool:
+    """part is an independent set of depth-k characters whose odd
+    products are exactly the card characters of level k reaching depth j.
+
+    reach[m] is the reach of the depth-k character with mask m, 0 for a
+    mask off the level.  r independent members have 2^(r-1) distinct odd
+    products, so when that is the card and each of them reaches depth j
+    they are the whole set.
     """
-    return (bool(basis) and all(g.depth == k for g in basis)
-            and len(masks) == 1 << (len(basis) - 1)
-            and gf2.affine_span(g.mask for g in basis) == masks)
+    if not part or any(g.depth != k or not 0 <= g.mask < len(reach) for g in part):
+        return False
+    base = part[0].mask
+    diffs = [g.mask ^ base for g in part[1:]]
+    if card != 1 << len(diffs) or gf2.rank(diffs) != len(diffs):
+        return False
+    return min(map(reach.__getitem__, map(base.__xor__, gf2.pullback_table(diffs)))) >= j
 
 
 def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:
     """Check level spanning, stratum-compatibility, and successor closure.
 
     S^k_j changes with j only past a reach value present at level k, and a
-    basis closed under parents is closed under every successor.  Spans
-    are compared as mask sets, so each basis member must also sit at the
-    level's depth."""
+    basis closed under parents is closed under every successor.  Each
+    level's spanning check and stratum checks are one test (_fits) on a
+    list of the level's reaches indexed by mask, with the stratum sizes
+    from the forest's profile.  A basis member that is not a character of
+    the level fails the spanning check, the stratum checks whose part
+    holds it and the closure check of its level."""
     report = PropertyReport()
     n = space.length
     forest = space.forest
+    deep = forest.deep
+    nodes = [[_node_or_none(space, g) for g in gs.level_basis(k)] for k in range(1, n + 1)]
     for k in range(1, n + 1):
         bk = gs.level_basis(k)
         masks = space.masks[k - 1]
         first = forest.level(k)[0]      # the level's masks are in node order
-        report.add(f"spans-level({k})", _spans_exactly(bk, k, set(masks)))
-        for j in list(forest.profile[k])[1:]:
-            part = tuple(g for g in bk if space.deep(g) >= j)
-            good = _spans_exactly(part, k, {masks[i - first] for i in forest.stratum("S", k, j)})
-            report.add(f"stratum-basis({k},{j})", good,
-                       tuple(part) if not good else ())
+        reach = [0] * (1 << space.dim(k))
+        for m, r in zip(masks, deep[first:first + len(masks)]):
+            reach[m] = r
+        card = len(masks)
+        report.add(f"spans-level({k})", _fits(bk, k, reach, card, k))
+        member_reach = [0 if i is None else deep[i] for i in nodes[k - 1]]
+        profile = forest.profile[k]
+        for shallower, j in pairwise(profile):
+            card -= profile[shallower]
+            part = tuple(g for g, r in zip(bk, member_reach) if r >= j)
+            good = _fits(part, k, reach, card, j)
+            report.add(f"stratum-basis({k},{j})", good, part if not good else ())
+    depths = forest.depths
     for k in range(2, n + 1):
-        above = set(gs.level_basis(k - 1))
+        above = set(nodes[k - 2])
         report.add(f"successor-closure({k - 1},{k})",
-                   all(space.successor(g, k - 1) in above for g in gs.level_basis(k)))
+                   all(i is not None and depths[i] >= k - 1 and forest.ancestor(i, k - 1) in above
+                       for i in nodes[k - 1]))
     return report

@@ -89,18 +89,30 @@ def extend_basis(space: FanSpace, indep, target) -> tuple[ChainChar, ...]:
     """Grow an independent set to a basis of the span of indep plus target.
 
     Candidates are scanned in the order target gives them.  All of
-    indep and target must lie on one level.
+    indep and target must lie on one level, as characters of the space.
+    The scan stops once the set has the level's dimension k: a depth-d
+    character m has m.minus_d = 1, the top bit of its homogenized mask
+    m | 2^k, so every such mask v has v.(minus_d | 2^k) = 0 and they all
+    lie in one k-dimensional subspace, which k independent members span.
     """
     indep = tuple(indep)
     target = tuple(target)
     if not indep + target:
         return ()
-    top = 1 << space.dim(_level_of(space, indep + target))
+    dim = space.dim(_level_of(space, indep + target))
+    top = 1 << dim
     span = gf2.Span()
     for h in indep:
         if not span.add(h.mask | top):
             raise ValueError("starting set is dependent")
-    return indep + tuple(h for h in target if span.add(h.mask | top))
+    out = list(indep)
+    if len(out) < dim:
+        for h in target:
+            if span.add(h.mask | top):
+                out.append(h)
+                if len(out) == dim:
+                    break
+    return tuple(out)
 
 
 def basis_of(space: FanSpace, chars) -> tuple[ChainChar, ...]:

@@ -221,9 +221,10 @@ class FanSpace:
 
     Characters are ChainChar pairs ordered by (depth, mask); that order
     is also the node order of the forest.  masks[d - 1] lists the masks
-    of depth d in that order.  chars, the character -> node map and the
-    successor-mask and level-link tables are built on first read, so a
-    command that reads only the masks and the forest builds no ChainChar.
+    of depth d in that order, and one mask -> node list per level, built
+    with the forest, answers node().  chars and the successor-mask and
+    level-link tables are built on first read, so a command that reads
+    only the masks, the forest and node() builds no ChainChar.
     """
 
     def __init__(self, chain: FanChain):
@@ -231,7 +232,13 @@ class FanSpace:
         self.masks = masks = level_masks(chain)
         depths: list[int] = []
         end = [0]
+        # per level, the mask -> node list (None off the level)
+        self._index = index = []
         for d, level in enumerate(masks, start=1):
+            pos: list[int | None] = [None] * (1 << chain.dims[d - 1])
+            for i, m in enumerate(level, len(depths)):
+                pos[m] = i
+            index.append(pos)
             depths += [d] * len(level)
             end.append(len(depths))
         self._level_end = end
@@ -240,11 +247,8 @@ class FanSpace:
         # mask -> node list of the level above.
         parents: list[int | None] = [None] * end[1]
         for d in range(2, chain.n + 1):
-            pos: list[int | None] = [None] * (1 << chain.dims[d - 2])
-            for i, m in enumerate(masks[d - 2], end[d - 2]):
-                pos[m] = i
             pb = gf2.pullback_table(chain.taus[d - 2])
-            above = list(map(pos.__getitem__, map(pb.__getitem__, masks[d - 1])))
+            above = list(map(index[d - 2].__getitem__, map(pb.__getitem__, masks[d - 1])))
             if None in above:     # only a transition that moves minus does this
                 raise RuntimeError(f"a depth-{d} character pulls back to no character")
             parents += above
@@ -253,10 +257,6 @@ class FanSpace:
     @cached_property
     def chars(self) -> tuple[ChainChar, ...]:
         return characters_of_levels(self.masks)
-
-    @cached_property
-    def _node(self) -> dict[ChainChar, int]:
-        return dict(zip(self.chars, range(len(self.chars))))
 
     @cached_property
     def successor_masks(self) -> dict[ChainChar, tuple[int, ...]]:
@@ -301,7 +301,17 @@ class FanSpace:
         return self.chain.minus[self._depth_index(d)]
 
     def node(self, h: ChainChar) -> int:
-        return self._node[h]
+        """The node index of a character of the space, read off its
+        level's mask -> node list; KeyError for anything else."""
+        d, m = h
+        if d > 0 and m >= 0:
+            try:
+                i = self._index[d - 1][m]
+            except IndexError:      # a depth or a mask past the last
+                i = None
+            if i is not None:
+                return i
+        raise KeyError(h)
 
     def level(self, d: int) -> tuple[ChainChar, ...]:
         return self.chars[self._level_end[self._depth_index(d)]:self._level_end[d]]
@@ -315,7 +325,7 @@ class FanSpace:
         """The unique character above g at depth d (d <= depth(g))."""
         if not 1 <= d <= g.depth:
             raise ValueError(f"no successor of a depth-{g.depth} character at depth {d}")
-        return self.chars[self.forest.ancestor(self._node[g], d)]
+        return self.chars[self.forest.ancestor(self.node(g), d)]
 
     def specializes(self, g: ChainChar, h: ChainChar) -> bool:
         return h.depth <= g.depth and self.successor(g, h.depth) == h
@@ -337,11 +347,11 @@ class FanSpace:
 
     def deep(self, h: ChainChar) -> int:
         """Deepest depth among the predecessors of h."""
-        return self.forest.deep[self._node[h]]
+        return self.forest.deep[self.node(h)]
 
     def predecessors(self, h: ChainChar) -> tuple[ChainChar, ...]:
         """Everything that specializes to h (h included)."""
-        return tuple(self.chars[i] for i in self.forest.descendants(self._node[h]))
+        return tuple(self.chars[i] for i in self.forest.descendants(self.node(h)))
 
     # -- components and strata ------------------------------------------
 
@@ -360,5 +370,5 @@ class FanSpace:
         kind 'B' collects those in S^j2_j1, kind 'A' those in C^j2_j1;
         the A set may legitimately be empty.
         """
-        nodes = self.forest.pred_nodes(self._node[h], j1, j2, kind)
+        nodes = self.forest.pred_nodes(self.node(h), j1, j2, kind)
         return tuple(self.chars[i] for i in nodes)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import fanforge.generators as generators
+from fanforge import gf2
 from fanforge.chains import ChainChar, FanChain
 from fanforge.corpus import generate_corpus
 from fanforge.generators import (
@@ -14,10 +15,10 @@ from fanforge.generators import (
     standard_generating_system,
     verify_sgs,
 )
-from fanforge.levels import basis_of, closure, extend_basis, is_dependent
+from fanforge.levels import PropertyReport, basis_of, closure, extend_basis, is_dependent
 from fanforge.spectral import FanSpace
 
-from conftest import E1, EA, EB, TRIV, ladder
+from conftest import CHAIN3, E1, EA, EB, TRIV, ladder
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -121,15 +122,135 @@ def test_fiber_tower_matches_staged_oracle(corpus_spaces):
     assert len(big) == 3072 and fibers > 5000
 
 
+def full_scan_extend_basis(space, indep, target):
+    """extend_basis as first written, scanning every candidate: the oracle
+    for its early stop at the level's dimension."""
+    indep, target = tuple(indep), tuple(target)
+    if not indep + target:
+        return ()
+    top = 1 << space.dim((indep + target)[0].depth)
+    span = gf2.Span()
+    for h in indep:
+        assert span.add(h.mask | top)
+    return indep + tuple(h for h in target if span.add(h.mask | top))
+
+
 def oracle_fiber_tower_basis(space, h0, level, policy):
     """fiber_tower_basis as first written: the fiber's characters handed to
-    the policy, then sorted by their reach."""
+    the policy, then sorted by their reach, then scanned in full."""
     if h0 is None:
         fiber = space.level(level)
     else:
         fiber = [space.chars[i] for i in space.forest.children[space.node(h0)]]
     scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
-    return extend_basis(space, (), scan)
+    return full_scan_extend_basis(space, (), scan)
+
+
+def oracle_standard_generating_system(space, seed=None):
+    """standard_generating_system as it was on characters: every reach and
+    fiber read through the character, the oracle for the construction
+    on node indices."""
+    policy = _Policy(seed)
+    n = space.length
+    provenance = []
+
+    basis = oracle_fiber_tower_basis(space, None, 1, policy)
+    provenance += [(g, ("tower", space.deep(g))) for g in basis]
+    bases = [basis]
+
+    for k in range(1, n):
+        prev = bases[k - 1]
+        deep_part = [g for g in prev if space.deep(g) == n]
+        h0 = policy.pick(deep_part)
+        block = oracle_fiber_tower_basis(space, h0, k + 1, policy)
+        provenance += [(g, ("block", h0)) for g in block]
+        lifts = []
+        for h in prev:
+            if h == h0 or space.deep(h) < k + 1:
+                continue
+            jh = space.deep(h)
+            fiber = [space.chars[i] for i in space.forest.children[space.node(h)]]
+            eligible = [g for g in fiber if space.deep(g) == jh]
+            lifts.append((h, policy.pick(eligible)))
+        provenance += [(g, ("lift", h)) for h, g in lifts]
+        bases.append(block + tuple(g for _, g in lifts))
+
+    return GeneratingSystem(tuple(bases), tuple(provenance))
+
+
+def _oracle_spans_exactly(basis, k, masks):
+    return (bool(basis) and all(g.depth == k for g in basis)
+            and len(masks) == 1 << (len(basis) - 1)
+            and gf2.affine_span(g.mask for g in basis) == masks)
+
+
+def oracle_verify_sgs(space, gs):
+    """verify_sgs as it was on characters, each span compared with a mask
+    set: the oracle for the report (names, outcomes and witnesses) on
+    systems of characters of the space."""
+    report = PropertyReport()
+    n = space.length
+    forest = space.forest
+    for k in range(1, n + 1):
+        bk = gs.level_basis(k)
+        masks = space.masks[k - 1]
+        first = forest.level(k)[0]
+        report.add(f"spans-level({k})", _oracle_spans_exactly(bk, k, set(masks)))
+        for j in list(forest.profile[k])[1:]:
+            part = tuple(g for g in bk if space.deep(g) >= j)
+            good = _oracle_spans_exactly(
+                part, k, {masks[i - first] for i in forest.stratum("S", k, j)})
+            report.add(f"stratum-basis({k},{j})", good, tuple(part) if not good else ())
+    for k in range(2, n + 1):
+        above = set(gs.level_basis(k - 1))
+        report.add(f"successor-closure({k - 1},{k})",
+                   all(space.successor(g, k - 1) in above for g in gs.level_basis(k)))
+    return report
+
+
+def _checks(report):
+    return [(c.name, c.passed, c.witness) for c in report.checks]
+
+
+@pytest.fixture(scope="module")
+def oracle_spaces(corpus_spaces):
+    """The corpus, the 6x6 wide corpus and 6x10 ladders of seeds 0-2."""
+    wide = [FanSpace(c) for c in generate_corpus(7, count=60, max_levels=6, max_dim=6)]
+    big = [FanSpace(ladder(random.Random(s), 6, 10)) for s in range(3)]
+    return corpus_spaces + wide + big
+
+
+def test_sgs_and_report_match_character_oracles(oracle_spaces):
+    rng = random.Random(23)
+    verdicts = collections.Counter()
+    for space in oracle_spaces:
+        for seed in (None, 0, 7, 2017):
+            gs = standard_generating_system(space, seed)
+            want = oracle_standard_generating_system(space, seed)
+            assert (gs.bases, gs.provenance) == (want.bases, want.provenance)
+            for system in (gs, _random_bases(rng, space, gs), _random_bases(rng, space, gs)):
+                report = verify_sgs(space, system)
+                assert _checks(report) == _checks(oracle_verify_sgs(space, system))
+                verdicts[report.ok] += 1
+    assert len(oracle_spaces[-1]) == 3072 and min(verdicts.values()) > 500
+
+
+def test_extend_basis_stops_where_a_full_scan_ends(oracle_spaces):
+    # every level and every fiber, in node order and in the tower's order,
+    # from nothing and from a basis of the last two candidates; count the
+    # scans whose basis is complete before the last candidate
+    scans = early = 0
+    for space in oracle_spaces:
+        groups = [space.level(d) for d in range(1, space.length + 1)]
+        groups += [[space.chars[i] for i in kids] for kids in space.forest.children if kids]
+        for chars in groups:
+            for scan in (chars, sorted(chars, key=space.deep, reverse=True)):
+                for indep in ((), basis_of(space, scan[-2:])):
+                    got = extend_basis(space, indep, scan)
+                    assert got == full_scan_extend_basis(space, indep, scan)
+                    scans += 1
+                    early += len(got) == space.dim(scan[0].depth) and got[-1] != scan[-1]
+    assert scans > 20000 and early > 1000
 
 
 def test_seeded_sgs_draws_as_on_characters(corpus_spaces, monkeypatch):
@@ -200,6 +321,44 @@ def test_verify_sgs_refuses_a_basis_from_another_level():
     assert [c.name for c in report.checks] == [c.name for c in verify_sgs(space, gs).checks]
     assert any(c.name == "spans-level(1)" and not c.passed for c in report.checks)
     assert not report.ok and not _oracle_verify_sgs(space, moved)
+
+
+@pytest.mark.parametrize("chain", [E1, EB, CHAIN3, FanChain((3, 1), (1, 1), ((1,),))],
+                         ids=["E1", "EB", "CHAIN3", "vee"])
+def test_verify_sgs_reports_members_that_are_not_characters(chain):
+    # mask 0 has even parity, 64 and -1 lie off every level and depth 9 is
+    # no level; the levels have one reach value each (E1, CHAIN3) or some
+    # have several (EB, vee).  A stranger added to a basis, or put in
+    # place of its first member, fails its level's spanning check and the
+    # closure check of its level; an added one sits in no stratum part.
+    space = FanSpace(chain)
+    gs = standard_generating_system(space)
+    n = space.length
+    names = [c.name for c in verify_sgs(space, gs).checks]
+    for k in sorted({1, n}):
+        basis = gs.level_basis(k)
+        for stranger in (ChainChar(k, 0), ChainChar(k, 64), ChainChar(k, -1), ChainChar(9, 1)):
+            for changed in (basis + (stranger,), (stranger,) + basis[1:]):
+                bases = gs.bases[:k - 1] + (changed,) + gs.bases[k:]
+                report = verify_sgs(space, GeneratingSystem(bases))
+                assert [c.name for c in report.checks] == names
+                failed = {c.name for c in report.failures()}
+                assert f"spans-level({k})" in failed
+                assert k == 1 or f"successor-closure({k - 1},{k})" in failed
+                if len(changed) > len(basis):
+                    assert not any(name.startswith("stratum-basis") for name in failed)
+                    assert (f"successor-closure({k - 1},{k})" in failed) == (k > 1)
+
+
+def test_verify_sgs_reports_a_basis_shallower_than_its_level():
+    # CHAIN3 with the level-1 basis reused at level 3: its member has no
+    # successor at depth 2
+    space = FanSpace(CHAIN3)
+    gs = standard_generating_system(space)
+    moved = GeneratingSystem((gs.bases[0], gs.bases[1], gs.bases[0]))
+    report = verify_sgs(space, moved)
+    assert [c.name for c in report.checks] == [c.name for c in verify_sgs(space, gs).checks]
+    assert {c.name for c in report.failures()} == {"spans-level(3)", "successor-closure(2,3)"}
 
 
 def _random_bases(rng, space, gs):

@@ -263,11 +263,27 @@ def test_characters_are_built_on_first_read(corpus):
         space = FanSpace(chain)
         assert len(space) == sum(map(len, space.masks))
         assert space.forest.length == space.length
-        assert "chars" not in vars(space) and "_node" not in vars(space)
+        nodes = [space.node(ChainChar(d, m))
+                 for d, masks in enumerate(space.masks, start=1) for m in masks]
+        assert nodes == list(range(len(space)))
+        assert "chars" not in vars(space)
         assert len(space) == len(space.chars)
         assert space.levels() == [tuple(ChainChar(d, m) for m in masks)
                                   for d, masks in enumerate(space.masks, start=1)]
         assert [space.node(h) for h in space.chars] == list(range(len(space)))
+
+
+def test_node_refuses_what_is_not_a_character():
+    # EB has two levels of dimension 2 with minus vector 1: the masks 1
+    # and 3 are characters at each depth, 0 and 2 have even parity
+    space = FanSpace(EB)
+    assert space.masks == [[1, 3], [1, 3]]
+    assert [space.node(h) for h in space.chars] == list(range(len(space)))
+    for h in (ChainChar(0, 1), ChainChar(3, 1), ChainChar(-1, 1),
+              ChainChar(1, -1), ChainChar(2, -3), ChainChar(1, 4), ChainChar(2, 5),
+              ChainChar(2, 1 << 40), ChainChar(1, 0), ChainChar(1, 2), ChainChar(2, 2)):
+        with pytest.raises(KeyError):
+            space.node(h)
 
 
 def test_forest_truncate_and_restrict():
