@@ -25,6 +25,7 @@ from .ternary import (
     Character,
     TernaryTable,
     Violation,
+    _affine_bases,
     require_fan,
 )
 
@@ -266,36 +267,6 @@ def chain_char_to_table_char(c: FanChain, t: TernaryTable, h: ChainChar) -> Char
     return Character(t, (1 << i) - 2, neg)
 
 
-def _congruence_classes(t: TernaryTable, members: list[int], ideal: frozenset[int]) -> list[list[int]]:
-    """Classes of a ~ b iff a*z = b*z for some z outside the ideal.
-
-    Computed as a union-find closure, merging per shared product column.
-    """
-    parent = {x: x for x in members}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    outside = [z for z in range(t.size) if z not in ideal]
-    for z in outside:
-        seen: dict[int, int] = {}
-        for x in members:
-            p = t.mul[x][z]
-            if p in seen:
-                ra, rb = find(seen[p]), find(x)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                seen[p] = x
-    groups: dict[int, list[int]] = {}
-    for x in members:
-        groups.setdefault(find(x), []).append(x)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
 def table_to_chain(t: TernaryTable, chars: tuple[Character, ...] | None = None) -> FanChain:
     chain, _ = table_to_chain_with_map(t, chars)
     return chain
@@ -303,87 +274,67 @@ def table_to_chain(t: TernaryTable, chars: tuple[Character, ...] | None = None) 
 
 def table_to_chain_with_map(t: TernaryTable, chars: tuple[Character, ...] | None = None,
                             ) -> tuple[FanChain, dict[SliceElement, int]]:
-    """Extract the chain model of a fan table.
+    """Extract the chain model of a fan table, read off its characters.
 
     Also returns the slice-wise correspondence sending each element of
     the rebuilt chain (as a SliceElement) to the original table element,
     which is the round-trip isomorphism onto t.
 
-    Raises NotAFanError when t fails the operative fan criterion, and on
-    any downstream evidence that the quotients are not exponent-2 groups.
+    Level d is the characters with the d-th smallest support, slice d
+    that support minus the one before it.  An element's depth-d vector
+    has bit i set when the i-th member of an affine basis of level d
+    (ternary._affine_bases) sends it to -1.  So dims[d] is the basis
+    size, every minus vector is all ones (a character sends -1 to -1),
+    and column i of the transition from depth d is the depth-(d+1) vector
+    of the slice-d element whose depth-d vector is the unit vector i.
+
+    Why this is the fan's chain.  Characters are multiplicative, so the
+    vectors of two elements of support d add up to that of their product,
+    which lies in the deeper of their slices.  A character shallower than
+    level d vanishes on slice d, and one deeper than it, g, pulls back to
+    level d: g*h*h, for h of level d, is a character (triple closure)
+    with h's support that agrees with g there.  So any character that
+    separates two elements of slice d is matched by one of level d, an
+    odd product of basis characters, and the depth-d vectors are
+    injective on slice d.  The slices and the zero element partition the
+    table (the largest support misses only 0), so when each slice fills
+    its 2^dims[d] vectors, a count makes the correspondence a bijection.
+
+    Raises NotAFanError when t fails the operative fan criterion, when a
+    slice does not fill its vectors, or when the chain is invalid.
     """
     chars = require_fan(t, chars)
-    ideals = sorted({h.zero_set() for h in chars}, key=len, reverse=True)
-    n = len(ideals)
-
+    bases = _affine_bases(t.size, chars)
+    fmt = f"0{t.size}b"
+    mapping: dict[SliceElement, int] = {ZERO_ELEMENT: t.zero_idx}
     dims: list[int] = []
-    minus: list[int] = []
-    coords_per_depth: list[dict[int, int]] = []   # element -> GF(2) vector
-    classes_per_depth: list[list[list[int]]] = []
-    for d in range(1, n + 1):
-        ideal = ideals[d - 1]
-        members = [x for x in range(t.size) if x not in ideal]
-        classes = _congruence_classes(t, members, ideal)
-        count = len(classes)
-        if count & (count - 1):
+    taus: list[tuple[int, ...]] = []
+    units: list[int] = []       # the slice elements of the unit vectors, depth d - 1
+    above = 0                   # the support of level d - 1
+    for d, s in enumerate(sorted(bases, key=int.bit_count), start=1):
+        basis = bases[s]
+        k = len(basis)
+        # row j: bit i set when basis member j sends the unit element i to -1
+        if units:
+            taus.append(tuple(sum((b >> x & 1) << i for i, x in enumerate(units))
+                              for b in basis))
+        # per element of the slice, its neg bits on the basis, member k - 1 first
+        piece = s & ~above
+        rows = [format(mask, fmt)[::-1] for mask in (piece, *reversed(basis))]
+        at = {int("".join(col[1:]), 2): x for x, col in enumerate(zip(*rows)) if col[0] == "1"}
+        size = piece.bit_count()
+        if size != 1 << k or len(at) != size:
             raise NotAFanError(
-                f"quotient at depth {d} has {count} classes, not a power of 2", (d,))
-        class_id = {x: i for i, cls in enumerate(classes) for x in cls}
-        reps = [cls[0] for cls in classes]
-
-        def class_mul(i: int, j: int) -> int:
-            return class_id[t.mul[reps[i]][reps[j]]]
-
-        one_cls = class_id[t.one_idx]
-        vec_of = {one_cls: 0}
-        k = 0
-        for i in range(count):
-            if i in vec_of:
-                continue
-            bit = 1 << k
-            k += 1
-            for j, v in list(vec_of.items()):
-                vec_of[class_mul(i, j)] = v | bit
-        if len(vec_of) != count:
-            raise NotAFanError(f"quotient at depth {d} is not a group", (d,))
-        minus_vec = vec_of[class_id[t.minus_one_idx]]
-        if minus_vec == 0:
-            raise NotAFanError(f"1 = -1 in the quotient at depth {d}", (d,))
+                f"slice {d} has {size} elements on {len(at)} of its {1 << k} vectors", (d,))
+        mapping.update((SliceElement(d, v), x) for v, x in at.items())
         dims.append(k)
-        minus.append(minus_vec)
-        coords_per_depth.append({x: vec_of[class_id[x]] for x in members})
-        classes_per_depth.append(classes)
+        units = [at[1 << i] for i in range(k)]
+        above = s
 
-    taus = []
-    for d in range(1, n):
-        shallow, deep = coords_per_depth[d - 1], coords_per_depth[d]
-        basis_vec_to_elem: dict[int, int] = {}
-        for x, v in shallow.items():
-            basis_vec_to_elem.setdefault(v, x)
-        cols = []
-        for i in range(dims[d - 1]):
-            elem = basis_vec_to_elem[1 << i]
-            cols.append(deep[elem])
-        rows = tuple(
-            sum(((cols[j] >> i) & 1) << j for j in range(dims[d - 1]))
-            for i in range(dims[d]))
-        taus.append(rows)
-
-    chain = FanChain(tuple(dims), tuple(minus), tuple(taus))
+    chain = FanChain(tuple(dims), tuple((1 << k) - 1 for k in dims), tuple(taus))
     bad = validate_chain(chain)
     if bad:
         raise NotAFanError(f"extracted chain is invalid: {bad[0].message}", bad[0].witness)
-
-    mapping: dict[SliceElement, int] = {ZERO_ELEMENT: t.zero_idx}
-    for d in range(1, n + 1):
-        above = ideals[d - 2] if d >= 2 else None
-        coords = coords_per_depth[d - 1]
-        for cls in classes_per_depth[d - 1]:
-            in_slice = [x for x in cls if above is None or x in above]
-            if len(in_slice) != 1:
-                raise NotAFanError(
-                    f"class at depth {d} meets its slice in {len(in_slice)} elements", (d,))
-            mapping[SliceElement(d, coords[cls[0]])] = in_slice[0]
     return chain, mapping
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import compress, pairwise
 
 from . import gf2
 from .chains import ChainChar
@@ -190,22 +190,21 @@ def _node_or_none(space: FanSpace, g) -> int | None:
         return None
 
 
-def _fits(part, k: int, reach: list[int], card: int, j: int) -> bool:
-    """part is an independent set of depth-k characters whose odd
-    products are exactly the card characters of level k reaching depth j.
+def _fits(part, nodes, k: int, card: int) -> bool:
+    """part is an independent set of depth-k characters, each reaching
+    depth j, whose odd products are exactly the card characters of level
+    k reaching depth j.
 
-    reach[m] is the reach of the depth-k character with mask m, 0 for a
-    mask off the level.  r independent members have 2^(r-1) distinct odd
-    products, so when that is the card and each of them reaches depth j
-    they are the whole set.
+    nodes[i] is the node of part[i], None when it is not a character.
+    S^k_j is the image of level j under the composite pullback, an affine
+    set, and r independent members of it have 2^(r-1) distinct odd
+    products in it, so when that is the card they are the whole set.
     """
-    if not part or any(g.depth != k or not 0 <= g.mask < len(reach) for g in part):
+    if not part or any(i is None or g.depth != k for g, i in zip(part, nodes)):
         return False
     base = part[0].mask
     diffs = [g.mask ^ base for g in part[1:]]
-    if card != 1 << len(diffs) or gf2.rank(diffs) != len(diffs):
-        return False
-    return min(map(reach.__getitem__, map(base.__xor__, gf2.pullback_table(diffs)))) >= j
+    return card == 1 << len(diffs) and gf2.rank(diffs) == len(diffs)
 
 
 def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:
@@ -213,31 +212,28 @@ def verify_sgs(space: FanSpace, gs: GeneratingSystem) -> PropertyReport:
 
     S^k_j changes with j only past a reach value present at level k, and a
     basis closed under parents is closed under every successor.  Each
-    level's spanning check and stratum checks are one test (_fits) on a
-    list of the level's reaches indexed by mask, with the stratum sizes
-    from the forest's profile.  A basis member that is not a character of
-    the level fails the spanning check, the stratum checks whose part
-    holds it and the closure check of its level."""
+    level's spanning check and stratum checks are one test (_fits) on the
+    members' nodes and masks, with the stratum sizes from the forest's
+    profile; a part holds the members that reach depth j.  A basis member
+    that is not a character of the level fails the spanning check, the
+    stratum checks whose part holds it and the closure check of its
+    level."""
     report = PropertyReport()
     n = space.length
     forest = space.forest
     deep = forest.deep
     nodes = [[_node_or_none(space, g) for g in gs.level_basis(k)] for k in range(1, n + 1)]
     for k in range(1, n + 1):
-        bk = gs.level_basis(k)
-        masks = space.masks[k - 1]
-        first = forest.level(k)[0]      # the level's masks are in node order
-        reach = [0] * (1 << space.dim(k))
-        for m, r in zip(masks, deep[first:first + len(masks)]):
-            reach[m] = r
-        card = len(masks)
-        report.add(f"spans-level({k})", _fits(bk, k, reach, card, k))
-        member_reach = [0 if i is None else deep[i] for i in nodes[k - 1]]
+        bk, at = gs.level_basis(k), nodes[k - 1]
+        card = len(space.masks[k - 1])
+        report.add(f"spans-level({k})", _fits(bk, at, k, card))
+        member_reach = [0 if i is None else deep[i] for i in at]
         profile = forest.profile[k]
         for shallower, j in pairwise(profile):
             card -= profile[shallower]
-            part = tuple(g for g, r in zip(bk, member_reach) if r >= j)
-            good = _fits(part, k, reach, card, j)
+            keep = [r >= j for r in member_reach]
+            part = tuple(compress(bk, keep))
+            good = _fits(part, tuple(compress(at, keep)), k, card)
             report.add(f"stratum-basis({k},{j})", good, part if not good else ())
     depths = forest.depths
     for k in range(2, n + 1):

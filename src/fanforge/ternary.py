@@ -584,26 +584,37 @@ def triple_closure(chars: list[Character] | tuple[Character, ...]) -> list[Viola
     return out
 
 
+def _affine_bases(m: int, chars: tuple[Character, ...]) -> dict[int, list[int]]:
+    """Per support in first-seen order, the negs of an affine basis of its
+    class: each character's neg that is affinely independent of the basis
+    negs before it with the same support, that is, linearly independent
+    with a coordinate 1 << m appended.  Every neg of the class is in the
+    affine hull of its basis, the XOR of an odd number of basis negs, so
+    each character of the class is the product of an odd number of basis
+    characters (one support, negs added mod 2)."""
+    spans: dict[int, gf2.Span] = {}
+    bases: dict[int, list[int]] = {}
+    lift = 1 << m
+    for h in chars:
+        if spans.setdefault(h.support, gf2.Span()).add(h.neg | lift):
+            bases.setdefault(h.support, []).append(h.neg)
+    return bases
+
+
 def _separating_columns(m: int, chars: tuple[Character, ...]):
     """Per element x in index order, a column equal for x and y exactly
     when every character has h(x) = h(y).
 
-    The column is x's (support, neg) bits on an affine basis of every
-    support class: each character whose neg is affinely independent of
-    the negs of the basis characters before it with the same support,
-    that is, linearly independent with a coordinate 1 appended.  Every
-    character of the class has its neg in the affine hull of the basis
-    negs, the XOR of an odd number of them, so it is the product of an
-    odd number of basis characters (one support, negs added mod 2), and
-    two elements that agree on the basis agree on it.
+    The column is x's support bit and its neg bits on the affine basis of
+    every support class (_affine_bases): a character of the class is an
+    odd product of basis characters, so two elements that agree on the
+    basis agree on it.
     """
-    spans: dict[int, gf2.Span] = {}
-    lift = 1 << m
-    basis = [h for h in chars if spans.setdefault(h.support, gf2.Span()).add(h.neg | lift)]
-    if not basis:
+    masks = [mask for s, negs in _affine_bases(m, chars).items() for mask in (s, *negs)]
+    if not masks:
         return [()] * m
     fmt = f"0{m}b"
-    return zip(*[format(mask, fmt)[::-1] for h in basis for mask in (h.support, h.neg)])
+    return zip(*[format(mask, fmt)[::-1] for mask in masks])
 
 
 def fan_report(t: TernaryTable, chars: tuple[Character, ...] | None = None) -> list[Violation]:

@@ -19,17 +19,27 @@ from fanforge.chains import (
     multiply_elements,
     roundtrip_isomorphism,
     table_to_chain,
+    table_to_chain_with_map,
     transition,
     validate_chain,
 )
-from fanforge.corpus import random_transition
+from fanforge.corpus import generate_corpus, random_transition
 from fanforge.errors import NotAFanError, ResourceLimitError, StructuralError
 from fanforge.gf2 import identity_rows
+from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace
-from fanforge.ternary import Character, enumerate_characters, sign3_table, validate_table
+from fanforge.ternary import (
+    MAX_TABLE_ELEMENTS,
+    Character,
+    TernaryTable,
+    enumerate_characters,
+    require_fan,
+    sign3_table,
+    validate_table,
+)
 
 from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder, oracle_characters
-from test_ternary import product_table
+from test_ternary import corrupted_copies, product_table
 
 
 def test_validate_chain_examples():
@@ -159,11 +169,10 @@ def test_table_to_chain_roundtrip_examples():
         roundtrip_isomorphism(chain_to_table(chain))
 
 
-def test_extraction_ignores_element_order(corpus):
-    # relabeling the table elements must not change the extracted shape
-    import random
+def shuffled_tables(corpus):
+    """The tables of corpus[:8], each with its elements relabeled."""
     rng = random.Random(4)
-    from fanforge.ternary import TernaryTable
+    out = []
     for chain in corpus[:8]:
         t = chain_to_table(chain)
         perm = list(range(t.size))
@@ -173,10 +182,160 @@ def test_extraction_ignores_element_order(corpus):
             inv[old] = new
         mul = tuple(tuple(inv[t.mul[perm[x]][perm[y]]] for y in range(t.size))
                     for x in range(t.size))
-        shuffled = TernaryTable(t.size, inv[t.one_idx], inv[t.zero_idx],
-                                inv[t.minus_one_idx], mul)
+        out.append((chain, TernaryTable(t.size, inv[t.one_idx], inv[t.zero_idx],
+                                        inv[t.minus_one_idx], mul)))
+    return out
+
+
+def test_extraction_ignores_element_order(corpus):
+    # relabeling the table elements must not change the extracted shape
+    for chain, shuffled in shuffled_tables(corpus):
         assert table_to_chain(shuffled).dims == chain.dims
         roundtrip_isomorphism(shuffled)
+
+
+def _congruence_classes(t, members, ideal):
+    """Classes of a ~ b iff a*z = b*z for some z outside the ideal, as a
+    union-find closure merging per shared product column."""
+    parent = {x: x for x in members}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for z in range(t.size):
+        if z in ideal:
+            continue
+        seen = {}
+        for x in members:
+            p = t.mul[x][z]
+            if p in seen:
+                ra, rb = find(seen[p]), find(x)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                seen[p] = x
+    groups = {}
+    for x in members:
+        groups.setdefault(find(x), []).append(x)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def oracle_table_to_chain_with_map(t, chars=None):
+    """The chain of a fan table read off its congruences, as it was first
+    extracted: per depth, the quotient by the ideal of the depth's zero
+    set, its classes multiplied into an exponent-2 group, coordinates
+    given to the classes in the order the group is generated."""
+    chars = require_fan(t, chars)
+    ideals = sorted({h.zero_set() for h in chars}, key=len, reverse=True)
+    dims, minus, coords_per_depth, classes_per_depth = [], [], [], []
+    for d, ideal in enumerate(ideals, start=1):
+        members = [x for x in range(t.size) if x not in ideal]
+        classes = _congruence_classes(t, members, ideal)
+        count = len(classes)
+        if count & (count - 1):
+            raise NotAFanError(f"quotient at depth {d} has {count} classes", (d,))
+        class_id = {x: i for i, cls in enumerate(classes) for x in cls}
+        reps = [cls[0] for cls in classes]
+        vec_of = {class_id[t.one_idx]: 0}
+        k = 0
+        for i in range(count):
+            if i in vec_of:
+                continue
+            bit = 1 << k
+            k += 1
+            for j, v in list(vec_of.items()):
+                vec_of[class_id[t.mul[reps[i]][reps[j]]]] = v | bit
+        if len(vec_of) != count:
+            raise NotAFanError(f"quotient at depth {d} is not a group", (d,))
+        minus_vec = vec_of[class_id[t.minus_one_idx]]
+        if minus_vec == 0:
+            raise NotAFanError(f"1 = -1 in the quotient at depth {d}", (d,))
+        dims.append(k)
+        minus.append(minus_vec)
+        coords_per_depth.append({x: vec_of[class_id[x]] for x in members})
+        classes_per_depth.append(classes)
+
+    taus = []
+    for d in range(1, len(ideals)):
+        shallow, deep = coords_per_depth[d - 1], coords_per_depth[d]
+        elem_of = {}
+        for x, v in shallow.items():
+            elem_of.setdefault(v, x)
+        cols = [deep[elem_of[1 << i]] for i in range(dims[d - 1])]
+        taus.append(tuple(sum((cols[j] >> i & 1) << j for j in range(dims[d - 1]))
+                          for i in range(dims[d])))
+    chain = FanChain(tuple(dims), tuple(minus), tuple(taus))
+    bad = validate_chain(chain)
+    if bad:
+        raise NotAFanError(f"extracted chain is invalid: {bad[0].message}", bad[0].witness)
+
+    mapping = {ZERO_ELEMENT: t.zero_idx}
+    for d, classes in enumerate(classes_per_depth, start=1):
+        above = ideals[d - 2] if d >= 2 else None
+        for cls in classes:
+            in_slice = [x for x in cls if above is None or x in above]
+            if len(in_slice) != 1:
+                raise NotAFanError(f"class at depth {d} meets its slice in {len(in_slice)}", (d,))
+            mapping[SliceElement(d, coords_per_depth[d - 1][cls[0]])] = in_slice[0]
+    return chain, mapping
+
+
+def forest_code(chain):
+    return forest_canonical(FanSpace(chain).forest)
+
+
+def test_extraction_matches_congruence_oracle(corpus):
+    # the chain read off the characters and the one read off the
+    # congruences have equal dims and isomorphic forests, and the first
+    # passes the round trip, on the corpus, the 6x6 wide corpus, shuffled
+    # tables and 129- and 513-element ladders
+    wide = generate_corpus(7, count=60, max_levels=6, max_dim=6)
+    tables = [chain_to_table(c) for c in corpus + wide]
+    tables += [t for _, t in shuffled_tables(corpus)]
+    tables += [chain_to_table(ladder(random.Random(dim), 4, dim)) for dim in (5, 7)]
+    assert max(t.size for t in tables) == 513
+    for t in tables:
+        chars = enumerate_characters(t)
+        got, got_map = table_to_chain_with_map(t, chars)
+        want, want_map = oracle_table_to_chain_with_map(t, chars)
+        assert got.dims == want.dims
+        assert forest_code(got) == forest_code(want)
+        assert sorted(got_map.values()) == sorted(want_map.values()) == list(range(t.size))
+        roundtrip_isomorphism(t, chars)
+
+
+def test_extraction_verdict_matches_congruence_oracle_on_perturbed_tables(corpus):
+    # one symmetric product edit per copy of a three-level fan: the
+    # extraction refuses exactly the copies the congruence oracle refuses,
+    # and the chains it returns agree with the oracle's and round-trip
+    fans = [chain_to_table(c) for c in corpus if c.n == 3][:40]
+    refused = returned = 0
+    for t in corrupted_copies(random.Random(23), fans, 30, asymmetric=0.0):
+        chars = enumerate_characters(t)
+        try:
+            want = oracle_table_to_chain_with_map(t, chars)[0]
+        except NotAFanError:
+            with pytest.raises(NotAFanError):
+                table_to_chain_with_map(t, chars)
+            refused += 1
+            continue
+        got = table_to_chain(t, chars)
+        assert got.dims == want.dims and forest_code(got) == forest_code(want)
+        roundtrip_isomorphism(t, chars)
+        returned += 1
+    assert refused > 1000 and returned > 20
+
+
+def test_roundtrip_at_the_table_bound():
+    roundtrip_isomorphism(chain_to_table(ladder(random.Random(0), 4, 7)))
+    source = ladder(random.Random(0), 4, 9)
+    table = chain_to_table(source)
+    assert table.size == MAX_TABLE_ELEMENTS
+    got = table_to_chain(table)
+    assert got.dims == source.dims and forest_code(got) == forest_code(source)
 
 
 def test_table_to_chain_rejects_non_fans():
