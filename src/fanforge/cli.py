@@ -19,8 +19,8 @@ from .errors import NotAFanError, OrderMismatchError, ResourceLimitError, Struct
 from .formats import (
     FormatError,
     bits_to_mask,
+    chain_labels,
     char_label,
-    level_labels,
     mask_to_bits,
     parse_chain,
     parse_forest,
@@ -73,16 +73,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_chars(args) -> int:
     space = _load_chain(args.chain)
-    for d, masks in enumerate(space.masks, start=1):
-        print("\n".join(level_labels(space.chain, d, masks)))
+    for labels in chain_labels(space.chain, space.masks):
+        print("\n".join(labels))
     return 0
 
 
 def _cmd_levels(args) -> int:
     space = _load_chain(args.chain)
-    for d, masks in enumerate(space.masks, start=1):
-        members = " ".join(level_labels(space.chain, d, masks))
-        print(f"level d={d} size={len(masks)}: {members}")
+    for d, labels in enumerate(chain_labels(space.chain, space.masks), start=1):
+        print(f"level d={d} size={len(labels)}: {' '.join(labels)}")
     return 0
 
 
@@ -110,15 +109,14 @@ def _cmd_strata(args) -> int:
             f"bound is {MAX_STRATA_ENTRIES}")
     # one read of each level's reaches: C^k_j is the bucket of reach j,
     # S^k_j the members reaching j or deeper, both in node order
-    for k, masks in enumerate(space.masks, start=1):
-        members = list(zip(map(forest.deep.__getitem__, forest.level(k)),
-                           level_labels(space.chain, k, masks)))
+    for k, labels in enumerate(chain_labels(space.chain, space.masks), start=1):
+        reaches = list(map(forest.deep.__getitem__, forest.level(k)))
         exact: dict[int, list[str]] = {}
-        for reach, label in members:
+        for reach, label in zip(reaches, labels):
             exact.setdefault(reach, []).append(label)
         lines = []
         for j in range(k, n + 1):
-            deeper = [label for reach, label in members if reach >= j]
+            deeper = [label for reach, label in zip(reaches, labels) if reach >= j]
             lines.append(f"S^{k}_{j} card={len(deeper)}: {' '.join(deeper)}")
             c = exact.get(j, [])
             lines.append(f"C^{k}_{j} card={len(c)}: {' '.join(c)}")

@@ -37,5 +37,13 @@ def random_chain(rng: random.Random, max_levels: int = 4, max_dim: int = 4) -> F
 
 def generate_corpus(seed: int, count: int = 200, max_levels: int = 4,
                     max_dim: int = 4) -> list[FanChain]:
+    """count random chains drawn from seed; a negative count or a bound
+    below 1 raises ValueError before anything is drawn."""
+    if count < 0:
+        raise ValueError(f"corpus count must be at least 0, got {count}")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     rng = random.Random(seed)
     return [random_chain(rng, max_levels, max_dim) for _ in range(count)]

@@ -10,6 +10,7 @@ reproduces it byte for byte.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 from .chains import MAX_CHARACTERS, ChainChar, FanChain
 from .errors import ResourceLimitError, StructuralError
@@ -26,11 +27,13 @@ def mask_to_bits(mask: int, width: int) -> str:
 
 
 def bits_to_mask(bits: str, width: int | None = None) -> int:
-    if not bits or any(ch not in "01" for ch in bits):
+    # strip("01") leaves a character exactly when bits has one outside 0/1,
+    # so int() never sees the signs, spaces or underscores it would accept
+    if not bits or bits.strip("01"):
         raise FormatError(f"bad bit string {bits!r}")
     if width is not None and len(bits) != width:
         raise FormatError(f"bit string {bits!r} should have {width} bits")
-    return sum(1 << i for i, ch in enumerate(bits) if ch == "1")
+    return int(bits[::-1], 2)
 
 
 def serialize_chain(c: FanChain) -> str:
@@ -83,10 +86,17 @@ def parse_chain(text: str) -> FanChain:
 
 
 def serialize_forest(f: Forest) -> str:
-    lines = []
-    for i, (d, p) in enumerate(zip(f.depths, f.parents)):
-        parent = "none" if p is None else str(p)
-        lines.append(f"node id={i} depth={d} parent={parent}")
+    """One line per node in index order, formatted a run of equal depth
+    at a time; a Forest's roots are exactly its depth-1 nodes."""
+    parents, lines, i = f.parents, [], 0
+    for d, run in groupby(f.depths):
+        j = i + len(list(run))
+        if d == 1:
+            lines += [f"node id={k} depth=1 parent=none" for k in range(i, j)]
+        else:
+            head = f" depth={d} parent="
+            lines += [f"node id={k}{head}{parents[k]}" for k in range(i, j)]
+        i = j
     return "\n".join(lines) + "\n"
 
 
@@ -95,45 +105,86 @@ _NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
 
 def parse_forest(text: str) -> Forest:
     """Parse a forest file; more than MAX_CHARACTERS node lines, more
-    than any chain within bounds has characters, raise ResourceLimitError."""
+    than any chain within bounds has characters, raise ResourceLimitError.
+
+    Every line is matched and each column converted in bulk; a per-line
+    pass runs only to name the first fault, in line order."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) > MAX_CHARACTERS:
         raise ResourceLimitError(
             f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")
-    entries: dict[int, tuple[int, int | None]] = {}
-    for ln in lines:
-        m = _NODE.match(ln)
-        if not m:
-            raise FormatError(f"bad node line {ln!r}")
-        ident = int(m.group(1))
-        if ident in entries:
-            raise FormatError(f"duplicate node id {ident}")
-        parent = None if m.group(3) == "none" else int(m.group(3))
-        entries[ident] = (int(m.group(2)), parent)
-    if not entries:
+    if not lines:
         raise FormatError("empty forest file")
-    if sorted(entries) != list(range(len(entries))):
-        raise FormatError("node ids are not dense from 0")
-    depths = tuple(entries[i][0] for i in range(len(entries)))
-    parents = tuple(entries[i][1] for i in range(len(entries)))
+    matches = list(map(_NODE.match, lines))
+    if None in matches:
+        _raise_line_fault(lines, matches)
+    ids, depths, parents = zip(*map(re.Match.groups, matches))
+    try:
+        ids = list(map(int, ids))
+        depths = tuple(map(int, depths))
+        parents = tuple(None if p == "none" else int(p) for p in parents)
+    except ValueError:          # a number past the int/str digit limit
+        _raise_line_fault(lines, matches)
+    n = len(ids)
+    if len(set(ids)) < n:
+        _raise_line_fault(lines, matches)
+    if ids != list(range(n)):
+        if sorted(ids) != list(range(n)):
+            raise FormatError("node ids are not dense from 0")
+        order = sorted(range(n), key=ids.__getitem__)
+        depths = tuple(map(depths.__getitem__, order))
+        parents = tuple(map(parents.__getitem__, order))
     try:
         return Forest(depths, parents)
     except StructuralError as exc:
         raise FormatError(f"inconsistent forest data: {exc}") from exc
 
 
+def _raise_line_fault(lines: list[str], matches: list) -> None:
+    """Raise the first fault that reading the lines one by one meets: an
+    unmatched line, a repeated id, or a number int() refuses."""
+    seen: set[int] = set()
+    for ln, m in zip(lines, matches):
+        if m is None:
+            raise FormatError(f"bad node line {ln!r}")
+        ident = int(m[1])
+        if ident in seen:
+            raise FormatError(f"duplicate node id {ident}")
+        seen.add(ident)
+        if m[3] != "none":
+            int(m[3])
+        int(m[2])
+
+
 def char_label(chain: FanChain, h: ChainChar) -> str:
     return f"d{h.depth}:{mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
 
 
-def level_labels(chain: FanChain, d: int, masks: list[int]) -> list[str]:
-    """char_label of each depth-d mask, read from one table of the level's
-    labels: each coordinate doubles the table, the masks with bit i set
-    being those without it, with a 1 in place i of the bit string."""
-    table = [f"d{d}:"]
-    for _ in range(chain.dims[d - 1]):
+def _bit_strings(width: int) -> list[str]:
+    """mask_to_bits(mask, width) for every mask, indexed by mask: each
+    coordinate doubles the table, the masks with bit i set being those
+    without it, with a 1 in place i of the bit string."""
+    table = [""]
+    for _ in range(width):
         table = [b + "0" for b in table] + [b + "1" for b in table]
-    return list(map(table.__getitem__, masks))
+    return table
+
+
+def level_labels(chain: FanChain, d: int, masks: list[int]) -> list[str]:
+    """char_label of each depth-d mask."""
+    prefix = f"d{d}:"
+    return [prefix + b for b in map(_bit_strings(chain.dims[d - 1]).__getitem__, masks)]
+
+
+def chain_labels(chain: FanChain, masks) -> list[list[str]]:
+    """level_labels of every level, masks[d - 1] listing the depth-d masks,
+    read from one bit-string table per distinct dimension."""
+    tables = {k: _bit_strings(k) for k in set(chain.dims)}
+    labels = []
+    for d, (k, level) in enumerate(zip(chain.dims, masks), start=1):
+        prefix = f"d{d}:"
+        labels.append([prefix + b for b in map(tables[k].__getitem__, level)])
+    return labels
 
 
 def root_system_dot(chain: FanChain, chars, parents) -> str:

@@ -45,6 +45,15 @@ def ladder(rng: random.Random, levels: int, dim: int) -> FanChain:
     return FanChain((dim,) * levels, minus, tuple(taus))
 
 
+def mixed_chain(rng: random.Random, dims: tuple[int, ...]) -> FanChain:
+    """Chain of the given level dimensions, each transition a uniform
+    draw among the matrices that send minus to minus."""
+    minus = tuple(rng.randrange(1, 1 << k) for k in dims)
+    return FanChain(dims, minus, tuple(
+        random_transition(rng, dims[d], dims[d + 1], minus[d], minus[d + 1])
+        for d in range(len(dims) - 1)))
+
+
 def oracle_characters(c: FanChain) -> list[ChainChar]:
     """One parity test per functional of every level: how the characters
     were first enumerated, the oracle for chains.level_masks."""

@@ -338,6 +338,36 @@ def test_roundtrip_at_the_table_bound():
     assert got.dims == source.dims and forest_code(got) == forest_code(source)
 
 
+def test_roundtrip_names_the_first_product_cell_it_breaks(corpus, monkeypatch):
+    # the rebuilt table with seeded product edits: the witness is the first
+    # cell, in row-major order, that the cell-by-cell comparison meets
+    rng = random.Random(29)
+    rebuild = fanforge.chains.chain_to_table
+    for chain in [c for c in corpus if chain_to_table(c).size > 8][:20]:
+        t = chain_to_table(chain)
+        cells = rng.sample([(x, y) for x in range(3, t.size) for y in range(3, t.size)], 2)
+
+        def edited(c, cells=cells):
+            mul = [list(row) for row in rebuild(c).mul]
+            for x, y in cells:
+                mul[x][y] = (mul[x][y] + 1) % len(mul)
+            r = rebuild(c)
+            return TernaryTable(r.size, r.one_idx, r.zero_idx, r.minus_one_idx,
+                                tuple(map(tuple, mul)))
+
+        monkeypatch.setattr(fanforge.chains, "chain_to_table", edited)
+        with pytest.raises(NotAFanError) as exc:
+            roundtrip_isomorphism(t)
+        monkeypatch.undo()
+        chain2, elem_map = table_to_chain_with_map(t)
+        iso = [elem_map[el] for el in chain_elements(chain2)]
+        rebuilt = edited(chain2)
+        first = next((x, y) for x in range(t.size) for y in range(t.size)
+                     if iso[rebuilt.mul[x][y]] != t.mul[iso[x]][iso[y]])
+        assert str(exc.value) == "round-trip map does not preserve products"
+        assert exc.value.witness == first
+
+
 def test_table_to_chain_rejects_non_fans():
     square = product_table(sign3_table(), sign3_table())
     with pytest.raises(NotAFanError):

@@ -20,7 +20,8 @@ from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace, Forest
 
 from conftest import (
-    DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, oracle_characters, oracle_mask_to_bits,
+    DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, mixed_chain, oracle_characters,
+    oracle_mask_to_bits,
 )
 from test_spectral import oracle_parents
 
@@ -154,36 +155,40 @@ def test_commands_build_no_successor_mask_table(tmp_path, monkeypatch, capsys):
 def test_3072_character_output_matches_rendering(tmp_path, capsys):
     # the characters from one parity test per functional, the order data
     # from per-character pullbacks and labels from one bit test per
-    # coordinate, rendered here line by line
-    chain = ladder(random.Random(3072), 6, 10)
-    path = tmp_path / "ladder.fan"
-    path.write_text(serialize_chain(chain))
-    chars = oracle_characters(chain)
-    node = {h: i for i, h in enumerate(chars)}
-    forest = Forest(tuple(h.depth for h in chars), oracle_parents(chain, chars))
-    label = [f"d{h.depth}:{oracle_mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
-             for h in chars]
-    n = chain.n
-    gs = standard_generating_system(FanSpace(chain), 3)
-    checks = n + sum(len(reaches) - 1 for reaches in forest.profile[1:]) + n - 1
-    expected = {
-        ("chars",): "".join(f"{lab}\n" for lab in label),
-        ("levels",): "".join(
-            f"level d={d} size={len(forest.level(d))}: "
-            f"{' '.join(label[i] for i in forest.level(d))}\n" for d in range(1, n + 1)),
-        ("rootsys",): serialize_forest(forest),
-        ("strata",): "".join(
-            f"{kind}^{k}_{j} card={len(forest.stratum(kind, k, j))}: "
-            f"{' '.join(label[i] for i in forest.stratum(kind, k, j))}\n"
-            for k in range(1, n + 1) for j in range(k, n + 1) for kind in ("S", "C")),
-        ("sgs", "--seed", "3"): "".join(
-            f"basis k={k}: {' '.join(label[node[h]] for h in gs.level_basis(k))}\n"
-            for k in range(1, n + 1)) + f"verified: {checks} checks pass\n",
-    }
-    assert len(label) == 3072
-    for command, text in expected.items():
-        assert main([command[0], str(path), *command[1:]]) == 0
-        assert capsys.readouterr().out == text, command
+    # coordinate, rendered here line by line; on a dim-10 ladder and on a
+    # chain whose levels alternate dims 10 and 11
+    for chain in (ladder(random.Random(3072), 6, 10),
+                  mixed_chain(random.Random(1011), (10, 11, 10, 11))):
+        path = tmp_path / "ladder.fan"
+        path.write_text(serialize_chain(chain))
+        chars = oracle_characters(chain)
+        node = {h: i for i, h in enumerate(chars)}
+        forest = Forest(tuple(h.depth for h in chars), oracle_parents(chain, chars))
+        label = [f"d{h.depth}:{oracle_mask_to_bits(h.mask, chain.dims[h.depth - 1])}"
+                 for h in chars]
+        n = chain.n
+        gs = standard_generating_system(FanSpace(chain), 3)
+        checks = n + sum(len(reaches) - 1 for reaches in forest.profile[1:]) + n - 1
+        expected = {
+            ("chars",): "".join(f"{lab}\n" for lab in label),
+            ("levels",): "".join(
+                f"level d={d} size={len(forest.level(d))}: "
+                f"{' '.join(label[i] for i in forest.level(d))}\n" for d in range(1, n + 1)),
+            ("rootsys",): "".join(
+                f"node id={i} depth={d} parent={'none' if p is None else p}\n"
+                for i, (d, p) in enumerate(zip(forest.depths, forest.parents))),
+            ("strata",): "".join(
+                f"{kind}^{k}_{j} card={len(forest.stratum(kind, k, j))}: "
+                f"{' '.join(label[i] for i in forest.stratum(kind, k, j))}\n"
+                for k in range(1, n + 1) for j in range(k, n + 1) for kind in ("S", "C")),
+            ("sgs", "--seed", "3"): "".join(
+                f"basis k={k}: {' '.join(label[node[h]] for h in gs.level_basis(k))}\n"
+                for k in range(1, n + 1)) + f"verified: {checks} checks pass\n",
+        }
+        assert len(label) == 3072
+        for command, text in expected.items():
+            assert main([command[0], str(path), *command[1:]]) == 0
+            assert capsys.readouterr().out == text, (chain.dims, command)
 
 
 def test_iso_success_prints_map(files, capsys):
@@ -549,6 +554,25 @@ def test_gen_is_deterministic(tmp_path, capsys):
         a = (tmp_path / "a" / f"chain_{i:03d}.fan").read_text()
         b = (tmp_path / "b" / f"chain_{i:03d}.fan").read_text()
         assert a == b
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "--levels", "0"], "max_levels must be at least 1, got 0"),
+    (["suite", "--maxdim", "0"], "max_dim must be at least 1, got 0"),
+    (["suite", "--count", "-2"], "corpus count must be at least 0, got -2"),
+    (["gen", "--seed", "1", "--levels", "0"], "max_levels must be at least 1, got 0"),
+    (["gen", "--seed", "1", "--maxdim", "-1"], "max_dim must be at least 1, got -1"),
+    (["gen", "--seed", "1", "--count", "-1"], "corpus count must be at least 0, got -1"),
+])
+def test_corpus_bounds_are_refused_before_any_draw(argv, message, tmp_path, capsys):
+    # the refusal names the bad value, not random's own message, and gen
+    # makes no output directory
+    outdir = tmp_path / "fans"
+    if argv[0] == "gen":
+        argv = argv + ["--outdir", str(outdir)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not outdir.exists()
 
 
 def test_suite_small(capsys):

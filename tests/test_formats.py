@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ import fanforge.formats
 from fanforge.formats import (
     FormatError,
     bits_to_mask,
+    chain_labels,
     level_labels,
     mask_to_bits,
     parse_chain,
@@ -14,11 +16,75 @@ from fanforge.formats import (
     serialize_chain,
     serialize_forest,
 )
-from fanforge.chains import FanChain
-from fanforge.errors import StructuralError
-from fanforge.spectral import FanSpace
+from fanforge.chains import MAX_CHARACTERS, FanChain
+from fanforge.errors import ResourceLimitError, StructuralError
+from fanforge.spectral import FanSpace, Forest
 
-from conftest import CHAIN3, E1, E2, EA, EB, TRIV, oracle_mask_to_bits
+from conftest import CHAIN3, E1, E2, EA, EB, TRIV, ladder, mixed_chain, oracle_mask_to_bits
+
+
+# The text layer as first written, one Python step per bit, per node and
+# per line: the oracles for the bulk versions in fanforge.formats.
+
+def oracle_bits_to_mask(bits, width=None):
+    if not bits or any(ch not in "01" for ch in bits):
+        raise FormatError(f"bad bit string {bits!r}")
+    if width is not None and len(bits) != width:
+        raise FormatError(f"bit string {bits!r} should have {width} bits")
+    return sum(1 << i for i, ch in enumerate(bits) if ch == "1")
+
+
+def oracle_serialize_forest(f):
+    lines = []
+    for i, (d, p) in enumerate(zip(f.depths, f.parents)):
+        parent = "none" if p is None else str(p)
+        lines.append(f"node id={i} depth={d} parent={parent}")
+    return "\n".join(lines) + "\n"
+
+
+_NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
+
+
+def oracle_parse_forest(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) > MAX_CHARACTERS:
+        raise ResourceLimitError(
+            f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")
+    entries = {}
+    for ln in lines:
+        m = _NODE.match(ln)
+        if not m:
+            raise FormatError(f"bad node line {ln!r}")
+        ident = int(m.group(1))
+        if ident in entries:
+            raise FormatError(f"duplicate node id {ident}")
+        parent = None if m.group(3) == "none" else int(m.group(3))
+        entries[ident] = (int(m.group(2)), parent)
+    if not entries:
+        raise FormatError("empty forest file")
+    if sorted(entries) != list(range(len(entries))):
+        raise FormatError("node ids are not dense from 0")
+    depths = tuple(entries[i][0] for i in range(len(entries)))
+    parents = tuple(entries[i][1] for i in range(len(entries)))
+    try:
+        return Forest(depths, parents)
+    except StructuralError as exc:
+        raise FormatError(f"inconsistent forest data: {exc}") from exc
+
+
+def oracle_level_labels(chain, d, masks):
+    table = [f"d{d}:"]
+    for _ in range(chain.dims[d - 1]):
+        table = [b + "0" for b in table] + [b + "1" for b in table]
+    return list(map(table.__getitem__, masks))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ResourceLimitError) as exc:     # FormatError is a ValueError
+        return type(exc), str(exc)
 
 
 def test_bits_are_little_endian():
@@ -29,6 +95,19 @@ def test_bits_are_little_endian():
         bits_to_mask("10", 3)
     with pytest.raises(FormatError):
         bits_to_mask("2x")
+
+
+def test_bits_to_mask_matches_per_bit_oracle():
+    # seeded bit strings, and strings int(..., 2) would take but a bit
+    # string may not hold
+    rng = random.Random(7)
+    strings = ["".join(rng.choice("01") for _ in range(rng.randint(1, 70)))
+               for _ in range(300)]
+    strings += ["", "0", "1", " 1", "1 ", "1_0", "+1", "-1", "0b1", "\uff11", "10\n",
+                "1 0", "2", "01x", "\u0661"]
+    for bits in strings:
+        for width in (None, len(bits), len(bits) + 1, 3):
+            assert outcome(bits_to_mask, bits, width) == outcome(oracle_bits_to_mask, bits, width)
 
 
 def test_mask_to_bits_matches_bitwise_oracle():
@@ -52,6 +131,21 @@ def test_level_labels_match_bitwise_oracle():
             f"d2:{oracle_mask_to_bits(m, k)}" for m in masks]
         assert level_labels(chain, 1, [1]) == ["d1:1"]
     assert level_labels(CHAIN3, 3, []) == []
+
+
+def test_chain_labels_share_a_table_between_levels():
+    # dims 3, 5, 3, 5, 1: levels 1 and 3, and 2 and 4, read one table
+    dims = (3, 5, 3, 5, 1)
+    chain = mixed_chain(random.Random(35), dims)
+    space = FanSpace(chain)
+    want = [oracle_level_labels(chain, d, masks) for d, masks in enumerate(space.masks, 1)]
+    assert chain_labels(chain, space.masks) == want
+    assert [level_labels(chain, d, masks)
+            for d, masks in enumerate(space.masks, 1)] == want
+    everything = [list(range(1 << k)) for k in dims]
+    assert chain_labels(chain, everything) == [
+        [f"d{d}:{oracle_mask_to_bits(m, k)}" for m in masks]
+        for d, (k, masks) in enumerate(zip(dims, everything), start=1)]
 
 
 def test_chain_files_match_bitwise_oracle(corpus, monkeypatch):
@@ -90,6 +184,98 @@ def test_forest_file_roundtrip(corpus_spaces):
     for space in corpus_spaces[:10]:
         text = serialize_forest(space.forest)
         assert serialize_forest(parse_forest(text)) == text
+
+
+def _unsorted_forest(rng, forest):
+    """forest with its nodes renumbered by a random permutation, so that
+    the depths are no longer sorted."""
+    n = len(forest)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    where = {old: new for new, old in enumerate(perm)}
+    return Forest(tuple(forest.depths[old] for old in perm),
+                  tuple(None if forest.parents[old] is None else where[forest.parents[old]]
+                        for old in perm))
+
+
+def test_serialize_forest_matches_per_node_oracle(corpus_spaces):
+    rng = random.Random(19)
+    forests = [space.forest for space in corpus_spaces[:40]]
+    forests.append(FanSpace(ladder(random.Random(2), 5, 6)).forest)
+    forests += [_unsorted_forest(rng, f) for f in forests]
+    forests.append(Forest((), ()))
+    assert any(list(f.depths) != sorted(f.depths) for f in forests)
+    for f in forests:
+        text = serialize_forest(f)
+        assert text == oracle_serialize_forest(f)
+        if len(f):
+            assert parse_forest(text) == f
+
+
+def _with(lines, i, pattern, repl):
+    out = lines[:]
+    out[i] = re.sub(pattern, repl, out[i])
+    return out
+
+
+def _mutations(rng, text):
+    """Seeded faults in the lines of a forest file: a bad line, a repeated
+    id before and after a bad line, ids not dense from 0, shuffled lines,
+    structural faults and blank padding."""
+    lines = text.splitlines()
+    n = len(lines)
+    a, b, c = sorted(rng.sample(range(n), 3))    # line i holds id i
+    bad_b = _with(lines, b, "depth=", "depth=x")
+    bad_c = _with(lines, c, "parent=", "parent=-")
+    shuffled = rng.sample(lines, n)
+    padded = lines[:]
+    padded.insert(b, "   ")
+    out = [
+        bad_b,
+        _with(bad_c, b, r"id=\d+", f"id={a}"),               # repeat, then bad line
+        _with(bad_b, c, r"id=\d+", f"id={a}"),               # bad line, then repeat
+        _with(lines, b, r"id=\d+", f"id={n + rng.randrange(3)}"),
+        shuffled,
+        _with(shuffled, a, r"depth=\d+", f"depth={rng.randint(0, 4)}"),
+        _with(lines, b, r"parent=\w+", rng.choice(["parent=none", f"parent={n + 5}"])),
+        padded,
+    ]
+    return ["\n".join(m) + "\n" for m in out]
+
+
+def test_parse_forest_matches_per_line_oracle(corpus_spaces):
+    # the same forest, or the same first fault, on seeded faults in real
+    # forest files
+    rng = random.Random(23)
+    texts = ["", "\n \n", "node id=0 depth=1 parent=none"]
+    for space in [s for s in corpus_spaces if len(s.forest) > 2][:60]:
+        text = serialize_forest(space.forest)
+        texts.append(text)
+        texts += _mutations(rng, text)
+    results = [outcome(parse_forest, text) for text in texts]
+    assert results == [outcome(oracle_parse_forest, text) for text in texts]
+    first_words = {"ok" if isinstance(r, Forest) else r[1].split()[0] for r in results}
+    assert first_words == {"ok", "empty", "bad", "duplicate", "node", "inconsistent"}
+
+
+def test_parse_forest_reports_the_first_fault_in_line_order():
+    bad = "node id=0 depth=1 parent=x"
+    root = "node id=0 depth=1 parent=none"
+    for lines, message in (
+            ([root, root, bad], "duplicate node id 0"),
+            ([root, bad, root], f"bad node line {bad!r}"),
+            ([root, "node id=2 depth=2 parent=0", bad], f"bad node line {bad!r}"),
+            (["node id=1 depth=1 parent=none", root, "node id=1 depth=1 parent=none"],
+             "duplicate node id 1")):
+        with pytest.raises(FormatError) as exc:
+            parse_forest("\n".join(lines))
+        assert str(exc.value) == message
+    # past the int/str digit limit, the number int() refuses first in
+    # line order is the one reported
+    huge = "9" * 5000
+    text = f"{root}\nnode id=1 depth={huge}9 parent=0\nnode id={huge} depth=1 parent=none\n"
+    assert outcome(parse_forest, text) == outcome(oracle_parse_forest, text)
+    assert outcome(parse_forest, text)[0] is ValueError
 
 
 def test_forest_parse_errors():
