@@ -348,19 +348,15 @@ def roundtrip_isomorphism(t: TernaryTable,
     """
     chain, elem_map = table_to_chain_with_map(t, chars)
     rebuilt = chain_to_table(chain)
-    image = [elem_map[el] for el in chain_elements(chain)]
-    iso = dict(enumerate(image))
-    if sorted(image) != list(range(t.size)):
+    elements = chain_elements(chain)
+    iso = {i: elem_map[el] for i, el in enumerate(elements)}
+    if sorted(iso.values()) != list(range(t.size)):
         raise NotAFanError("round-trip map is not a bijection", ())
     if (iso[rebuilt.one_idx] != t.one_idx or iso[rebuilt.zero_idx] != t.zero_idx
             or iso[rebuilt.minus_one_idx] != t.minus_one_idx):
         raise NotAFanError("round-trip map moves a constant", ())
-    # row x of the rebuilt table, mapped through iso, is row iso[x] of t
-    # read at the mapped indices; cells are walked only in a row that differs
-    for x, row in enumerate(rebuilt.mul):
-        old_row = t.mul[image[x]]
-        if list(map(image.__getitem__, row)) != list(map(old_row.__getitem__, image)):
-            for y, xy in enumerate(row):
-                if image[xy] != old_row[image[y]]:
-                    raise NotAFanError("round-trip map does not preserve products", (x, y))
+    for x in range(rebuilt.size):
+        for y in range(rebuilt.size):
+            if iso[rebuilt.mul[x][y]] != t.mul[iso[x]][iso[y]]:
+                raise NotAFanError("round-trip map does not preserve products", (x, y))
     return iso

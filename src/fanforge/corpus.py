@@ -40,10 +40,10 @@ def generate_corpus(seed: int, count: int = 200, max_levels: int = 4,
     """count random chains drawn from seed; a negative count or a bound
     below 1 raises ValueError before anything is drawn."""
     if count < 0:
-        raise ValueError(f"corpus count must be at least 0, got {count}")
+        raise ValueError(f"number of chains must be at least 0, got {count}")
     if max_levels < 1:
-        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
+        raise ValueError(f"maximum level count must be at least 1, got {max_levels}")
     if max_dim < 1:
-        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
+        raise ValueError(f"maximum level dimension must be at least 1, got {max_dim}")
     rng = random.Random(seed)
     return [random_chain(rng, max_levels, max_dim) for _ in range(count)]

@@ -105,55 +105,31 @@ _NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
 
 def parse_forest(text: str) -> Forest:
     """Parse a forest file; more than MAX_CHARACTERS node lines, more
-    than any chain within bounds has characters, raise ResourceLimitError.
-
-    Every line is matched and each column converted in bulk; a per-line
-    pass runs only to name the first fault, in line order."""
+    than any chain within bounds has characters, raise ResourceLimitError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) > MAX_CHARACTERS:
         raise ResourceLimitError(
             f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")
-    if not lines:
+    entries: dict[int, tuple[int, int | None]] = {}
+    for ln in lines:
+        m = _NODE.match(ln)
+        if not m:
+            raise FormatError(f"bad node line {ln!r}")
+        ident = int(m.group(1))
+        if ident in entries:
+            raise FormatError(f"duplicate node id {ident}")
+        parent = None if m.group(3) == "none" else int(m.group(3))
+        entries[ident] = (int(m.group(2)), parent)
+    if not entries:
         raise FormatError("empty forest file")
-    matches = list(map(_NODE.match, lines))
-    if None in matches:
-        _raise_line_fault(lines, matches)
-    ids, depths, parents = zip(*map(re.Match.groups, matches))
-    try:
-        ids = list(map(int, ids))
-        depths = tuple(map(int, depths))
-        parents = tuple(None if p == "none" else int(p) for p in parents)
-    except ValueError:          # a number past the int/str digit limit
-        _raise_line_fault(lines, matches)
-    n = len(ids)
-    if len(set(ids)) < n:
-        _raise_line_fault(lines, matches)
-    if ids != list(range(n)):
-        if sorted(ids) != list(range(n)):
-            raise FormatError("node ids are not dense from 0")
-        order = sorted(range(n), key=ids.__getitem__)
-        depths = tuple(map(depths.__getitem__, order))
-        parents = tuple(map(parents.__getitem__, order))
+    if sorted(entries) != list(range(len(entries))):
+        raise FormatError("node ids are not dense from 0")
+    depths = tuple(entries[i][0] for i in range(len(entries)))
+    parents = tuple(entries[i][1] for i in range(len(entries)))
     try:
         return Forest(depths, parents)
     except StructuralError as exc:
         raise FormatError(f"inconsistent forest data: {exc}") from exc
-
-
-def _raise_line_fault(lines: list[str], matches: list) -> None:
-    """Raise the first fault that reading the lines one by one meets: an
-    unmatched line, a repeated id, or a number int() refuses."""
-    seen: set[int] = set()
-    for ln, m in zip(lines, matches):
-        if m is None:
-            raise FormatError(f"bad node line {ln!r}")
-        ident = int(m[1])
-        if ident in seen:
-            raise FormatError(f"duplicate node id {ident}")
-        seen.add(ident)
-        if m[3] != "none":
-            int(m[3])
-        int(m[2])
 
 
 def char_label(chain: FanChain, h: ChainChar) -> str:
@@ -170,15 +146,9 @@ def _bit_strings(width: int) -> list[str]:
     return table
 
 
-def level_labels(chain: FanChain, d: int, masks: list[int]) -> list[str]:
-    """char_label of each depth-d mask."""
-    prefix = f"d{d}:"
-    return [prefix + b for b in map(_bit_strings(chain.dims[d - 1]).__getitem__, masks)]
-
-
 def chain_labels(chain: FanChain, masks) -> list[list[str]]:
-    """level_labels of every level, masks[d - 1] listing the depth-d masks,
-    read from one bit-string table per distinct dimension."""
+    """char_label of each mask of every level, masks[d - 1] listing the
+    depth-d masks, read from one bit-string table per distinct dimension."""
     tables = {k: _bit_strings(k) for k in set(chain.dims)}
     labels = []
     for d, (k, level) in enumerate(zip(chain.dims, masks), start=1):

@@ -557,12 +557,12 @@ def test_gen_is_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["suite", "--levels", "0"], "max_levels must be at least 1, got 0"),
-    (["suite", "--maxdim", "0"], "max_dim must be at least 1, got 0"),
-    (["suite", "--count", "-2"], "corpus count must be at least 0, got -2"),
-    (["gen", "--seed", "1", "--levels", "0"], "max_levels must be at least 1, got 0"),
-    (["gen", "--seed", "1", "--maxdim", "-1"], "max_dim must be at least 1, got -1"),
-    (["gen", "--seed", "1", "--count", "-1"], "corpus count must be at least 0, got -1"),
+    (["suite", "--levels", "0"], "maximum level count must be at least 1, got 0"),
+    (["suite", "--maxdim", "0"], "maximum level dimension must be at least 1, got 0"),
+    (["suite", "--count", "-2"], "number of chains must be at least 0, got -2"),
+    (["gen", "--seed", "1", "--levels", "0"], "maximum level count must be at least 1, got 0"),
+    (["gen", "--seed", "1", "--maxdim", "-1"], "maximum level dimension must be at least 1, got -1"),
+    (["gen", "--seed", "1", "--count", "-1"], "number of chains must be at least 0, got -1"),
 ])
 def test_corpus_bounds_are_refused_before_any_draw(argv, message, tmp_path, capsys):
     # the refusal names the bad value, not random's own message, and gen

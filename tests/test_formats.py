@@ -8,7 +8,6 @@ from fanforge.formats import (
     FormatError,
     bits_to_mask,
     chain_labels,
-    level_labels,
     mask_to_bits,
     parse_chain,
     parse_forest,
@@ -16,15 +15,15 @@ from fanforge.formats import (
     serialize_chain,
     serialize_forest,
 )
-from fanforge.chains import MAX_CHARACTERS, FanChain
-from fanforge.errors import ResourceLimitError, StructuralError
+from fanforge.chains import FanChain
+from fanforge.errors import StructuralError
 from fanforge.spectral import FanSpace, Forest
 
 from conftest import CHAIN3, E1, E2, EA, EB, TRIV, ladder, mixed_chain, oracle_mask_to_bits
 
 
 # The text layer as first written, one Python step per bit, per node and
-# per line: the oracles for the bulk versions in fanforge.formats.
+# per label table: the oracles for the bulk versions in fanforge.formats.
 
 def oracle_bits_to_mask(bits, width=None):
     if not bits or any(ch not in "01" for ch in bits):
@@ -42,36 +41,6 @@ def oracle_serialize_forest(f):
     return "\n".join(lines) + "\n"
 
 
-_NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
-
-
-def oracle_parse_forest(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) > MAX_CHARACTERS:
-        raise ResourceLimitError(
-            f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")
-    entries = {}
-    for ln in lines:
-        m = _NODE.match(ln)
-        if not m:
-            raise FormatError(f"bad node line {ln!r}")
-        ident = int(m.group(1))
-        if ident in entries:
-            raise FormatError(f"duplicate node id {ident}")
-        parent = None if m.group(3) == "none" else int(m.group(3))
-        entries[ident] = (int(m.group(2)), parent)
-    if not entries:
-        raise FormatError("empty forest file")
-    if sorted(entries) != list(range(len(entries))):
-        raise FormatError("node ids are not dense from 0")
-    depths = tuple(entries[i][0] for i in range(len(entries)))
-    parents = tuple(entries[i][1] for i in range(len(entries)))
-    try:
-        return Forest(depths, parents)
-    except StructuralError as exc:
-        raise FormatError(f"inconsistent forest data: {exc}") from exc
-
-
 def oracle_level_labels(chain, d, masks):
     table = [f"d{d}:"]
     for _ in range(chain.dims[d - 1]):
@@ -83,7 +52,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (ValueError, ResourceLimitError) as exc:     # FormatError is a ValueError
+    except ValueError as exc:       # FormatError is a ValueError
         return type(exc), str(exc)
 
 
@@ -127,10 +96,9 @@ def test_level_labels_match_bitwise_oracle():
     for k in range(1, 15):
         chain = FanChain((1, k), (1, 1), ((1,) + (0,) * (k - 1),))
         masks = list(range(1 << k)) if k <= 12 else [rng.randrange(1 << k) for _ in range(500)]
-        assert level_labels(chain, 2, masks) == [
-            f"d2:{oracle_mask_to_bits(m, k)}" for m in masks]
-        assert level_labels(chain, 1, [1]) == ["d1:1"]
-    assert level_labels(CHAIN3, 3, []) == []
+        assert chain_labels(chain, [[1], masks]) == [
+            ["d1:1"], [f"d2:{oracle_mask_to_bits(m, k)}" for m in masks]]
+    assert chain_labels(CHAIN3, [[], [], []]) == [[], [], []]
 
 
 def test_chain_labels_share_a_table_between_levels():
@@ -140,8 +108,6 @@ def test_chain_labels_share_a_table_between_levels():
     space = FanSpace(chain)
     want = [oracle_level_labels(chain, d, masks) for d, masks in enumerate(space.masks, 1)]
     assert chain_labels(chain, space.masks) == want
-    assert [level_labels(chain, d, masks)
-            for d, masks in enumerate(space.masks, 1)] == want
     everything = [list(range(1 << k)) for k in dims]
     assert chain_labels(chain, everything) == [
         [f"d{d}:{oracle_mask_to_bits(m, k)}" for m in masks]
@@ -219,9 +185,9 @@ def _with(lines, i, pattern, repl):
 
 
 def _mutations(rng, text):
-    """Seeded faults in the lines of a forest file: a bad line, a repeated
-    id before and after a bad line, ids not dense from 0, shuffled lines,
-    structural faults and blank padding."""
+    """Seeded faults in the lines of a forest file, each with the first
+    fault that reading the lines in order meets: its message, "inconsistent"
+    for a structural fault, or None where the file still reads as before."""
     lines = text.splitlines()
     n = len(lines)
     a, b, c = sorted(rng.sample(range(n), 3))    # line i holds id i
@@ -230,52 +196,49 @@ def _mutations(rng, text):
     shuffled = rng.sample(lines, n)
     padded = lines[:]
     padded.insert(b, "   ")
-    out = [
-        bad_b,
-        _with(bad_c, b, r"id=\d+", f"id={a}"),               # repeat, then bad line
-        _with(bad_b, c, r"id=\d+", f"id={a}"),               # bad line, then repeat
-        _with(lines, b, r"id=\d+", f"id={n + rng.randrange(3)}"),
-        shuffled,
-        _with(shuffled, a, r"depth=\d+", f"depth={rng.randint(0, 4)}"),
-        _with(lines, b, r"parent=\w+", rng.choice(["parent=none", f"parent={n + 5}"])),
-        padded,
+    far = n + rng.randrange(5)
+    return [
+        (bad_b, f"bad node line {bad_b[b]!r}"),
+        (_with(bad_c, b, r"id=\d+", f"id={a}"), f"duplicate node id {a}"),
+        (_with(bad_b, c, r"id=\d+", f"id={a}"), f"bad node line {bad_b[b]!r}"),
+        (_with(lines, b, r"id=\d+", f"id={n + rng.randrange(3)}"),
+         "node ids are not dense from 0"),
+        (shuffled, None),
+        (_with(shuffled, a, r"depth=(\d+)", lambda m: f"depth={int(m[1]) + rng.randint(1, 3)}"),
+         "inconsistent"),
+        (_with(lines, b, r"parent=\w+", f"parent={far}"),
+         f"inconsistent forest data: node {b} has parent {far} out of range"),
+        (padded, None),
     ]
-    return ["\n".join(m) + "\n" for m in out]
 
 
-def test_parse_forest_matches_per_line_oracle(corpus_spaces):
-    # the same forest, or the same first fault, on seeded faults in real
-    # forest files
+def test_parse_forest_reports_the_first_fault_in_line_order(corpus_spaces):
+    # the same forest, or the first fault in line order, on seeded faults
+    # in real forest files
     rng = random.Random(23)
-    texts = ["", "\n \n", "node id=0 depth=1 parent=none"]
-    for space in [s for s in corpus_spaces if len(s.forest) > 2][:60]:
-        text = serialize_forest(space.forest)
-        texts.append(text)
-        texts += _mutations(rng, text)
-    results = [outcome(parse_forest, text) for text in texts]
-    assert results == [outcome(oracle_parse_forest, text) for text in texts]
-    first_words = {"ok" if isinstance(r, Forest) else r[1].split()[0] for r in results}
-    assert first_words == {"ok", "empty", "bad", "duplicate", "node", "inconsistent"}
-
-
-def test_parse_forest_reports_the_first_fault_in_line_order():
     bad = "node id=0 depth=1 parent=x"
     root = "node id=0 depth=1 parent=none"
     for lines, message in (
+            ([" ", ""], "empty forest file"),
             ([root, root, bad], "duplicate node id 0"),
             ([root, bad, root], f"bad node line {bad!r}"),
             ([root, "node id=2 depth=2 parent=0", bad], f"bad node line {bad!r}"),
             (["node id=1 depth=1 parent=none", root, "node id=1 depth=1 parent=none"],
              "duplicate node id 1")):
-        with pytest.raises(FormatError) as exc:
-            parse_forest("\n".join(lines))
-        assert str(exc.value) == message
-    # past the int/str digit limit, the number int() refuses first in
-    # line order is the one reported
-    huge = "9" * 5000
-    text = f"{root}\nnode id=1 depth={huge}9 parent=0\nnode id={huge} depth=1 parent=none\n"
-    assert outcome(parse_forest, text) == outcome(oracle_parse_forest, text)
-    assert outcome(parse_forest, text)[0] is ValueError
+        assert outcome(parse_forest, "\n".join(lines)) == (FormatError, message)
+    assert parse_forest(root) == Forest((1,), (None,))
+    for space in [s for s in corpus_spaces if len(s.forest) > 2][:60]:
+        text = serialize_forest(space.forest)
+        assert parse_forest(text) == space.forest
+        for lines, want in _mutations(rng, text):
+            got = outcome(parse_forest, "\n".join(lines) + "\n")
+            if want is None:
+                assert got == space.forest
+            elif want == "inconsistent":
+                assert got[0] is FormatError
+                assert got[1].startswith("inconsistent forest data: ")
+            else:
+                assert got == (FormatError, want)
 
 
 def test_forest_parse_errors():
