@@ -24,29 +24,23 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .generators import GeneratingSystem, choose_basis, standard_generating_system, verify_sgs
+from .generators import GeneratingSystem, standard_generating_system, verify_sgs
 from .isomorphism import (
     brute_force_isomorphism,
     build_isomorphism,
     check_forest,
     forest_canonical,
-    forests_isomorphic,
     is_ars_morphism,
     normal_form_chain,
     represent,
 )
 from .levels import (
-    InvolutionHandle,
     basis_of,
     closure,
     dimension,
     extend_basis,
-    involution,
     involution_failures,
     is_dependent,
-    kappa,
-    predecessor_fan,
-    embed_predecessors,
     verify_involution,
 )
 from .spectral import FanSpace, Forest

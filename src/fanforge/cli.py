@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -156,19 +157,26 @@ def _cmd_iso(args) -> int:
     return 0
 
 
+# a label d<depth>:<bits>, then a whole number in ASCII digits with no
+# leading zero or plus sign
+_VALUE_LINE = re.compile(r"(d([0-9]+):([01]+))\s+(0|-?[1-9][0-9]*)")
+
+
 def _cmd_represent(args) -> int:
     space = _load_chain(args.chain)
     f = {}
     for ln in Path(args.values).read_text().splitlines():
         if not ln.strip():
             continue
+        m = _VALUE_LINE.fullmatch(ln.strip())
+        if m is None:
+            raise FormatError(f"bad value line {ln!r}")
+        label, depth, bits, value = m.groups()
         try:
-            label, value = ln.split()
-            depth_part, bits = label.split(":")
-            h_depth = int(depth_part.lstrip("d"))
+            h_depth = int(depth)
             h_mask = bits_to_mask(bits, space.dim(h_depth))
             sign = int(value)
-        except (ValueError, IndexError) as exc:     # dim() refuses a depth outside 1..n
+        except ValueError as exc:     # dim() refuses a depth outside 1..n
             raise FormatError(f"bad value line {ln!r}") from exc
         if sign not in SIGNS:
             raise FormatError(f"value line {ln!r} has value {sign}, not 1, 0 or -1")

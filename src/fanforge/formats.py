@@ -48,9 +48,10 @@ def serialize_chain(c: FanChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEADER = re.compile(r"^fanchain n=(\d+)$")
-_LEVEL = re.compile(r"^level d=(\d+) dim=(\d+) minus=([01]+)$")
-_TAU = re.compile(r"^tau d=(\d+) rows=(\d+) ([01;]+)$")
+# [0-9], not \d: \d takes any Unicode decimal digit, and int() converts them
+_HEADER = re.compile(r"^fanchain n=([0-9]+)$")
+_LEVEL = re.compile(r"^level d=([0-9]+) dim=([0-9]+) minus=([01]+)$")
+_TAU = re.compile(r"^tau d=([0-9]+) rows=([0-9]+) ([01;]+)$")
 
 
 def parse_chain(text: str) -> FanChain:
@@ -100,7 +101,7 @@ def serialize_forest(f: Forest) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NODE = re.compile(r"^node id=(\d+) depth=(\d+) parent=(none|\d+)$")
+_NODE = re.compile(r"^node id=([0-9]+) depth=([0-9]+) parent=(none|[0-9]+)$")
 
 
 def parse_forest(text: str) -> Forest:

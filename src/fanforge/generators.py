@@ -22,13 +22,15 @@ from itertools import compress, pairwise
 
 from . import gf2
 from .chains import ChainChar
-from .levels import PropertyReport, closure, extend_basis, is_dependent
+from .levels import PropertyReport, extend_basis
 from .spectral import FanSpace
 
 
 @dataclass(frozen=True)
 class GeneratingSystem:
     bases: tuple[tuple[ChainChar, ...], ...]
+    # per member, the branch that made it: ('tower', reach), ('block', h0)
+    # or ('lift', the previous-level member it lifts)
     provenance: tuple[tuple[ChainChar, tuple], ...] = ()
 
     def level_basis(self, k: int) -> tuple[ChainChar, ...]:
@@ -36,14 +38,6 @@ class GeneratingSystem:
 
     def members(self) -> tuple[ChainChar, ...]:
         return tuple(g for basis in self.bases for g in basis)
-
-    def provenance_of(self, g: ChainChar) -> tuple:
-        """Which construction branch produced g: ('tower', stage),
-        ('block', h0) or ('lift', previous-level element)."""
-        for member, record in self.provenance:
-            if member == g:
-                return record
-        raise KeyError(g)
 
 
 class _Policy:
@@ -72,11 +66,6 @@ class _Policy:
         return items
 
 
-def _under(space: FanSpace, members, h: ChainChar) -> list[ChainChar]:
-    k = h.depth
-    return [g for g in members if space.successor(g, k) == h]
-
-
 def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
                       policy: "_Policy") -> tuple[ChainChar, ...]:
     """Basis of the level-`level` characters under h0, adapted to depth reach.
@@ -94,49 +83,6 @@ def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
     masks, first = space.masks[level - 1], forest.level(level)[0]
     new = tuple.__new__     # ChainChar(level, m) without a Python-level call
     return extend_basis(space, (), [new(ChainChar, (level, masks[i - first])) for i in scan])
-
-
-def choose_basis(space: FanSpace, stratum_members, level_basis, preds_basis,
-                 lifts) -> tuple[ChainChar, ...]:
-    """Assemble a basis of a stratum from one predecessor fan plus lifts.
-
-    stratum_members is a closed subfan G of some level k+1; level_basis
-    is a basis h1..hr of its depth-k successor fan; preds_basis is a
-    basis of the part of G under h1; lifts are elements of G under
-    h2..hr in order.  Requires the fiber counts over the successor fan
-    to agree; the union is then a basis of G.
-    """
-    G = tuple(stratum_members)
-    B = tuple(level_basis)
-    C = tuple(preds_basis)
-    lifts = tuple(lifts)
-    if not G or not B:
-        raise ValueError("stratum and successor basis must be nonempty")
-    k = B[0].depth
-    F = sorted({space.successor(g, k) for g in G})
-
-    counts = {h: len(_under(space, G, h)) for h in F}
-    if len(set(counts.values())) != 1:
-        raise ValueError(f"fiber counts over the successor fan differ: {counts}")
-    if set(closure(space, B)) != set(F) or is_dependent(space, B):
-        raise ValueError("level_basis is not a basis of the successor fan")
-    A1 = _under(space, G, B[0])
-    if set(closure(space, C)) != set(A1) or is_dependent(space, C):
-        raise ValueError("preds_basis is not a basis of the fan under h1")
-    if len(lifts) != len(B) - 1:
-        raise ValueError(f"need {len(B) - 1} lifts, got {len(lifts)}")
-    for g, h in zip(lifts, B[1:]):
-        if g not in G or space.successor(g, k) != h:
-            raise ValueError(f"lift {g} does not sit under {h}")
-
-    result = C + lifts
-    if is_dependent(space, result):
-        raise ValueError("assembled set is dependent")
-    p = len(C)
-    r = len(B)
-    if len(G) != 1 << (p + r - 2) or len(result) != p + r - 1:
-        raise RuntimeError(f"stratum of {len(G)} characters does not fit {len(result)} generators")
-    return result
 
 
 def standard_generating_system(space: FanSpace, seed: int | None = None) -> GeneratingSystem:

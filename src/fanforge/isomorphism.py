@@ -216,10 +216,6 @@ def forest_canonical(forest: Forest) -> str:
     return "".join(sorted(codes.values()))
 
 
-def forests_isomorphic(f1: Forest, f2: Forest) -> bool:
-    return forest_canonical(f1) == forest_canonical(f2)
-
-
 # -- constructive isomorphism -------------------------------------------------
 
 

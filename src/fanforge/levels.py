@@ -124,46 +124,6 @@ def dimension(space: FanSpace, chars) -> int:
     return len(basis_of(space, chars))
 
 
-def kappa(space: FanSpace, d: int, e: int) -> dict[ChainChar, ChainChar]:
-    """The successor map from level e down to level d (d <= e)."""
-    if not 1 <= d <= e <= space.length:
-        raise ValueError(f"need 1 <= d <= e <= {space.length}")
-    return {g: space.successor(g, d) for g in space.level(e)}
-
-
-@dataclass(frozen=True)
-class InvolutionHandle:
-    """Two characters and a target level with both zero-sets below it."""
-
-    g1: ChainChar
-    g2: ChainChar
-    level: int
-
-    def __post_init__(self):
-        if self.level > min(self.g1.depth, self.g2.depth):
-            raise ValueError(
-                f"target level {self.level} above the handle characters "
-                f"(depths {self.g1.depth}, {self.g2.depth})")
-
-
-def translation_mask(space: FanSpace, g1: ChainChar, g2: ChainChar, d: int) -> int:
-    """The shift by which h -> h*g1*g2 acts on level d functionals."""
-    if not 1 <= d <= min(g1.depth, g2.depth):
-        raise ValueError(f"no shift of a depth-{g1.depth}, depth-{g2.depth} pair at depth {d}")
-    up = space.successor_masks
-    return up[g1][d - 1] ^ up[g2][d - 1]
-
-
-def involution(space: FanSpace, handle: InvolutionHandle, h: ChainChar) -> ChainChar:
-    """Apply h -> h*g1*g2 on the handle's level."""
-    if h.depth != handle.level:
-        raise ValueError(f"character at depth {h.depth}, handle targets level {handle.level}")
-    out = space.triple(h, handle.g1, handle.g2)
-    if out.depth != handle.level:
-        raise RuntimeError(f"involution left level {handle.level} for depth {out.depth}")
-    return out
-
-
 def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
                   ) -> tuple[list[tuple[list[CheckResult], list[CheckResult]]], CheckResult]:
     """The checks of the involution family that read only the shifts.
@@ -240,8 +200,8 @@ def _report_checks(space: FanSpace, g1: ChainChar, g2: ChainChar,
 
 
 def _shifts(space: FanSpace, g1: ChainChar, g2: ChainChar) -> tuple[int, ...]:
-    """The translation_mask of each level d = 1..min depth, read off the
-    two successor-mask rows at once."""
+    """The shift by which h -> h*g1*g2 acts on each level d = 1..min
+    depth, read off the two successor-mask rows at once."""
     up = space.successor_masks
     return tuple(map(xor, up[g1], up[g2]))
 
@@ -284,48 +244,3 @@ def involution_failures(space: FanSpace) -> Iterator[tuple[ChainChar, ChainChar,
             for check in _report_checks(space, g1, g2, shifts, checks):
                 if not check.passed:
                     yield g1, g2, check
-
-
-def predecessor_fan(space: FanSpace, h: ChainChar) -> tuple[ChainChar, ...]:
-    """Everything specializing to h; closed under triple products."""
-    return space.predecessors(h)
-
-
-def embed_predecessors(space: FanSpace, h1: ChainChar, h2: ChainChar, j: int,
-                       u1: ChainChar | None = None, u2: ChainChar | None = None,
-                       ) -> dict[ChainChar, ChainChar]:
-    """Order-embedding of the predecessors of h1 into those of h2.
-
-    Requires depth(h1) = depth(h2) = k with h1 in C^k_j and h2 in S^k_j.
-    The map multiplies by a chosen depth-j predecessor of each; when not
-    supplied these default to the least ones.  The image is exactly the
-    depth <= j part of the predecessors of h2, so the map is onto them
-    (an isomorphism) whenever h2 also lies in C^k_j.
-    """
-    k = h1.depth
-    if h2.depth != k:
-        raise ValueError("h1 and h2 must share a level")
-    if space.deep(h1) != j:
-        raise ValueError(f"h1 has predecessors down to depth {space.deep(h1)}, not exactly {j}")
-    if space.deep(h2) < j:
-        raise ValueError(f"h2 has no predecessor at depth {j}")
-
-    def least_pred_at(h: ChainChar) -> ChainChar:
-        cands = [g for g in space.predecessors(h) if g.depth == j]
-        return min(cands)
-
-    u1 = least_pred_at(h1) if u1 is None else u1
-    u2 = least_pred_at(h2) if u2 is None else u2
-    if not (space.specializes(u1, h1) and u1.depth == j):
-        raise ValueError("u1 must be a depth-j predecessor of h1")
-    if not (space.specializes(u2, h2) and u2.depth == j):
-        raise ValueError("u2 must be a depth-j predecessor of h2")
-
-    preds1 = space.predecessors(h1)
-    preds2 = set(space.predecessors(h2))
-    out = {g: space.triple(g, u1, u2) for g in preds1}
-    if len(set(out.values())) != len(preds1):
-        raise RuntimeError("predecessor embedding is not injective")
-    if set(out.values()) != {u for u in preds2 if u.depth <= j}:
-        raise RuntimeError(f"predecessor embedding misses the depth <= {j} predecessors of h2")
-    return out

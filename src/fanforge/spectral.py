@@ -330,14 +330,6 @@ class FanSpace:
     def specializes(self, g: ChainChar, h: ChainChar) -> bool:
         return h.depth <= g.depth and self.successor(g, h.depth) == h
 
-    def interpolate(self, g: ChainChar, h: ChainChar, d: int) -> ChainChar:
-        """The unique f with g -> f -> h at depth d."""
-        if not self.specializes(g, h):
-            raise ValueError("g does not specialize to h")
-        if not h.depth <= d <= g.depth:
-            raise ValueError(f"depth {d} outside [{h.depth}, {g.depth}]")
-        return self.successor(g, d)
-
     def triple(self, h1: ChainChar, h2: ChainChar, h3: ChainChar) -> ChainChar:
         """Pointwise product of three characters (always a character)."""
         d = min(h1.depth, h2.depth, h3.depth)
@@ -349,26 +341,11 @@ class FanSpace:
         """Deepest depth among the predecessors of h."""
         return self.forest.deep[self.node(h)]
 
-    def predecessors(self, h: ChainChar) -> tuple[ChainChar, ...]:
-        """Everything that specializes to h (h included)."""
-        return tuple(self.chars[i] for i in self.forest.descendants(self.node(h)))
-
     # -- components and strata ------------------------------------------
 
     def components(self) -> list[tuple[ChainChar, ...]]:
         return [tuple(self.chars[i] for i in comp) for comp in self.forest.components]
 
-    def component_lowest_level(self, comp: tuple[ChainChar, ...]) -> int:
-        return max(h.depth for h in comp)
-
     def stratum_members(self, kind: str, k: int, j: int) -> tuple[ChainChar, ...]:
         return tuple(self.chars[i] for i in self.forest.stratum(kind, k, j))
 
-    def pred_set(self, h: ChainChar, j1: int, j2: int, kind: str) -> tuple[ChainChar, ...]:
-        """Predecessors of h inside the (j2, j1) stratum.
-
-        kind 'B' collects those in S^j2_j1, kind 'A' those in C^j2_j1;
-        the A set may legitimately be empty.
-        """
-        nodes = self.forest.pred_nodes(self.node(h), j1, j2, kind)
-        return tuple(self.chars[i] for i in nodes)

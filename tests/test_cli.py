@@ -223,7 +223,7 @@ def test_represent_rejects_repeated_character(files, tmp_path, capsys):
     assert "value line 'd2:10 -1' repeats character d2:10" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["d0:11", "d-1:1", "d3:11"])
+@pytest.mark.parametrize("label", ["d0:11", "d-1:1", "d3:11", "dd1:1", "1:1"])
 def test_represent_rejects_depth_out_of_range(files, tmp_path, capsys, label):
     values = tmp_path / "map.txt"
     values.write_text(f"d1:1 1\nd2:10 1\nd2:11 1\n{label} 1\n")
@@ -231,13 +231,16 @@ def test_represent_rejects_depth_out_of_range(files, tmp_path, capsys, label):
     assert f"bad value line '{label} 1'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["x", "2"])
+@pytest.mark.parametrize("value", ["x", "2", "0_1", "+1", "\u0661"])
 def test_represent_rejects_bad_value(files, tmp_path, capsys, value):
     values = tmp_path / "map.txt"
-    values.write_text(f"d1:1 {value}\nd2:10 1\nd2:11 1\n")
+    values.write_text(f"d1:1 {value}\nd2:10 1\nd2:11 1\n", encoding="utf-8")
     assert main(["represent", files["e1"], str(values)]) == 2
     err = capsys.readouterr().err
-    assert f"value line 'd1:1 {value}'" in err
+    if value == "2":
+        assert "value line 'd1:1 2' has value 2, not 1, 0 or -1" in err
+    else:
+        assert f"bad value line 'd1:1 {value}'" in err
 
 
 def test_check_forest_fixture(capsys):

@@ -134,6 +134,18 @@ def test_chain_roundtrip_byte_identical(corpus):
         assert serialize_chain(parse_chain(text)) == text
 
 
+# Arabic-Indic and full-width digits: Unicode decimal digits that int() reads
+FOREIGN_DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(base, base + 10))))
+                  for base in (0x0660, 0xFF10)]
+
+
+def _with_foreign_field(text, field, digits):
+    """text with the number after the first `field` written in other digits."""
+    i = text.index(field) + len(field)
+    j = i + len(re.match("[0-9]+", text[i:]).group())
+    return text[:i] + text[i:j].translate(digits) + text[j:]
+
+
 def test_chain_parse_errors():
     with pytest.raises(FormatError):
         parse_chain("")
@@ -144,6 +156,12 @@ def test_chain_parse_errors():
     with pytest.raises(FormatError):
         parse_chain("fanchain n=2\nlevel d=1 dim=1 minus=1\n"
                     "level d=2 dim=2 minus=10\ntau d=1 rows=1 1\n")
+    text = serialize_chain(CHAIN3)
+    for digits in FOREIGN_DIGITS:
+        for field, kind in (("fanchain n=", "header"), ("level d=", "level"),
+                            (" dim=", "level"), ("tau d=", "tau"), (" rows=", "tau")):
+            with pytest.raises(FormatError, match=f"bad {kind} line"):
+                parse_chain(_with_foreign_field(text, field, digits))
 
 
 def test_forest_file_roundtrip(corpus_spaces):
@@ -250,6 +268,14 @@ def test_forest_parse_errors():
         parse_forest("node id=0 depth=1 parent=none\nnode id=0 depth=1 parent=none\n")
     with pytest.raises(FormatError):
         parse_forest("node id=0 depth=2 parent=none\n")
+    root, child = "node id=0 depth=1 parent=none\n", "node id=1 depth=2 parent=0\n"
+    for digits in FOREIGN_DIGITS:
+        bad = [_with_foreign_field(root, field, digits) + child for field in ("id=", "depth=")]
+        bad += [root + _with_foreign_field(child, field, digits)
+                for field in ("id=", "depth=", "parent=")]
+        for text in bad:
+            with pytest.raises(FormatError, match="bad node line"):
+                parse_forest(text)
 
 
 def test_forest_parse_wraps_the_structural_message():

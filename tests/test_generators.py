@@ -10,7 +10,6 @@ from fanforge.corpus import generate_corpus
 from fanforge.generators import (
     GeneratingSystem,
     _Policy,
-    choose_basis,
     fiber_tower_basis,
     standard_generating_system,
     verify_sgs,
@@ -25,36 +24,20 @@ C1 = ChainChar(2, 1)
 C2 = ChainChar(2, 3)
 
 
-def test_choose_basis_single_successor_returns_preds_basis():
-    s = FanSpace(E1)
-    got = choose_basis(s, s.level(2), [R], [C1, C2], [])
-    assert got == (C1, C2)
-
-
 def test_choose_basis_with_lifts():
-    # three-level fan, two components visible at levels 2/3
+    # three-level fan, two components visible at levels 2/3: a basis of the
+    # part of level 3 under the first level-2 basis member, plus one lift
+    # under each other member, is a basis of level 3
     chain = FanChain((1, 2, 2), (1, 1, 1), ((1, 0), (1, 2)))
     s = FanSpace(chain)
     G = s.level(3)
     F_basis = basis_of(s, s.level(2))
-    h1 = F_basis[0]
-    C = [g for g in G if s.successor(g, 2) == h1]
-    lifts = []
-    for h in F_basis[1:]:
-        lifts.append(min(g for g in G if s.successor(g, 2) == h))
-    got = choose_basis(s, G, F_basis, basis_of(s, C), lifts)
+    C = [g for g in G if s.successor(g, 2) == F_basis[0]]
+    lifts = tuple(min(g for g in G if s.successor(g, 2) == h) for h in F_basis[1:])
+    got = basis_of(s, C) + lifts
     assert len(got) == 2
-    from fanforge.levels import closure, is_dependent
     assert not is_dependent(s, got)
     assert set(closure(s, got)) == set(G)
-
-
-def test_choose_basis_rejects_bad_hypothesis():
-    s = FanSpace(EB)
-    # fibers over level 1 have sizes 2 and 0, counts differ
-    with pytest.raises(ValueError):
-        choose_basis(s, s.level(2), basis_of(s, s.level(1)),
-                     [ChainChar(2, 1)], [ChainChar(2, 3)])
 
 
 def test_sgs_examples():
@@ -78,12 +61,12 @@ def test_sgs_provenance_covers_all_members():
     for chain in (E1, EA, EB):
         space = FanSpace(chain)
         gs = standard_generating_system(space)
+        provenance = dict(gs.provenance)
         for g in gs.members():
-            record = gs.provenance_of(g)
-            assert record[0] in ("tower", "block", "lift")
+            assert provenance[g][0] in ("tower", "block", "lift")
         # every level-1 member comes from the tower, labeled by its reach
         for g in gs.level_basis(1):
-            assert gs.provenance_of(g) == ("tower", space.deep(g))
+            assert provenance[g] == ("tower", space.deep(g))
 
 
 def _staged_tower(space):

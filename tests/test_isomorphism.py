@@ -19,7 +19,6 @@ from fanforge.isomorphism import (
     check_forest,
     evaluation,
     forest_canonical,
-    forests_isomorphic,
     is_ars_morphism,
     normal_form_chain,
     preserves_triple_products,
@@ -163,10 +162,10 @@ def test_morphism_requires_total_map():
 # -- forest canonical form ----------------------------------------------------
 
 def test_forest_canonical_examples():
-    assert forests_isomorphic(FanSpace(E1).forest, FanSpace(E1P).forest)
-    assert not forests_isomorphic(FanSpace(EA).forest, FanSpace(EB).forest)
+    assert forest_canonical(FanSpace(E1).forest) == forest_canonical(FanSpace(E1P).forest)
+    assert forest_canonical(FanSpace(EA).forest) != forest_canonical(FanSpace(EB).forest)
     single = Forest((1,), (None,))
-    assert forests_isomorphic(single, single)
+    assert forest_canonical(single) == "()"
 
 
 def brute_force_order_isomorphic(f1: Forest, f2: Forest) -> bool:
@@ -186,7 +185,8 @@ def test_forest_canonical_matches_brute_force_small(corpus_spaces):
     small = [s.forest for s in corpus_spaces if len(s.forest) <= 6][:12]
     for f1 in small:
         for f2 in small:
-            assert forests_isomorphic(f1, f2) == brute_force_order_isomorphic(f1, f2)
+            same = forest_canonical(f1) == forest_canonical(f2)
+            assert same == brute_force_order_isomorphic(f1, f2)
 
 
 def test_forest_canonical_memory_on_deep_path():
@@ -635,7 +635,7 @@ def synthesize_chain(forest: Forest, dim_bound: int = 4, count_bound: int = 4,
 def test_synthesize_chain_examples():
     found = synthesize_chain(FanSpace(E1).forest)
     assert found is not None
-    assert forests_isomorphic(FanSpace(found).forest, FanSpace(E1).forest)
+    assert forest_canonical(FanSpace(found).forest) == forest_canonical(FanSpace(E1).forest)
 
     two_roots = Forest((1, 1), (None, None))
     found = synthesize_chain(two_roots)
@@ -658,7 +658,7 @@ def test_synthesize_recovers_corpus_shapes(corpus_spaces):
             continue
         found = synthesize_chain(space.forest, dim_bound=4, count_bound=4)
         assert found is not None
-        assert forests_isomorphic(FanSpace(found).forest, space.forest)
+        assert forest_canonical(FanSpace(found).forest) == forest_canonical(space.forest)
 
 
 # -- exact realization ----------------------------------------------------------
@@ -697,7 +697,7 @@ def test_normal_form_realizes_corpus_forests(corpus_spaces):
         chain = normal_form_chain(space.forest)
         assert chain is not None
         assert chain.dims == space.chain.dims and set(chain.minus) == {1}
-        assert forests_isomorphic(FanSpace(chain).forest, space.forest)
+        assert forest_canonical(FanSpace(chain).forest) == forest_canonical(space.forest)
 
 
 def test_normal_form_agrees_with_search_oracle(corpus_spaces, impossible_forests):
@@ -721,7 +721,7 @@ def test_normal_form_agrees_with_search_oracle(corpus_spaces, impossible_forests
             continue
         assert (chain is None) == (expected is None)
         if chain is not None:
-            assert forests_isomorphic(FanSpace(chain).forest, forest)
+            assert forest_canonical(FanSpace(chain).forest) == forest_canonical(forest)
             found += 1
     assert 0 < found < len(forests) and over_budget <= 5
     for forest in impossible_forests.values():

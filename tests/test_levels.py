@@ -7,19 +7,13 @@ import fanforge.levels
 from fanforge.chains import ChainChar
 from fanforge.corpus import generate_corpus
 from fanforge.levels import (
-    InvolutionHandle,
     PropertyReport,
     basis_of,
     closure,
     dimension,
-    embed_predecessors,
     extend_basis,
-    involution,
     involution_failures,
     is_dependent,
-    kappa,
-    predecessor_fan,
-    translation_mask,
     verify_involution,
 )
 from fanforge.spectral import FanSpace
@@ -111,46 +105,30 @@ def test_extend_basis_keeps_start():
         extend_basis(s, [C1, C2, s.triple(C1, C1, C2)], s.level(2))
 
 
-def test_kappa_examples():
-    s = FanSpace(E1)
-    assert kappa(s, 1, 2) == {C1: R, C2: R}
-    assert kappa(s, 2, 2) == {C1: C1, C2: C2}
-    sb = FanSpace(EB)
-    image = set(kappa(sb, 1, 2).values())
-    assert image == set(sb.stratum_members("S", 1, 2)) == {ChainChar(1, 1)}
-
-
 def test_kappa_image_is_closed(corpus_spaces):
     for space in corpus_spaces[:20]:
         for e in range(1, space.length + 1):
             for d in range(1, e + 1):
-                image = sorted(set(kappa(space, d, e).values()))
+                image = sorted({space.successor(g, d) for g in space.level(e)})
                 assert image == sorted(space.stratum_members("S", d, e))
                 assert list(closure(space, image)) == image
 
 
 def test_involution_examples():
+    # h -> h*g1*g2 on E1: C1 and C2 swap on level 2, R is fixed on level 1,
+    # and a pair of equal characters gives the identity
     s = FanSpace(E1)
-    swap = InvolutionHandle(C1, C2, 2)
-    assert involution(s, swap, C1) == C2
-    assert involution(s, swap, C2) == C1
-    down = InvolutionHandle(C1, C2, 1)
-    assert involution(s, down, R) == R
-    same = InvolutionHandle(C1, C1, 2)
-    assert all(involution(s, same, h) == h for h in s.level(2))
-    with pytest.raises(ValueError):
-        InvolutionHandle(R, C1, 2)
-    with pytest.raises(ValueError):
-        involution(s, swap, R)
+    assert s.triple(C1, C1, C2) == C2
+    assert s.triple(C2, C1, C2) == C1
+    assert s.triple(R, C1, C2) == R
+    assert all(s.triple(h, C1, C1) == h for h in s.level(2))
 
 
 def test_involution_independent_of_lift():
     # replacing the handle characters by their successors gives the same map
     s = FanSpace(E1)
-    for d in (1,):
-        t1 = translation_mask(s, C1, C2, d)
-        t2 = translation_mask(s, s.successor(C1, 1), s.successor(C2, 1), d)
-        assert t1 == t2
+    shifts = fanforge.levels._shifts
+    assert shifts(s, C1, C2)[:1] == shifts(s, s.successor(C1, 1), s.successor(C2, 1))
 
 
 def test_verify_involution_examples():
@@ -276,13 +254,9 @@ def test_successor_mask_rows_match_successors(corpus_spaces):
 
 def test_translation_mask_reads_rows_within_min_depth():
     s = FanSpace(E1)
-    assert translation_mask(s, C1, C2, 1) == 0
-    assert translation_mask(s, C1, C2, 2) == C1.mask ^ C2.mask
-    for d in (0, 2, 3):
-        with pytest.raises(ValueError):
-            translation_mask(s, R, C1, d)
-    with pytest.raises(ValueError):
-        translation_mask(s, C1, C2, 3)
+    shifts = fanforge.levels._shifts
+    assert shifts(s, C1, C2) == (0, C1.mask ^ C2.mask)
+    assert shifts(s, R, C1) == shifts(s, C1, R) == (0,)
 
 
 def test_patched_shifts_reach_both_entry_points(monkeypatch):
@@ -349,10 +323,8 @@ def test_involution_matches_table_pointwise_product(corpus_spaces):
         as_table = {h: chain_char_to_table_char(chain, table, h) for h in space.chars}
         for g1 in space.chars:
             for g2 in space.chars:
-                d = min(g1.depth, g2.depth)
-                handle = InvolutionHandle(g1, g2, d)
-                for h in space.level(d):
-                    out = involution(space, handle, h)
+                for h in space.level(min(g1.depth, g2.depth)):
+                    out = space.triple(h, g1, g2)
                     product = pointwise_product(
                         (as_table[h], as_table[g1], as_table[g2]))
                     assert as_table[out].values == product
@@ -379,6 +351,11 @@ def test_dependence_transport(corpus_spaces):
     assert checked >= 5
 
 
+def predecessor_fan(space, h):
+    """Everything that specializes to h, h included."""
+    return [space.chars[i] for i in space.forest.descendants(space.node(h))]
+
+
 def test_predecessor_fan_examples(corpus_spaces):
     s = FanSpace(E1)
     assert set(predecessor_fan(s, R)) == set(s.chars)
@@ -393,39 +370,9 @@ def test_predecessor_fan_examples(corpus_spaces):
                        for a, b, c in itertools.combinations_with_replacement(preds, 3))
 
 
-def test_embed_predecessors_on_eb():
-    sb = FanSpace(EB)
-    root_a = ChainChar(1, 1)   # reaches depth 2
-    root_b = ChainChar(1, 3)   # isolated
-    out = embed_predecessors(sb, root_b, root_a, 1)
-    assert out == {root_b: root_a}
-    with pytest.raises(ValueError):
-        embed_predecessors(sb, root_a, root_b, 1)  # h1 reaches deeper than 1
-
-
-def test_embed_predecessors_explicit_lift_choice(corpus_spaces):
-    # any depth-j predecessors may be supplied; the image set is the same
-    for space in corpus_spaces[:20]:
-        n = space.length
-        found = False
-        for k in range(1, n + 1):
-            cs = space.stratum_members("C", k, n)
-            if len(cs) < 2 or n == k:
-                continue
-            h1, h2 = cs[0], cs[1]
-            default = embed_predecessors(space, h1, h2, n)
-            u1 = max(g for g in space.predecessors(h1) if g.depth == n)
-            u2 = max(g for g in space.predecessors(h2) if g.depth == n)
-            explicit = embed_predecessors(space, h1, h2, n, u1, u2)
-            assert set(explicit) == set(default)
-            assert set(explicit.values()) == set(default.values())
-            found = True
-        if found:
-            break
-    assert found
-
-
 def test_embed_predecessors_bijective_between_c_members(corpus_spaces):
+    # multiplying by a depth-j predecessor of each, the least or the
+    # greatest, maps the predecessor fan of one C^k_j member onto the other's
     for space in corpus_spaces[:25]:
         n = space.length
         for k in range(1, n + 1):
@@ -433,7 +380,9 @@ def test_embed_predecessors_bijective_between_c_members(corpus_spaces):
                 cs = space.stratum_members("C", k, j)
                 if len(cs) < 2:
                     continue
-                h1, h2 = cs[0], cs[1]
-                out = embed_predecessors(space, h1, h2, j)
-                assert sorted(out) == sorted(predecessor_fan(space, h1))
-                assert sorted(out.values()) == sorted(predecessor_fan(space, h2))
+                preds1, preds2 = (predecessor_fan(space, h) for h in cs[:2])
+                for pick in (min, max):
+                    u1 = pick(g for g in preds1 if g.depth == j)
+                    u2 = pick(g for g in preds2 if g.depth == j)
+                    image = [space.triple(g, u1, u2) for g in preds1]
+                    assert sorted(image) == sorted(preds2)

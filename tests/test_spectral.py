@@ -52,18 +52,6 @@ def test_successor_examples():
             assert above == [s.successor(g, d)]
 
 
-def test_interpolate_examples():
-    s = FanSpace(E1)
-    assert s.interpolate(C1, R, 2) == C1
-    assert s.interpolate(C1, R, 1) == R
-    s3 = FanSpace(CHAIN3)
-    bottom = ChainChar(3, 1)
-    top = ChainChar(1, 1)
-    assert s3.interpolate(bottom, top, 2) == ChainChar(2, 1)
-    with pytest.raises(ValueError):
-        s.interpolate(R, C1, 1)
-
-
 def pullback_table(space):
     """Oracle: every character pulled back one transition at a time to
     every shallower depth, keyed by (character, depth)."""
@@ -163,11 +151,10 @@ def test_components_examples():
     s1 = FanSpace(E1)
     comps = s1.components()
     assert len(comps) == 1
-    assert s1.component_lowest_level(comps[0]) == 2
     sb = FanSpace(EB)
-    assert sorted(sb.component_lowest_level(c) for c in sb.components()) == [1, 2]
+    assert sorted(len(c) for c in sb.components()) == [1, 3]
     se = FanSpace(E2)
-    assert [se.component_lowest_level(c) for c in se.components()] == [1, 1]
+    assert [len(c) for c in se.components()] == [1, 1]
 
 
 def test_components_closed_under_triples(corpus_spaces):
@@ -211,12 +198,14 @@ def test_stratum_partition_properties(corpus_spaces):
 
 def test_pred_set_example():
     s1 = FanSpace(E1)
-    assert s1.pred_set(R, 2, 2, "B") == (C1, C2)
-    assert s1.pred_set(R, 2, 2, "A") == (C1, C2)
+    f = s1.forest
+    r, c1, c2 = map(s1.node, (R, C1, C2))
+    assert f.pred_nodes(r, 2, 2, "B") == (c1, c2)
+    assert f.pred_nodes(r, 2, 2, "A") == (c1, c2)
     with pytest.raises(ValueError):
-        s1.pred_set(C1, 2, 1, "B")
+        f.pred_nodes(c1, 2, 1, "B")
     with pytest.raises(ValueError):
-        s1.pred_set(R, 1, 2, "Q")
+        f.pred_nodes(r, 1, 2, "Q")
 
 
 def test_power_of_two_strata(corpus_spaces):
