@@ -18,6 +18,7 @@ from .chains import ChainChar, chain_characters, chain_to_table, validate_chain
 from .corpus import generate_corpus
 from .errors import NotAFanError, OrderMismatchError, ResourceLimitError, StructuralError
 from .formats import (
+    NUMBER,
     FormatError,
     bits_to_mask,
     chain_labels,
@@ -28,6 +29,7 @@ from .formats import (
     root_system_dot,
     serialize_chain,
     serialize_forest,
+    text_lines,
 )
 from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest, normal_form_chain, represent
@@ -157,17 +159,15 @@ def _cmd_iso(args) -> int:
     return 0
 
 
-# a label d<depth>:<bits>, then a whole number in ASCII digits with no
-# leading zero or plus sign
-_VALUE_LINE = re.compile(r"(d([0-9]+):([01]+))\s+(0|-?[1-9][0-9]*)")
+# a label d<depth>:<bits>, then a whole number; both numbers in ASCII
+# digits with no leading zero or plus sign
+_VALUE_LINE = re.compile(rf"(d{NUMBER}:([01]+))\s+(0|-?[1-9][0-9]*)")
 
 
 def _cmd_represent(args) -> int:
     space = _load_chain(args.chain)
     f = {}
-    for ln in Path(args.values).read_text().splitlines():
-        if not ln.strip():
-            continue
+    for ln in text_lines(Path(args.values).read_text()):
         m = _VALUE_LINE.fullmatch(ln.strip())
         if m is None:
             raise FormatError(f"bad value line {ln!r}")

@@ -48,14 +48,25 @@ def serialize_chain(c: FanChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-# [0-9], not \d: \d takes any Unicode decimal digit, and int() converts them
-_HEADER = re.compile(r"^fanchain n=([0-9]+)$")
-_LEVEL = re.compile(r"^level d=([0-9]+) dim=([0-9]+) minus=([01]+)$")
-_TAU = re.compile(r"^tau d=([0-9]+) rows=([0-9]+) ([01;]+)$")
+# A number is written as the serializers write it: ASCII digits ([0-9],
+# not \d, which takes any Unicode decimal digit that int() converts) with
+# no leading zero, so every accepted file is canonical.
+NUMBER = "(0|[1-9][0-9]*)"
+_HEADER = re.compile(rf"^fanchain n={NUMBER}$")
+_LEVEL = re.compile(rf"^level d={NUMBER} dim={NUMBER} minus=([01]+)$")
+_TAU = re.compile(rf"^tau d={NUMBER} rows={NUMBER} ([01;]+)$")
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of a file that are not blank or whitespace only.  Lines
+    end at "\n" alone: str.splitlines also ends them at form feeds and
+    Unicode line separators, which no serializer writes.  A CRLF file
+    reaches this as LF through Path.read_text."""
+    return [ln for ln in text.split("\n") if ln.strip()]
 
 
 def parse_chain(text: str) -> FanChain:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text_lines(text)
     if not lines:
         raise FormatError("empty chain file")
     head = _HEADER.match(lines[0])
@@ -101,13 +112,13 @@ def serialize_forest(f: Forest) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NODE = re.compile(r"^node id=([0-9]+) depth=([0-9]+) parent=(none|[0-9]+)$")
+_NODE = re.compile(rf"^node id={NUMBER} depth={NUMBER} parent=(none|{NUMBER})$")
 
 
 def parse_forest(text: str) -> Forest:
     """Parse a forest file; more than MAX_CHARACTERS node lines, more
     than any chain within bounds has characters, raise ResourceLimitError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = text_lines(text)
     if len(lines) > MAX_CHARACTERS:
         raise ResourceLimitError(
             f"forest has {len(lines)} nodes, bound is {MAX_CHARACTERS}")

@@ -125,13 +125,16 @@ def dimension(space: FanSpace, chars) -> int:
 
 
 def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
-                  ) -> tuple[list[tuple[list[CheckResult], list[CheckResult]]], CheckResult]:
-    """The checks of the involution family that read only the shifts.
+                  ) -> tuple[list[tuple[bool, bool, list[tuple[bool, bool | None]]]], tuple, bool]:
+    """The verdicts of the involution family's checks that read only the shifts.
 
     shifts[d - 1] is the translation on level d, for d = 1..dmin with
     dmin = len(shifts).  Per level d this gives the automorphism and
-    self-inverse checks, then the S/C stratum-permutation checks for
-    j = d..dmin; after the levels comes specialization-compat.
+    self-inverse verdicts, then per j = d..dmin the S^d_j verdict and
+    the C^d_j verdict, None where that check does not apply; after the
+    levels come the specialization-compat witness, () when it passes,
+    and whether every one of these checks passes.  No check is named
+    here: _report_checks turns the verdicts into CheckResults.
 
     The map is a translation of an affine GF(2) set: it preserves
     same-level triple products when it maps the level onto itself, and
@@ -149,33 +152,30 @@ def _shift_checks(space: FanSpace, shifts: tuple[int, ...]
     dmin = len(shifts)
     levels = []
     witness: tuple = ()
+    passed = True
     for d, (reach, parent) in enumerate(space.level_links[:dmin], 1):
         shift = shifts[d - 1]
         moves = {(r, reach.get(m ^ shift, 0)) for m, r in reach.items()}
-        head = [
-            CheckResult(f"automorphism(level {d})", all(r2 for _, r2 in moves), (shift,)),
-            CheckResult(f"involution(level {d})",
-                        all((m ^ shift) ^ shift == m for m in reach), (shift,)),
-        ]
+        automorphism = all(r2 for _, r2 in moves)
+        involution = all((m ^ shift) ^ shift == m for m in reach)
+        passed = passed and automorphism and involution
         strata = []
         for j in range(d, dmin + 1):
-            strata.append(CheckResult(
-                f"stratum-permutation(S^{d}_{j})",
-                not any(r >= j > r2 for r, r2 in moves), (shift,)))
+            s_ok = not any(r >= j > r2 for r, r2 in moves)
             # C^d_j needs the handle to reach below index j as well (vacuous
             # when j is the full length): a depth-j handle can swap a j-deep
             # member with one reaching deeper.
-            if j < dmin or j == space.length:
-                strata.append(CheckResult(
-                    f"stratum-permutation(C^{d}_{j})",
-                    not any(r == j != r2 for r, r2 in moves), (shift,)))
-        levels.append((head, strata))
+            c_ok = (not any(r == j != r2 for r, r2 in moves)
+                    if j < dmin or j == space.length else None)
+            strata.append((s_ok, c_ok))
+            passed = passed and s_ok and c_ok is not False
+        levels.append((automorphism, involution, strata))
         if d > 1 and not witness:
             for m, up in parent.items():
                 if parent.get(m ^ shift) != up ^ shifts[d - 2]:
                     witness = (ChainChar(d, m), ChainChar(d - 1, up))
                     break
-    return levels, CheckResult("specialization-compat", not witness, witness)
+    return levels, witness, passed and not witness
 
 
 def _report_checks(space: FanSpace, g1: ChainChar, g2: ChainChar,
@@ -183,19 +183,23 @@ def _report_checks(space: FanSpace, g1: ChainChar, g2: ChainChar,
     """One pair's checks in report order: the shift checks of each level
     with the pair's successor transport (and, for a common successor,
     its fixed-point check) after the level's first two."""
-    levels, compat = shift_checks
+    levels, witness, _ = shift_checks
     out = []
-    for d, (head, strata) in enumerate(levels, 1):
+    for d, (automorphism, involution, strata) in enumerate(levels, 1):
         s1, s2 = space.successor(g1, d), space.successor(g2, d)
         shift = shifts[d - 1]
-        out += head
+        out.append(CheckResult(f"automorphism(level {d})", automorphism, (shift,)))
+        out.append(CheckResult(f"involution(level {d})", involution, (shift,)))
         out.append(CheckResult(
             f"successor-transport(level {d})", s1.mask ^ shift == s2.mask, (s1, s2)))
         if s1 == s2:
             out.append(CheckResult(
                 f"fixed-common-specialization(level {d})", shift == 0, (s1,)))
-        out += strata
-    out.append(compat)
+        for j, (s_ok, c_ok) in enumerate(strata, d):
+            out.append(CheckResult(f"stratum-permutation(S^{d}_{j})", s_ok, (shift,)))
+            if c_ok is not None:
+                out.append(CheckResult(f"stratum-permutation(C^{d}_{j})", c_ok, (shift,)))
+    out.append(CheckResult("specialization-compat", not witness, witness))
     return out
 
 
@@ -226,20 +230,18 @@ def involution_failures(space: FanSpace) -> Iterator[tuple[ChainChar, ChainChar,
     The shift checks run once per distinct shift tuple.  A pair's own
     checks all pass exactly when each level's shift is the quotient of
     its two successors there; a pair whose tuple also passed builds no
-    check at all.
+    check at all, and only a failing pair's verdicts become CheckResults.
     """
     memo: dict[tuple[int, ...], tuple] = {}
     up = space.successor_masks
     for g1 in space.chars:
+        row = up[g1]
         for g2 in space.chars:
             shifts = _shifts(space, g1, g2)
-            if shifts not in memo:
-                checks = _shift_checks(space, shifts)
-                levels, compat = checks
-                memo[shifts] = (checks, compat.passed and all(
-                    c.passed for head, strata in levels for c in head + strata))
-            checks, ok = memo[shifts]
-            if ok and all(m1 ^ m2 == s for m1, m2, s in zip(up[g1], up[g2], shifts)):
+            checks = memo.get(shifts)
+            if checks is None:
+                checks = memo[shifts] = _shift_checks(space, shifts)
+            if checks[2] and shifts == tuple(map(xor, row, up[g2])):
                 continue
             for check in _report_checks(space, g1, g2, shifts, checks):
                 if not check.passed:

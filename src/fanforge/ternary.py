@@ -21,8 +21,9 @@ SIGNS = (1, 0, -1)
 #: Largest table chain_to_table builds and enumerate_characters accepts.
 #: The table is quadratic in it, and Light's test, which costs m^2 per
 #: generator (the m^3 scan runs only on a table that fails it), is the
-#: largest step: `fanforge validate` takes about 0.2 s at 513 elements
-#: and 2.5 s at 2049 on a 2-vCPU Xeon, within 50 MB.
+#: largest step: `fanforge validate` takes about 0.1 s at 513 elements
+#: and 1.6 s at 2049 (4-level ladders, fastest of three runs, on a
+#: 2-vCPU Xeon VM with Python 3.11.7), within 50 MB.
 MAX_TABLE_ELEMENTS = 2049
 
 

@@ -13,6 +13,7 @@ import fanforge.chains
 import fanforge.cli
 from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import MAX_STRATA_ENTRIES, main
+from fanforge.corpus import MAX_CORPUS_CHAINS, MAX_CORPUS_DIM, MAX_CORPUS_LEVELS, generate_corpus
 from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
 from fanforge.generators import standard_generating_system
 from fanforge.gf2 import identity_rows
@@ -576,6 +577,90 @@ def test_corpus_bounds_are_refused_before_any_draw(argv, message, tmp_path, caps
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not outdir.exists()
+
+
+# Input files no serializer writes, each refused on the line it names:
+# numbers with a leading zero, and lines joined by U+0085, U+2028 and a
+# form feed, which str.splitlines would split.
+REFUSED_FILES = {
+    "leading-zero.fan": ("chars", "fanchain n=01\nlevel d=1 dim=01 minus=1\n",
+                         "bad header line 'fanchain n=01'"),
+    "leading-zero.forest": ("check-forest", "node id=00 depth=01 parent=none\n",
+                            "bad node line 'node id=00 depth=01 parent=none'"),
+    "joined.fan": ("validate", "fanchain n=2\x85level d=1 dim=1 minus=1\u2028"
+                   "level d=2 dim=2 minus=10\x0ctau d=1 rows=2 1;0\n",
+                   "bad header line 'fanchain n=2\\x85level d=1 dim=1 minus=1\\u2028"
+                   "level d=2 dim=2 minus=10\\x0ctau d=1 rows=2 1;0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_FILES))
+def test_non_canonical_input_files_are_refused(name, tmp_path, capsys):
+    command, text, message = REFUSED_FILES[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_represent_refuses_a_depth_with_a_leading_zero(files, tmp_path, capsys):
+    values = tmp_path / "map.txt"
+    values.write_text("d1:1 1\nd02:10 1\nd2:11 1\n")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    assert capsys.readouterr() == ("", "error: bad value line 'd02:10 1'\n")
+    values.write_text("d1:1 1\x85d2:10 1\nd2:11 1\n", encoding="utf-8")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    assert capsys.readouterr() == ("", "error: bad value line 'd1:1 1\\x85d2:10 1'\n")
+
+
+def test_crlf_and_blank_lines_are_still_read(files, tmp_path, capsys):
+    # read_text turns CRLF into LF before any parser sees it
+    chain = tmp_path / "crlf.fan"
+    chain.write_bytes(("\n" + serialize_chain(E1) + " \n").replace("\n", "\r\n").encode())
+    values = tmp_path / "map.txt"
+    values.write_bytes(b"d1:1 1\r\n\r\nd2:10 1\r\nd2:11 1\r\n")
+    assert main(["represent", str(chain), str(values)]) == 0
+    assert capsys.readouterr().out == "represented by e1:0\n"
+    forest = tmp_path / "crlf.forest"
+    forest.write_bytes(serialize_forest(FanSpace(E1).forest).replace("\n", "\r\n").encode())
+    assert main(["check-forest", str(forest)]) == 0
+    assert capsys.readouterr().out == "no violations found\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "--count", "5000000"], f"corpus has 5000000 chains, bound is {MAX_CORPUS_CHAINS}"),
+    (["suite", "--count", str(MAX_CORPUS_CHAINS + 1)],
+     f"corpus has {MAX_CORPUS_CHAINS + 1} chains, bound is {MAX_CORPUS_CHAINS}"),
+    (["suite", "--count", "1", "--maxdim", "2000000000"],
+     "maximum level dimension is 2000000000, bound is 15"),
+    (["suite", "--count", "1", "--maxdim", "16"], "maximum level dimension is 16, bound is 15"),
+    (["suite", "--count", "1", "--levels", str(MAX_CHARACTERS + 1)],
+     f"maximum level count is {MAX_CHARACTERS + 1}, bound is {MAX_CHARACTERS}"),
+    (["suite", "--count", "65", "--levels", str(MAX_CHARACTERS)],
+     f"corpus may draw {65 * MAX_CHARACTERS} levels, bound is {MAX_CORPUS_LEVELS}"),
+    (["gen", "--seed", "1", "--count", "5000000"],
+     f"corpus has 5000000 chains, bound is {MAX_CORPUS_CHAINS}"),
+    (["gen", "--seed", "1", "--count", "1", "--maxdim", "2000000000"],
+     "maximum level dimension is 2000000000, bound is 15"),
+])
+def test_corpus_resource_bounds_are_refused_before_any_draw(argv, message, tmp_path):
+    # every bound is checked before the first draw: drawn, the 5,000,000
+    # chains or a level of dimension 2,000,000,000 exhaust the 1 GB limit
+    outdir = tmp_path / "fans"
+    if argv[0] == "gen":
+        argv = argv + ["--outdir", str(outdir)]
+    out = _run_under_1gb(*argv, timeout=30)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", f"resource limit: {message}\n")
+    assert not outdir.exists()
+
+
+def test_corpus_at_its_bounds_is_drawn():
+    # a level of dimension 15 has exactly MAX_CHARACTERS characters
+    assert MAX_CORPUS_DIM == 15 and 1 << (MAX_CORPUS_DIM - 1) == MAX_CHARACTERS
+    (chain,) = generate_corpus(2, count=1, max_levels=1, max_dim=MAX_CORPUS_DIM)
+    assert chain.n == 1
+    assert len(generate_corpus(0, count=MAX_CORPUS_CHAINS, max_levels=1, max_dim=1)) == (
+        MAX_CORPUS_CHAINS)
 
 
 def test_suite_small(capsys):

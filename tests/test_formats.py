@@ -164,6 +164,57 @@ def test_chain_parse_errors():
                 parse_chain(_with_foreign_field(text, field, digits))
 
 
+def _with_leading_zero(text, field):
+    """text with a 0 put before the number after the first `field`."""
+    i = text.index(field) + len(field)
+    return text[:i] + "0" + text[i:]
+
+
+# U+0085 (next line), U+2028 (line separator), form feed, vertical tab and
+# U+001E (record separator): str.splitlines ends a line at each,
+# Path.read_text at none
+FOREIGN_LINE_ENDS = ("\x85", "\u2028", "\x0c", "\x0b", "\x1e")
+
+
+def test_chain_numbers_and_line_ends_are_canonical():
+    text = serialize_chain(CHAIN3)
+    for field, kind in (("fanchain n=", "header"), ("level d=", "level"),
+                        (" dim=", "level"), ("tau d=", "tau"), (" rows=", "tau")):
+        bad = _with_leading_zero(text, field)
+        line = next(ln for ln in bad.split("\n") if field + "0" in ln)
+        with pytest.raises(FormatError) as exc:
+            parse_chain(bad)
+        assert str(exc.value).startswith(f"bad {kind} line {line!r}")
+    for end in FOREIGN_LINE_ENDS:
+        joined = text.replace("\n", end, 1)
+        first = joined.split("\n")[0]
+        with pytest.raises(FormatError) as exc:
+            parse_chain(joined)
+        assert str(exc.value) == f"bad header line {first!r}"
+    # the latitude kept on purpose: blank and whitespace-only lines, and
+    # these characters standing alone on a line
+    loose = "\n \t\n" + text.replace("\n", "\n\n", 1) + "".join(
+        end + "\n" for end in FOREIGN_LINE_ENDS)
+    assert parse_chain(loose) == CHAIN3
+
+
+def test_forest_numbers_and_line_ends_are_canonical():
+    root, child = "node id=0 depth=1 parent=none\n", "node id=1 depth=2 parent=0\n"
+    bad = [(_with_leading_zero(root, field), child) for field in ("id=", "depth=")]
+    bad += [(root, _with_leading_zero(child, field)) for field in ("id=", "depth=", "parent=")]
+    bad += [("node id=00 depth=01 parent=none\n", "")]
+    for first, second in bad:
+        line = first if first != root else second
+        with pytest.raises(FormatError) as exc:
+            parse_forest(first + second)
+        assert str(exc.value) == f"bad node line {line[:-1]!r}"
+    for end in FOREIGN_LINE_ENDS:
+        with pytest.raises(FormatError) as exc:
+            parse_forest(root.replace("\n", end) + child)
+        assert str(exc.value) == f"bad node line {(root[:-1] + end + child[:-1])!r}"
+    assert parse_forest("\n" + root + "  \n" + child + "\x85\n") == parse_forest(root + child)
+
+
 def test_forest_file_roundtrip(corpus_spaces):
     for space in corpus_spaces[:10]:
         text = serialize_forest(space.forest)

@@ -242,6 +242,31 @@ def test_involution_failures_checks_each_shift_tuple_once(monkeypatch):
     assert (sum(map(len, calls)), pairs) == (587, 8829)
 
 
+def test_involution_failures_reports_a_failing_tuple_of_real_handles(monkeypatch):
+    # real handles always pass, so one tuple's verdict is made to fail:
+    # every pair with that tuple is reported, although each level's shift
+    # is the quotient of the pair's two successors there
+    space = FanSpace(EB)
+    g1, g2 = space.chars[-1], space.chars[-2]
+    target = fanforge.levels._shifts(space, g1, g2)
+    shift_checks = fanforge.levels._shift_checks
+
+    def failing(space, shifts):
+        levels, witness, passed = shift_checks(space, shifts)
+        if shifts != target:
+            return levels, witness, passed
+        (_, involution, strata), *deeper = levels
+        return [(False, involution, strata)] + deeper, witness, False
+
+    monkeypatch.setattr(fanforge.levels, "_shift_checks", failing)
+    failures = list(involution_failures(space))
+    assert failures == [(h1, h2, bad) for h1 in space.chars for h2 in space.chars
+                        for bad in verify_involution(space, h1, h2).failures()]
+    pairs = [(h1, h2) for h1, h2, _ in failures]
+    assert (g1, g2) in pairs and len(pairs) >= 2
+    assert {bad.name for _, _, bad in failures} == {"automorphism(level 1)"}
+
+
 def test_successor_mask_rows_match_successors(corpus_spaces):
     deeper = [FanSpace(c) for c in generate_corpus(5, count=60, max_levels=5, max_dim=4)]
     ladders = [FanSpace(ladder(random.Random(seed), 6, 8)) for seed in (1, 2)]
