@@ -240,7 +240,64 @@ def _cmd_suite(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+_CHAIN = _arg("chain")
+_FOREST = _arg("forest")
+_LEVELS = _arg("--levels", type=int, default=4, help="maximum level count")
+_MAXDIM = _arg("--maxdim", type=int, default=4, help="maximum level dimension")
+
+#: Every subcommand in `fanforge --help` order: name -> (help line,
+#: (positional names, add_argument keywords) per argument, handler).
+_COMMANDS = {
+    "validate": ("validate a chain file end to end", [_CHAIN], _cmd_validate),
+    "chars": ("list the characters of a chain", [_CHAIN], _cmd_chars),
+    "levels": ("list levels by depth", [_CHAIN], _cmd_levels),
+    "rootsys": ("print the specialization forest",
+                [_CHAIN, _arg("--dot", action="store_true", help="emit Graphviz DOT")],
+                _cmd_rootsys),
+    "strata": ("list all S/C strata with members", [_CHAIN], _cmd_strata),
+    "sgs": ("build and verify a generating system",
+            [_CHAIN,
+             _arg("--seed", type=int, default=None,
+                  help="draw construction choices from this seed instead of taking the first candidate")],
+            _cmd_sgs),
+    "iso": ("construct an isomorphism between two chains",
+            [_arg("chain_a"), _arg("chain_b"),
+             _arg("--seed", type=int, default=None,
+                  help="build both generating systems with this seed (reproducible per seed)")],
+            _cmd_iso),
+    "represent": ("find the element inducing a value map",
+                  [_CHAIN, _arg("values", help="file of '<char-label> <value>' lines")],
+                  _cmd_represent),
+    "check-forest": ("run necessary realizability checks", [_FOREST], _cmd_check_forest),
+    "realize": ("decide whether a chain has a given forest",
+                [_FOREST, _arg("--out", default=None, help="write the normal-form chain here")],
+                _cmd_realize),
+    "gen": ("generate a seeded corpus of chain files",
+            [_arg("--seed", type=int, required=True, help="corpus seed"), _LEVELS, _MAXDIM,
+             _arg("--count", type=int, default=10, help="number of chains"),
+             _arg("--outdir", default=".", help="directory for the .fan files")],
+            _cmd_gen),
+    "suite": ("run the property suite on a seeded corpus",
+              [_arg("--seed", type=int, default=0, help="corpus seed"), _LEVELS, _MAXDIM,
+               _arg("--count", type=int, default=60, help="number of chains")],
+              _cmd_suite),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The fanforge parser for argv.
+
+    When argv's first token names a command, only that subparser gets its
+    arguments, -h and handler. Every other command keeps its name and help
+    line, which is all `fanforge --help` and the invalid-choice error read,
+    and gets add_help=False, since each add_argument, -h included, makes a
+    help formatter. With no argv, or any other first token, every command
+    is built in full.
+    """
     # HelpFormatter asks the terminal for its width on every formatter it
     # makes, once per add_argument; this is the width it would compute
     formatter = functools.partial(
@@ -249,75 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fanforge", formatter_class=formatter,
         description="Finite fan workbench: chain files in, order data out.")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
-
-    p = add_parser("validate", help="validate a chain file end to end")
-    p.add_argument("chain")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = add_parser("chars", help="list the characters of a chain")
-    p.add_argument("chain")
-    p.set_defaults(fn=_cmd_chars)
-
-    p = add_parser("levels", help="list levels by depth")
-    p.add_argument("chain")
-    p.set_defaults(fn=_cmd_levels)
-
-    p = add_parser("rootsys", help="print the specialization forest")
-    p.add_argument("chain")
-    p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.set_defaults(fn=_cmd_rootsys)
-
-    p = add_parser("strata", help="list all S/C strata with members")
-    p.add_argument("chain")
-    p.set_defaults(fn=_cmd_strata)
-
-    p = add_parser("sgs", help="build and verify a generating system")
-    p.add_argument("chain")
-    p.add_argument("--seed", type=int, default=None,
-                   help="draw construction choices from this seed instead of taking the first candidate")
-    p.set_defaults(fn=_cmd_sgs)
-
-    p = add_parser("iso", help="construct an isomorphism between two chains")
-    p.add_argument("chain_a")
-    p.add_argument("chain_b")
-    p.add_argument("--seed", type=int, default=None,
-                   help="build both generating systems with this seed (reproducible per seed)")
-    p.set_defaults(fn=_cmd_iso)
-
-    p = add_parser("represent", help="find the element inducing a value map")
-    p.add_argument("chain")
-    p.add_argument("values", help="file of '<char-label> <value>' lines")
-    p.set_defaults(fn=_cmd_represent)
-
-    p = add_parser("check-forest", help="run necessary realizability checks")
-    p.add_argument("forest")
-    p.set_defaults(fn=_cmd_check_forest)
-
-    p = add_parser("realize", help="decide whether a chain has a given forest")
-    p.add_argument("forest")
-    p.add_argument("--out", default=None, help="write the normal-form chain here")
-    p.set_defaults(fn=_cmd_realize)
-
-    p = add_parser("gen", help="generate a seeded corpus of chain files")
-    p.add_argument("--seed", type=int, required=True, help="corpus seed")
-    p.add_argument("--levels", type=int, default=4, help="maximum level count")
-    p.add_argument("--maxdim", type=int, default=4, help="maximum level dimension")
-    p.add_argument("--count", type=int, default=10, help="number of chains")
-    p.add_argument("--outdir", default=".", help="directory for the .fan files")
-    p.set_defaults(fn=_cmd_gen)
-
-    p = add_parser("suite", help="run the property suite on a seeded corpus")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
-    p.add_argument("--levels", type=int, default=4, help="maximum level count")
-    p.add_argument("--maxdim", type=int, default=4, help="maximum level dimension")
-    p.add_argument("--count", type=int, default=60, help="number of chains")
-    p.set_defaults(fn=_cmd_suite)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_line, args, fn) in _COMMANDS.items():
+        if named is not None and name != named:
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        for names, kwargs in args:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -691,9 +691,21 @@ def test_validate_checks_129_element_ladder_in_full(tmp_path, capsys, monkeypatc
 
 COMMANDS = ("validate", "chars", "levels", "rootsys", "strata", "sgs", "iso", "represent",
             "check-forest", "realize", "gen", "suite")
-HELP_AND_ERROR_ARGVS = ([["--help"], ["-h"], [], ["nonsense"], ["iso", "a.fan"],
+HELP_AND_ERROR_ARGVS = ([["--help"], ["-h"], ["--he"], [], ["--", "iso"], ["nonsense"],
+                         ["iso", "a.fan"], ["iso", "a.fan", "b.fan", "--seed", "x"],
                          ["suite", "--seed", "x"], ["sgs", "a.fan", "--seed", "1.5"]]
-                        + [[cmd, "-h"] for cmd in COMMANDS])
+                        + [[cmd, "-h"] for cmd in COMMANDS]
+                        # every command but suite has a required argument
+                        + [[cmd] for cmd in COMMANDS if cmd != "suite"])
+VALID_ARGVS = [
+    ["validate", "a.fan"], ["chars", "a.fan"], ["levels", "a.fan"], ["rootsys", "a.fan"],
+    ["rootsys", "--d", "C"], ["strata", "a.fan"], ["sgs", "a.fan"], ["sgs", "a.fan", "--seed", "3"],
+    ["iso", "A", "B"], ["iso", "A", "B", "--se", "3"], ["represent", "a.fan", "v.txt"],
+    ["check-forest", "f.forest"], ["realize", "F"], ["realize", "F", "--o", "out"],
+    ["gen", "--seed", "1"],
+    ["gen", "--seed", "1", "--levels", "3", "--maxdim", "2", "--count", "4", "--outdir", "d"],
+    ["suite"], ["suite", "--seed", "2", "--levels", "3", "--maxdim", "2", "--count", "5"],
+]
 
 
 def _parse_output(parser, argv, capsys):
@@ -725,6 +737,44 @@ def test_help_and_errors_match_argparse_formatter(columns, monkeypatch, capsys):
         assert got == _parse_output(_argparse_formatter(fanforge.cli.build_parser()), argv, capsys)
         assert main(argv) == (2 if got[2] else 0)
         assert capsys.readouterr() == got[:2]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_named_build_parses_like_the_full_build(argv):
+    args = fanforge.cli.build_parser(argv).parse_args(argv)
+    assert args == fanforge.cli.build_parser().parse_args(argv)
+    assert args.command == argv[0] and callable(args.fn)
+
+
+def test_valid_argvs_cover_every_command():
+    assert {argv[0] for argv in VALID_ARGVS} == set(COMMANDS)
+
+
+def test_named_build_gives_other_commands_no_actions():
+    named = _subparsers(fanforge.cli.build_parser(["iso", "a.fan", "b.fan"]))
+    assert list(named) == list(COMMANDS)
+    assert [cmd for cmd, p in named.items() if p._actions] == ["iso"]
+    full = _subparsers(fanforge.cli.build_parser())
+    assert all(p._actions for p in full.values())
+
+
+def test_main_builds_the_parser_named_by_sys_argv(monkeypatch, capsys):
+    seen = []
+    build = fanforge.cli.build_parser
+
+    def spy(argv=None):
+        seen.append(argv)
+        return build(argv)
+
+    monkeypatch.setattr(fanforge.cli, "build_parser", spy)
+    monkeypatch.setattr(sys, "argv", ["fanforge", "iso", "-h"])
+    assert main() == 0
+    assert seen == [["iso", "-h"]]
+    assert capsys.readouterr().out.startswith("usage: fanforge iso ")
 
 
 def test_help_width_is_read_per_call(monkeypatch, capsys):

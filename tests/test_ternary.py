@@ -105,6 +105,25 @@ def test_triple_product_rejects_mixed_tables():
         triple_product(h1, h1, h2)
 
 
+@pytest.mark.parametrize("order", [
+    specializes, ternary.specializes_by_square_shift, ternary.specializes_by_units,
+    ternary.specializes_by_nonnegative_part, ternary.specializes_by_zero_sets, zero_set_order,
+], ids=lambda f: f.__name__)
+def test_pair_orders_compare_tables_by_value(order):
+    _, _, by_chain = table_characters(E1)
+    from fanforge.chains import ChainChar
+    tr, tc1 = by_chain[ChainChar(1, 1)], by_chain[ChainChar(2, 1)]
+    twin = Character(chain_to_table(E1), tc1.support, tc1.neg)
+    assert twin.table == tc1.table and twin.table is not tc1.table
+    assert order(twin, tr) == order(tc1, tr)
+    assert order(tr, twin) == order(tr, tc1)
+    other = enumerate_characters(sign3_table())[0]
+    with pytest.raises(ValueError, match="different tables"):
+        order(other, tr)
+    with pytest.raises(ValueError, match="different tables"):
+        order(tr, other)
+
+
 def test_specializes_examples():
     _, _, by_chain = table_characters(E1)
     from fanforge.chains import ChainChar
