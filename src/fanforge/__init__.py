@@ -15,7 +15,6 @@ from .chains import (
     chain_characters,
     chain_to_table,
     table_to_chain,
-    transition,
     validate_chain,
 )
 from .errors import (

@@ -14,7 +14,6 @@ then -1, then the remaining slice elements grouped by depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from typing import NamedTuple
 
@@ -62,18 +61,6 @@ class FanChain:
     def n(self) -> int:
         return len(self.dims)
 
-    @cached_property
-    def transitions(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Row matrix of every composite transition (d, e), d <= e."""
-        out = {}
-        for d in range(1, self.n + 1):
-            rows = gf2.identity_rows(self.dims[d - 1])
-            out[(d, d)] = rows
-            for e in range(d + 1, self.n + 1):
-                rows = gf2.compose(self.taus[e - 2], rows)
-                out[(d, e)] = rows
-        return out
-
 
 class ChainChar(NamedTuple):
     """A character in chain coordinates: depth plus a functional mask.
@@ -117,13 +104,6 @@ def _require_valid(c: FanChain) -> None:
     bad = validate_chain(c)
     if bad:
         raise StructuralError(f"invalid chain: {bad[0].message}")
-
-
-def transition(c: FanChain, d: int, e: int) -> tuple[int, ...]:
-    """Row matrix of the composite transition from depth d to depth e (d <= e)."""
-    if not 1 <= d <= e <= c.n:
-        raise ValueError(f"need 1 <= d <= e <= {c.n}, got d={d}, e={e}")
-    return c.transitions[(d, e)]
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")     # swaps the parity bytes 0 and 1
@@ -203,7 +183,9 @@ def multiply_elements(c: FanChain, a: SliceElement, b: SliceElement) -> SliceEle
         return ZERO_ELEMENT
     if a.depth > b.depth:
         a, b = b, a
-    moved = gf2.mat_vec(transition(c, a.depth, b.depth), a.vec)
+    moved = a.vec
+    for tau in c.taus[a.depth - 1:b.depth - 1]:
+        moved = gf2.mat_vec(tau, moved)
     return SliceElement(b.depth, moved ^ b.vec)
 
 
@@ -211,7 +193,9 @@ def evaluate_element(c: FanChain, h: ChainChar, el: SliceElement) -> int:
     """Value of the character h at a fan element."""
     if el == ZERO_ELEMENT or el.depth > h.depth:
         return 0
-    moved = gf2.mat_vec(transition(c, el.depth, h.depth), el.vec)
+    moved = el.vec
+    for tau in c.taus[el.depth - 1:h.depth - 1]:
+        moved = gf2.mat_vec(tau, moved)
     return -1 if gf2.dot(h.mask, moved) else 1
 
 
@@ -235,19 +219,22 @@ def chain_to_table(c: FanChain) -> TernaryTable:
     for vs in vecs:
         at.append([start + j for j in sorted(range(len(vs)), key=vs.__getitem__)])
         start += len(vs)
-    # moved[(d, e)]: slice d's vectors pushed into slice e >= d, in table order
-    moved = {(d, e): [gf2.mat_vec(rows, v) for v in vecs[d - 1]]
-             for (d, e), rows in c.transitions.items()}
     # A product lives in the deeper slice of its factors, at the XOR of both
-    # factors pushed there.  Row and column 0 are the zero element.
+    # factors pushed there, one tau at a time.  Row and column 0 are the
+    # zero element.
     mul = [(0,) * size]
+    pushed: list[int] = []      # slices 1..d pushed into slice d, in table order
     for d, vs in enumerate(vecs, start=1):
-        for j in range(len(vs)):
-            row = [0]
-            for e in range(1, c.n + 1):
-                deep = max(d, e)
-                mine, where = moved[(d, deep)][j], at[deep - 1]
-                row += [where[x ^ mine] for x in moved[(e, deep)]]
+        if d > 1:
+            pushed = [gf2.mat_vec(c.taus[d - 2], x) for x in pushed]
+        pushed += vs
+        where = at[d - 1]
+        for v in vs:
+            row = [0] + [where[x ^ v] for x in pushed]
+            # the row's own vector, pushed into each deeper slice in turn
+            for tau, deep_at, deep_vs in zip(c.taus[d - 1:], at[d:], vecs[d:]):
+                v = gf2.mat_vec(tau, v)
+                row += [deep_at[x ^ v] for x in deep_vs]
             mul.append(tuple(row))
     return TernaryTable(size=size, one_idx=1, zero_idx=0, minus_one_idx=2, mul=tuple(mul))
 
@@ -258,9 +245,11 @@ def chain_char_to_table_char(c: FanChain, t: TernaryTable, h: ChainChar) -> Char
     functional, pulled back to the element's slice, is 1."""
     if t.size != 1 + sum(1 << k for k in c.dims):
         raise ValueError(f"table has {t.size} elements, not the fan's")
+    lams = [h.mask]         # the functional pulled back to depths h.depth, ..., 1
+    for tau in reversed(c.taus[:h.depth - 1]):
+        lams.append(gf2.pullback(lams[-1], tau))
     neg, i = 0, 1
-    for e in range(1, h.depth + 1):
-        lam = gf2.pullback(h.mask, c.transitions[(e, h.depth)])
+    for e, lam in enumerate(reversed(lams), start=1):
         for v in _slice_vectors(c, e):
             neg |= gf2.dot(lam, v) << i
             i += 1

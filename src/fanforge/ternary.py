@@ -26,6 +26,18 @@ SIGNS = (1, 0, -1)
 #: 2-vCPU Xeon VM with Python 3.11.7), within 50 MB.
 MAX_TABLE_ELEMENTS = 2049
 
+#: Most generators TernaryTable.closure_steps adds before it refuses the
+#: table.  Light's test costs m^2 per generator, and the support search
+#: and its equations grow with the generator count too, which
+#: MAX_TABLE_ELEMENTS does not bound: a dimension-1 path of n levels
+#: needs n + 2 generators.  The slowest table found within both bounds,
+#: 2049 elements on dims 10, 9, ..., 5 and then sixteen 1s with rank-1
+#: taus, needs 63 generators, and `fanforge validate` takes 4.2 s on it
+#: within 52 MB; 512- and 1024-level paths are refused in 0.4 and 1.2 s
+#: (same machine as above).  Real inputs need far fewer: 17 for a 4x9
+#: ladder, at most 14 in `fanforge suite --seed 0`.
+MAX_TABLE_GENERATORS = 64
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -88,6 +100,10 @@ class TernaryTable:
         steps: list[ClosureStep] = []
 
         def add(g: int) -> None:
+            if len(gens) == MAX_TABLE_GENERATORS:
+                raise ResourceLimitError(
+                    f"table needs more than {MAX_TABLE_GENERATORS} generators, "
+                    f"generator bound is {MAX_TABLE_GENERATORS}")
             gens.append(g)
             start = len(elems)
             words: list[tuple[int, int, int]] = []

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 import fanforge.chains
+from fanforge import gf2
 from fanforge.chains import (
     MAX_CHARACTERS,
     ChainChar,
@@ -20,7 +22,6 @@ from fanforge.chains import (
     roundtrip_isomorphism,
     table_to_chain,
     table_to_chain_with_map,
-    transition,
     validate_chain,
 )
 from fanforge.corpus import generate_corpus, random_transition
@@ -38,7 +39,8 @@ from fanforge.ternary import (
     validate_table,
 )
 
-from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder, oracle_characters
+from conftest import (
+    CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder, mixed_chain, oracle_characters)
 from test_ternary import corrupted_copies, product_table
 
 
@@ -119,16 +121,6 @@ def test_character_space_refused_before_enumerating(monkeypatch):
         FanSpace(big)
     with pytest.raises(ResourceLimitError):
         chain_characters(big)
-
-
-def test_transition_examples():
-    assert transition(E1, 1, 2) == E1.taus[0]
-    assert transition(E1, 2, 2) == (1, 2)  # identity on two bits
-    from fanforge import gf2
-    rank = gf2.rank(transition(EB, 1, 2))
-    assert rank == 1
-    with pytest.raises(ValueError):
-        transition(E1, 2, 1)
 
 
 def test_cardinalities_examples():
@@ -420,25 +412,85 @@ def oracle_elements(c):
     return (ZERO_ELEMENT, one, minus) + tuple(el for el in rest if el not in (one, minus))
 
 
+def oracle_transitions(c):
+    """Row matrix of every composite transition (d, e), d <= e, built with
+    gf2.compose: the oracle for transport one tau at a time."""
+    out = {}
+    for d in range(1, c.n + 1):
+        rows = gf2.identity_rows(c.dims[d - 1])
+        out[(d, d)] = rows
+        for e in range(d + 1, c.n + 1):
+            rows = gf2.compose(c.taus[e - 2], rows)
+            out[(d, e)] = rows
+    return out
+
+
+def rank_deficient_chains(rng, count):
+    """Mixed chains of 6 to 8 levels, each tau of rank below the dimension
+    of both its ends, so composite transitions lose rank with depth."""
+    out = []
+    while len(out) < count:
+        c = mixed_chain(rng, tuple(rng.randint(2, 4) for _ in range(rng.randint(6, 8))))
+        if all(gf2.rank(tau) < min(c.dims[d], c.dims[d + 1]) for d, tau in enumerate(c.taus)):
+            out.append(c)
+    return out
+
+
 def test_slice_builders_match_per_cell_references(corpus):
-    # chain_to_table and chain_char_to_table_char work slice by slice; the
-    # references multiply and evaluate one element at a time
+    # chain_to_table, chain_char_to_table_char, multiply_elements and
+    # evaluate_element all step one tau at a time; the reference moves
+    # each element by one composite matrix, one cell at a time
     rng = random.Random(129)
     minus = (6, 3, 7, 15)
     ladder = FanChain((5,) * 4, minus, tuple(
         random_transition(rng, 5, 5, minus[d], minus[d + 1]) for d in range(3)))
     assert cardinalities(ladder)[0] == 129
-    for chain in list(corpus) + [E2, E1P, ladder]:
+    path = FanChain((1,) * 64, (1,) * 64, ((1,),) * 63)
+    deficient = rank_deficient_chains(random.Random(68), 4)
+    for chain in list(corpus) + [E2, E1P, ladder, path] + deficient:
         elements = oracle_elements(chain)
         assert chain_elements(chain) == elements
         index = {el: i for i, el in enumerate(elements)}
+        moves = oracle_transitions(chain)
+
+        def push(el, depth):
+            return gf2.mat_vec(moves[(el.depth, depth)], el.vec)
+
+        def product(a, b):
+            if ZERO_ELEMENT in (a, b):
+                return ZERO_ELEMENT
+            deep = max(a.depth, b.depth)
+            return SliceElement(deep, push(a, deep) ^ push(b, deep))
+
         table = chain_to_table(chain)
-        assert table.mul == tuple(tuple(index[multiply_elements(chain, a, b)] for b in elements)
-                                  for a in elements)
+        want_mul = tuple(tuple(index[product(a, b)] for b in elements) for a in elements)
+        assert table.mul == want_mul
+        assert tuple(tuple(index[multiply_elements(chain, a, b)] for b in elements)
+                     for a in elements) == want_mul
         assert (table.zero_idx, table.one_idx, table.minus_one_idx) == (
             0, index[SliceElement(1, 0)], index[SliceElement(1, chain.minus[0])])
         for h in chain_characters(chain):
-            want = Character.from_values(
-                table, [evaluate_element(chain, h, el) for el in elements])
+            values = [0 if el == ZERO_ELEMENT or el.depth > h.depth
+                      else -1 if gf2.dot(h.mask, push(el, h.depth)) else 1
+                      for el in elements]
+            assert [evaluate_element(chain, h, el) for el in elements] == values
+            want = Character.from_values(table, values)
             got = chain_char_to_table_char(chain, table, h)
             assert (got.support, got.neg) == (want.support, want.neg)
+
+
+def test_chain_to_table_working_memory():
+    # the pushed vectors of one slice at a time are all the working memory:
+    # the peak stays near the finished table, and the chain keeps no cache
+    # of composite transitions (a 256-level path: 513 elements, about 2 MB)
+    n = 256
+    chain = FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))
+    tracemalloc.start()
+    try:
+        table = chain_to_table(chain)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.size == 2 * n + 1
+    assert peak <= 1.5 * held, (peak, held)
+    assert set(vars(chain)) == {"dims", "minus", "taus"}

@@ -19,6 +19,7 @@ from fanforge.generators import standard_generating_system
 from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
 from fanforge.spectral import FanSpace, Forest
+from fanforge.ternary import MAX_TABLE_GENERATORS
 
 from conftest import (
     DATA, E1, E1P, EA, EB, TRIV, forked_paths, ladder, mixed_chain, oracle_characters,
@@ -352,6 +353,10 @@ def test_strata_prints_a_path_just_under_its_bound(tmp_path, capsys):
     assert f"strata output has {_path_strata_entries(n + 1)} lines" in out.err
 
 
+GENERATOR_BOUND_ERROR = (f"resource limit: table needs more than {MAX_TABLE_GENERATORS} "
+                         f"generators, generator bound is {MAX_TABLE_GENERATORS}\n")
+
+
 def _run_under_1gb(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(fanforge.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", _UNDER_1GB, *args],
@@ -421,9 +426,8 @@ def test_deep_path_iso_within_1gb(tmp_path):
 
 
 def test_deep_path_represent_within_1gb(tmp_path):
-    # each candidate element moves one transition step per depth its
-    # character scan reaches; the n²/2-entry table of composite transitions
-    # runs out of memory at 4096 levels
+    # each candidate element moves one tau per depth its character scan
+    # reaches, so the work is linear in the level count
     n = MAX_CHARACTERS
     path = tmp_path / "path.fan"
     path.write_text(serialize_chain(_path_chain(n)))
@@ -547,6 +551,23 @@ def test_validate_at_table_bound_within_1gb(tmp_path):
     out = _run_under_1gb("validate", str(path), timeout=10)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "valid fan: 1024 characters on 2049 elements\n"
+
+
+@pytest.mark.parametrize("levels", [512, 1024])
+def test_validate_deep_path_refused_by_generator_bound_within_1gb(tmp_path, levels):
+    # a dimension-1 path of n levels is within the table bound but needs
+    # n + 2 generators, and Light's test and the support search grow with
+    # them: without the generator bound, 512 levels validate in about 80 s
+    path = tmp_path / "path.fan"
+    path.write_text(serialize_chain(_path_chain(levels)))
+    out = _run_under_1gb("validate", str(path), timeout=20)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", GENERATOR_BOUND_ERROR)
+
+
+def test_suite_deep_paths_refused_by_generator_bound_within_1gb():
+    # the first drawn chain past 62 levels is refused by the generator bound
+    out = _run_under_1gb("suite", "--levels", "1000", "--maxdim", "1", timeout=20)
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", GENERATOR_BOUND_ERROR)
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fanforge.errors import ResourceLimitError, StructuralError
 from fanforge.spectral import FanSpace
 from fanforge.ternary import (
     MAX_TABLE_ELEMENTS,
+    MAX_TABLE_GENERATORS,
     Character,
     TernaryTable,
     enumerate_characters,
@@ -77,12 +78,29 @@ def test_enumeration_matches_chain_route():
 
 
 def test_enumeration_cap():
-    # the table bound is the only bound: one element over it is refused
-    # before any assignment
+    # one element over the table bound is refused before any assignment
     m = MAX_TABLE_ELEMENTS + 1
     over = TernaryTable(m, 0, 0, 0, ((0,) * m,) * m)
     with pytest.raises(ResourceLimitError, match=f"table bound is {MAX_TABLE_ELEMENTS}"):
         enumerate_characters(over)
+
+
+def test_generator_bound():
+    # a dimension-1 path of n levels needs n + 2 generators: 62 levels are
+    # at the bound and valid, and 63 are refused when closure_steps reaches
+    # the generator over it, by every check that reads the generators
+    def path(n):
+        return chain_to_table(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)))
+
+    at = path(MAX_TABLE_GENERATORS - 2)
+    assert len(at.generators) == MAX_TABLE_GENERATORS
+    assert validate_table(at) == [] and len(enumerate_characters(at)) == at.size // 2
+    over = path(MAX_TABLE_GENERATORS - 1)
+    message = (f"table needs more than {MAX_TABLE_GENERATORS} generators, "
+               f"generator bound is {MAX_TABLE_GENERATORS}")
+    for check in (validate_table, enumerate_characters, fan_report):
+        with pytest.raises(ResourceLimitError, match=message):
+            check(over)
 
 
 def test_triple_product_examples():
