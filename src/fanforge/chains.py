@@ -21,10 +21,12 @@ from . import gf2
 from .errors import NotAFanError, ResourceLimitError, StructuralError
 from .ternary import (
     MAX_TABLE_ELEMENTS,
+    MAX_TABLE_GENERATORS,
     Character,
     TernaryTable,
     Violation,
     _affine_bases,
+    generator_bound_error,
     require_fan,
 )
 
@@ -208,6 +210,19 @@ def table_size(c: FanChain) -> int:
         raise ResourceLimitError(
             f"fan has {size} elements, table bound is {MAX_TABLE_ELEMENTS}")
     return size
+
+
+def require_generator_bound(c: FanChain) -> None:
+    """Refuse, before its table is built, a chain whose table needs more
+    than MAX_TABLE_GENERATORS generators, with closure_steps's message.
+
+    A chain of n levels needs at least n + 2: the three constants, and
+    one in each slice below the first, since a product lies in the
+    deeper slice of its factors.  An over-size fan is refused by
+    table_size first, as chain_to_table would refuse it."""
+    if c.n + 2 > MAX_TABLE_GENERATORS:
+        table_size(c)
+        raise generator_bound_error()
 
 
 def chain_to_table(c: FanChain) -> TernaryTable:

@@ -14,7 +14,13 @@ import shutil
 import sys
 from pathlib import Path
 
-from .chains import ChainChar, chain_characters, chain_to_table, validate_chain
+from .chains import (
+    ChainChar,
+    chain_characters,
+    chain_to_table,
+    require_generator_bound,
+    validate_chain,
+)
 from .corpus import generate_corpus
 from .errors import NotAFanError, OrderMismatchError, ResourceLimitError, StructuralError
 from .formats import (
@@ -60,6 +66,7 @@ def _cmd_validate(args) -> int:
             print(p)
         return 1
     count = len(chain_characters(chain))
+    require_generator_bound(chain)
     table = chain_to_table(chain)
     problems = [str(v) for v in validate_table(table)]
     chars = enumerate_characters(table)

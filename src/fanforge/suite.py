@@ -19,6 +19,7 @@ from .chains import (
     FanChain,
     chain_char_to_table_char,
     chain_to_table,
+    require_generator_bound,
     roundtrip_isomorphism,
     table_size,
 )
@@ -108,7 +109,11 @@ def check_fan_closure(model: FanModel) -> list[str]:
 
 def check_product_identities(model: FanModel, rng: random.Random) -> list[str]:
     """Sampled product laws: replacing factors by successors above the
-    pivot's zero-set keeps the product; odd products are monotone."""
+    pivot's zero-set keeps the product; odd products are monotone.
+
+    Products are compared on their (support, neg) masks, which are equal
+    exactly when the value vectors are, since ternary._product cuts neg
+    to the support."""
     failures = []
     space, table_of = model.space, model.table_of
     chars = space.chars
@@ -118,9 +123,9 @@ def check_product_identities(model: FanModel, rng: random.Random) -> list[str]:
         deeper = [g for g in chars if g.depth >= h.depth]
         gs = [rng.choice(deeper) for _ in range(r)]
         fs = [space.successor(g, rng.randint(h.depth, g.depth)) for g in gs]
-        lhs = ternary.pointwise_product([table_of[h]] + [table_of[g] for g in gs])
-        rhs = ternary.pointwise_product([table_of[h]] + [table_of[f] for f in fs])
-        if lhs != rhs:
+        lhs = ternary._product([table_of[h]] + [table_of[g] for g in gs])
+        rhs = ternary._product([table_of[h]] + [table_of[f] for f in fs])
+        if (lhs.support, lhs.neg) != (rhs.support, rhs.neg):
             failures.append(f"product not stable under successor replacement at {h}")
     for _ in range(10):
         r = rng.choice((1, 3))
@@ -229,8 +234,12 @@ def run_suite(chains: list[FanChain], seed: int = 0) -> SuiteReport:
         "self-isomorphism": check_self_isomorphism,
     }
     report = SuiteReport({name: [] for name in sections}, fans=len(chains))
-    for chain in chains:    # an over-bound fan is refused before any section runs
+    # an over-bound fan is refused before any table is built: every fan
+    # against the size bound, then every fan against the generator bound
+    for chain in chains:
         table_size(chain)
+    for chain in chains:
+        require_generator_bound(chain)
     for chain in chains:
         model = fan_model(chain)
         for name, check in sections.items():

@@ -21,9 +21,9 @@ SIGNS = (1, 0, -1)
 #: Largest table chain_to_table builds and enumerate_characters accepts.
 #: The table is quadratic in it, and Light's test, which costs m^2 per
 #: generator (the m^3 scan runs only on a table that fails it), is the
-#: largest step: `fanforge validate` takes about 0.1 s at 513 elements
-#: and 1.6 s at 2049 (4-level ladders, fastest of three runs, on a
-#: 2-vCPU Xeon VM with Python 3.11.7), within 50 MB.
+#: largest step: `fanforge validate` takes about 0.05 s at 513 elements,
+#: 0.2 s at 1025 and 1.3 s at 2049 (4-level ladders of seed 0, fastest
+#: of three runs, on a 2-vCPU Xeon VM with Python 3.11.7), within 52 MB.
 MAX_TABLE_ELEMENTS = 2049
 
 #: Most generators TernaryTable.closure_steps adds before it refuses the
@@ -32,11 +32,20 @@ MAX_TABLE_ELEMENTS = 2049
 #: MAX_TABLE_ELEMENTS does not bound: a dimension-1 path of n levels
 #: needs n + 2 generators.  The slowest table found within both bounds,
 #: 2049 elements on dims 10, 9, ..., 5 and then sixteen 1s with rank-1
-#: taus, needs 63 generators, and `fanforge validate` takes 4.2 s on it
-#: within 52 MB; 512- and 1024-level paths are refused in 0.4 and 1.2 s
-#: (same machine as above).  Real inputs need far fewer: 17 for a 4x9
-#: ladder, at most 14 in `fanforge suite --seed 0`.
+#: taus, needs 63 generators, and `fanforge validate` takes 1.9 s on it
+#: within 55 MB.  `validate` and `suite` refuse a chain of more than 62
+#: levels before building its table (chains.require_generator_bound):
+#: a 1024-level path in 6 ms (same machine as above).  Real inputs need
+#: far fewer: 17 for a 4x9 ladder, at most 14 in `fanforge suite --seed 0`.
 MAX_TABLE_GENERATORS = 64
+
+
+def generator_bound_error() -> ResourceLimitError:
+    """The refusal of a table that needs more than MAX_TABLE_GENERATORS
+    generators."""
+    return ResourceLimitError(
+        f"table needs more than {MAX_TABLE_GENERATORS} generators, "
+        f"generator bound is {MAX_TABLE_GENERATORS}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,7 @@ class TernaryTable:
 
         def add(g: int) -> None:
             if len(gens) == MAX_TABLE_GENERATORS:
-                raise ResourceLimitError(
-                    f"table needs more than {MAX_TABLE_GENERATORS} generators, "
-                    f"generator bound is {MAX_TABLE_GENERATORS}")
+                raise generator_bound_error()
             gens.append(g)
             start = len(elems)
             words: list[tuple[int, int, int]] = []
@@ -153,21 +160,28 @@ class TernaryTable:
         closure_steps), so when every generator is in A, so is every element
         by induction on the word, and the table is associative.  The
         converse is immediate.
+
+        Each generator's test is one symmetry check.  Commutativity is
+        checked first, as the table's own symmetry.  Then, for the matrix
+        A_g whose row x is the row of x*g, A_g[x][y] = (x*g)*y and
+        A_g[y][x] = (y*g)*x = x*(y*g) = x*(g*y), so g is in A exactly when
+        A_g is symmetric.  A generator whose row is the identity (g*y = y)
+        or constant at g (g*y = g) is in A without the check: given
+        commutativity, both sides are x*y in the first case and g in the
+        second.  On a fan table these are the rows of 1 and 0.  Both checks
+        compare each row with a column that zip assembles in one reused
+        tuple, so no row is allocated.
         """
         mul = self.mul
-        if self.size == 1:
-            return True     # itemgetter of one index returns no tuple
-        # The commutativity check compares rows as lists: a tuple per row
-        # read higher peak RSS on the sweep benchmark.  Light's loop builds
-        # one tuple per row with itemgetter, each freed before the next; it
-        # runs 3.5 times faster than a list per row at the same peak RSS.
-        if any(map(ne, map(list, zip(*mul)), map(list, mul))):
+        if any(map(ne, zip(*mul), mul)):
             return False
+        identity = tuple(range(self.size))
         for g in self.generators:
             row_g = mul[g]
-            # for each x, the row of x*g = g*x, (x*g)*y for all y, against
-            # x*(g*y) for all y
-            if any(map(ne, map(mul.__getitem__, row_g), map(itemgetter(*row_g), mul))):
+            if row_g == identity or row_g.count(g) == self.size:
+                continue
+            a = list(map(mul.__getitem__, row_g))
+            if any(map(ne, zip(*a), a)):
                 return False
         return True
 
@@ -303,8 +317,8 @@ def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
     and the solutions are an affine space: one point plus one kernel
     vector per free coordinate.  Each solution's neg mask is an XOR of
     per-bit element masks, so a character costs O(1) big-int operations.
-    Two constants on one index leave no support (1 = 0 or 0 = -1) or an
-    inconsistent system (1 = -1), so such a table has no character.
+    Two constants on one index leave no support (1 = 0 or 0 = -1) or no
+    solution (1 = -1, returned at once), so such a table has no character.
 
     Why a solution is a character on a commutative semigroup.  The 0/1
     map [x in F] is multiplicative (see _support_search), so y*g is in F
@@ -328,6 +342,8 @@ def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
             f"table has {m} elements, table bound is {MAX_TABLE_ELEMENTS}")
     mul = t.mul
     steps = t.closure_steps
+    if t.one_idx == t.minus_one_idx:
+        return ()
     parity = [0] * m
     free: list[tuple[int, int]] = []    # (free generator, its bit)
     for k, (g, new, words) in enumerate(steps):
@@ -343,14 +359,22 @@ def enumerate_characters(t: TernaryTable) -> tuple[Character, ...]:
         for b in gf2.bits(p):
             columns[b] |= 1 << x
 
+    # per generator g, the edge equation's vector for every element y,
+    # from which each support gathers its own elements' entries (two or
+    # more: every support holds 1 and -1)
+    edges = []
+    for g in t.generators:
+        pg = parity[g]
+        edges.append((g, [parity[row[g]] ^ p ^ pg for row, p in zip(mul, parity)]))
+
     found: list[Character] = []
     for inside in _support_search(t):
         support = sum(1 << x for x in inside)
         equations = {parity[t.one_idx], parity[t.minus_one_idx] | 1}
-        for g in t.generators:
+        gather = itemgetter(*inside)
+        for g, edge in edges:
             if support >> g & 1:
-                pg = parity[g]
-                equations.update([parity[mul[y][g]] ^ parity[y] ^ pg for y in inside])
+                equations.update(gather(edge))
         span = gf2.Span(equations)
         point = span.orthogonal(1)
         if not point & 1:
@@ -403,22 +427,31 @@ def _support_search(t: TernaryTable) -> list[list[int]]:
         fixed[idx] = (v,) if fixed.get(idx, (v,)) == (v,) else ()
 
     # Per step: the generator, its choices, whether the step reaches it
-    # first, the words of its new elements, and per generator g so far
-    # the products y*g of the new elements y.
+    # first, the words of its new elements, and per generator h so far a
+    # check that v(y*h) = v(y)v(h) for every new element y: gathers of
+    # the values at the products y*h, at the new elements y, and of zeros
+    # at the products, compared whole (one index gathers a scalar on
+    # every side).  A step with no new elements has nothing to check.
     plan = []
     gens: list[int] = []
+    zeros = [0] * m
     for g, new, words in t.closure_steps:
         gens.append(g)
-        checks = [(h, [mul[y][h] for y in new]) for h in gens]
-        plan.append((g, fixed.get(g, (1, 0)), new[:1] == (g,), words, new, checks))
+        checks = []
+        if new:
+            get_new = itemgetter(*new)
+            for h in gens:
+                get_p = itemgetter(*[mul[y][h] for y in new])
+                checks.append((h, get_p, get_new, get_p(zeros)))
+        plan.append((g, fixed.get(g, (1, 0)), new[:1] == (g,), words, checks))
     values = [0] * m
     found: list[list[int]] = []
 
     def search(k: int) -> None:
         if k == len(plan):
-            found.append([x for x in range(m) if values[x]])
+            found.append(list(itertools.compress(range(m), values)))
             return
-        g, choices, fresh, words, new, checks = plan[k]
+        g, choices, fresh, words, checks = plan[k]
         for v in choices:
             if fresh:
                 values[g] = v
@@ -426,8 +459,8 @@ def _support_search(t: TernaryTable) -> list[list[int]]:
                 continue
             for y, r, h in words:
                 values[y] = values[r] & values[h]
-            if all([values[p] for p in products] == [values[y] & values[h] for y in new]
-                   for h, products in checks):
+            if all(get_p(values) == (get_new(values) if values[h] else zero)
+                   for h, get_p, get_new, zero in checks):
                 search(k + 1)
 
     search(0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import itemgetter, ne
 
 import pytest
 
@@ -526,6 +527,31 @@ def oracle_validate_table(t):
     return out
 
 
+def oracle_light_test(t):
+    """TernaryTable.commutative_semigroup with one itemgetter gather per
+    row: for each generator g and element x, the row of x*g = g*x,
+    (x*g)*y for all y, against x's row read at g*y, x*(g*y) for all y."""
+    mul = t.mul
+    if t.size == 1:
+        return True     # itemgetter of one index returns no tuple
+    if any(map(ne, map(list, zip(*mul)), map(list, mul))):
+        return False
+    for g in t.generators:
+        row_g = mul[g]
+        if any(map(ne, map(mul.__getitem__, row_g), map(itemgetter(*row_g), mul))):
+            return False
+    return True
+
+
+def oracle_commutative_semigroup(t):
+    """Commutativity, then the m^3 associativity scan with one row gather
+    per pair x, y: (x*y)*z against x*(y*z) for every z."""
+    m, mul = t.size, t.mul
+    return (all(mul[x][y] == mul[y][x] for x in range(m) for y in range(x + 1, m))
+            and all(mul[mul[x][y]] == itemgetter(*mul[y])(mul[x])
+                    for x in range(m) for y in range(m)))
+
+
 def oracle_enumerate_by_elements(t):
     """Sorted value vectors of a depth-first search in element-index order,
     each value propagated through its products with every known element.
@@ -609,9 +635,54 @@ def test_validate_table_matches_m3_scan(corpus, corrupted):
         assert validate_table(t) == want
         structural = {"commutativity", "associativity"}
         assert t.commutative_semigroup == (not any(v.code in structural for v in want))
+        assert t.commutative_semigroup == oracle_light_test(t)
     assert all(t.commutative_semigroup for t in fans)
     # most corruptions break associativity; those are the scan's witnesses
     assert sum(not t.commutative_semigroup for t in corrupted) > len(corrupted) // 2
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+def test_light_test_on_ladder_edits(dim):
+    # one symmetric cell overwritten in 129- and 513-element ladder tables,
+    # so each copy stays commutative and its verdict falls to the
+    # per-generator symmetry checks
+    table = chain_to_table(ladder(random.Random(dim), 4, dim))
+    assert table.commutative_semigroup and oracle_light_test(table)
+    edits = corrupted_copies(random.Random(dim), [table], 8, asymmetric=0)
+    assert all(map(is_commutative, edits))
+    verdicts = [t.commutative_semigroup for t in edits]
+    assert verdicts == list(map(oracle_light_test, edits))
+    assert verdicts == list(map(oracle_commutative_semigroup, edits))
+    assert not any(verdicts)
+
+
+def test_light_test_passes_identity_row_of_another_generator():
+    # sign3 x sign3 with constants 1 = (0, 1), 0 = (0, 0), -1 = (1, 0):
+    # the identity (1, 1) is reached by no product of earlier generators,
+    # so it is a generator other than 1 whose row is the identity; one
+    # symmetric edit away from its row breaks associativity
+    square = product_table(sign3_table(), sign3_table())
+    identity = square.one_idx
+    t = TernaryTable(9, 1, 0, 3, square.mul)
+    assert identity in t.generators and identity != t.one_idx
+    assert t.mul[identity] == tuple(range(9))
+    mul = [list(row) for row in t.mul]
+    mul[5][7] = mul[7][5] = identity
+    edited = TernaryTable(9, 1, 0, 3, tuple(map(tuple, mul)))
+    assert edited.mul[identity] == tuple(range(9))
+    for table, verdict in ((t, True), (edited, False)):
+        assert table.commutative_semigroup == verdict
+        assert oracle_light_test(table) == verdict
+        assert oracle_commutative_semigroup(table) == verdict
+
+
+def test_light_test_checks_rows_constant_at_another_element():
+    # x*0 = x*1 = 2 for all x but 2*2 = 0, so (0*0)*2 = 0 != 2 = 0*(0*2):
+    # only the generators 0 and 1, whose rows are constant at 2, show it
+    t = TernaryTable(3, 0, 0, 0, ((2, 2, 2), (2, 2, 2), (2, 2, 0)))
+    assert t.generators == (0, 1)
+    assert not t.commutative_semigroup
+    assert not oracle_light_test(t) and not oracle_commutative_semigroup(t)
 
 
 def test_enumeration_matches_element_propagation(corpus, corrupted):
@@ -744,7 +815,7 @@ def test_enumeration_matches_search_on_generators(corpus, corrupted):
     assert any(map(constant_reached_by_word, corrupted))
 
 
-@pytest.mark.parametrize("levels,dim", [(4, 5), (4, 7), (4, 9)])
+@pytest.mark.parametrize("levels,dim", [(4, 5), (4, 6), (4, 7), (4, 8), (4, 9)])
 def test_enumeration_on_ladders_up_to_table_bound(levels, dim):
     chain = ladder(random.Random(levels * dim), levels, dim)
     table = chain_to_table(chain)
