@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import gf2
@@ -234,22 +235,50 @@ def chain_to_table(c: FanChain) -> TernaryTable:
     for vs in vecs:
         at.append([start + j for j in sorted(range(len(vs)), key=vs.__getitem__)])
         start += len(vs)
+
+    def shifted(f: int, u: int) -> tuple[int, ...]:
+        """Slice f's products with a factor whose vector, pushed into f, is u."""
+        where = at[f - 1]
+        return tuple([where[x ^ u] for x in vecs[f - 1]])
+
+    # steps[d-1][x]: slice d's vector x pushed one tau into slice d + 1,
+    # tabled as the XOR of the images of x's unit vectors
+    steps = [gf2.pullback_table(tuple([gf2.mat_vec(tau, 1 << i) for i in range(k)]))
+             for tau, k in zip(c.taus, c.dims)]
     # A product lives in the deeper slice of its factors, at the XOR of both
-    # factors pushed there, one tau at a time.  Row and column 0 are the
-    # zero element.
+    # factors pushed there, one tau at a time.  So row v of slice d is the
+    # zero element's 0, its products with slices 1..d (gathered from
+    # shifted(d, v)), then shifted(f, v pushed into f) for each deeper
+    # slice f.  Those blocks are memoized per slice: shallower rows fill
+    # slice f's memo, and slice f's own rows pop it empty.
+    memos: list[dict[int, tuple[int, ...]]] = [{} for _ in vecs]
     mul = [(0,) * size]
     pushed: list[int] = []      # slices 1..d pushed into slice d, in table order
     for d, vs in enumerate(vecs, start=1):
         if d > 1:
-            pushed = [gf2.mat_vec(c.taus[d - 2], x) for x in pushed]
+            step = steps[d - 2]
+            pushed = [step[x] for x in pushed]
         pushed += vs
-        where = at[d - 1]
+        if d == 1:
+            # shifted(1, v) with the zero element's 0 in front: column
+            # len(vs) XORs past the slice's vectors, where 0 is read
+            where, cols = at[0] + [0] * len(vs), [len(vs), *vs]
+        else:
+            # slices 2.. list their vectors in order, so shifted(d, v)[x] is
+            # the product with the element whose vector pushed into d is x
+            own, gather = memos[d - 1], itemgetter(*pushed)
+        deeper = list(zip(steps[d - 1:], memos[d:], range(d + 1, c.n + 1)))
         for v in vs:
-            row = [0] + [where[x ^ v] for x in pushed]
-            # the row's own vector, pushed into each deeper slice in turn
-            for tau, deep_at, deep_vs in zip(c.taus[d - 1:], at[d:], vecs[d:]):
-                v = gf2.mat_vec(tau, v)
-                row += [deep_at[x ^ v] for x in deep_vs]
+            if d > 1:
+                row = [0, *gather(own.pop(v, None) or shifted(d, v))]
+            else:
+                row = [where[x ^ v] for x in cols]
+            for push, memo, f in deeper:
+                v = push[v]
+                block = memo.get(v)
+                if block is None:
+                    block = memo[v] = shifted(f, v)
+                row += block
             mul.append(tuple(row))
     return TernaryTable(size=size, one_idx=1, zero_idx=0, minus_one_idx=2, mul=tuple(mul))
 
@@ -359,8 +388,12 @@ def roundtrip_isomorphism(t: TernaryTable,
     if (iso[rebuilt.one_idx] != t.one_idx or iso[rebuilt.zero_idx] != t.zero_idx
             or iso[rebuilt.minus_one_idx] != t.minus_one_idx):
         raise NotAFanError("round-trip map moves a constant", ())
-    for x in range(rebuilt.size):
-        for y in range(rebuilt.size):
-            if iso[rebuilt.mul[x][y]] != t.mul[iso[x]][iso[y]]:
-                raise NotAFanError("round-trip map does not preserve products", (x, y))
+    # row by row: iso[rebuilt.mul[x][y]] == t.mul[iso[x]][iso[y]] for all y
+    old = [iso[i] for i in range(rebuilt.size)]
+    image_of = itemgetter(*old)
+    for x, row in enumerate(rebuilt.mul):
+        image = t.mul[old[x]]
+        if itemgetter(*row)(old) != image_of(image):
+            y = next(y for y, v in enumerate(row) if old[v] != image[old[y]])
+            raise NotAFanError("round-trip map does not preserve products", (x, y))
     return iso

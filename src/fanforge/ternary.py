@@ -21,9 +21,10 @@ SIGNS = (1, 0, -1)
 #: Largest table chain_to_table builds and enumerate_characters accepts.
 #: The table is quadratic in it, and Light's test, which costs m^2 per
 #: generator (the m^3 scan runs only on a table that fails it), is the
-#: largest step: `fanforge validate` takes about 0.05 s at 513 elements,
-#: 0.2 s at 1025 and 1.3 s at 2049 (4-level ladders of seed 0, fastest
-#: of three runs, on a 2-vCPU Xeon VM with Python 3.11.7), within 52 MB.
+#: largest step: `fanforge validate` takes about 0.04 s at 513 elements,
+#: 0.19 s at 1025 and 1.1 s at 2049 (4-level ladders of seed 0, fastest
+#: of three runs, on a 2-vCPU Xeon VM with Python 3.11.7), within 52 MB;
+#: the table itself, built and range-checked, takes 0.18 s of it at 2049.
 MAX_TABLE_ELEMENTS = 2049
 
 #: Most generators TernaryTable.closure_steps adds before it refuses the
@@ -32,7 +33,7 @@ MAX_TABLE_ELEMENTS = 2049
 #: MAX_TABLE_ELEMENTS does not bound: a dimension-1 path of n levels
 #: needs n + 2 generators.  The slowest table found within both bounds,
 #: 2049 elements on dims 10, 9, ..., 5 and then sixteen 1s with rank-1
-#: taus, needs 63 generators, and `fanforge validate` takes 1.9 s on it
+#: taus, needs 63 generators, and `fanforge validate` takes 1.7 s on it
 #: within 55 MB.  `validate` and `suite` refuse a chain of more than 62
 #: levels before building its table (chains.require_generator_bound):
 #: a 1024-level path in 6 ms (same machine as above).  Real inputs need
@@ -86,10 +87,11 @@ class TernaryTable:
                 raise StructuralError(f"{name}={idx} out of range for size {m}")
         if len(self.mul) != m or any(len(row) != m for row in self.mul):
             raise StructuralError("mul table is not size x size")
-        for row in self.mul:
-            for v in row:
-                if not 0 <= v < m:
-                    raise StructuralError(f"product index {v} out of range")
+        indices = set(range(m))
+        if not all(map(indices.issuperset, self.mul)):
+            # only now scan for the first bad entry in row order
+            bad = next(v for row in self.mul for v in row if v not in indices)
+            raise StructuralError(f"product index {bad} out of range")
 
     @cached_property
     def closure_steps(self) -> tuple[ClosureStep, ...]:

@@ -355,6 +355,57 @@ def test_roundtrip_names_the_first_product_cell_it_breaks(corpus, monkeypatch):
         assert exc.value.witness == min(cells)
 
 
+def oracle_certificate(t, rebuilt, iso):
+    """roundtrip_isomorphism's product certificate one cell at a time,
+    as first written: the first cell (x, y) in row-major order whose
+    product iso does not carry onto t's, or None."""
+    for x in range(rebuilt.size):
+        for y in range(rebuilt.size):
+            if iso[rebuilt.mul[x][y]] != t.mul[iso[x]][iso[y]]:
+                return (x, y)
+    return None
+
+
+def test_roundtrip_certificate_matches_per_cell_oracle(corpus, monkeypatch):
+    # seeded edits of the rebuilt table anywhere, the constant rows x < 3
+    # and the last column included; an edit may write the cell's own
+    # value, so the witness is the first cell that really breaks, and
+    # some edited tables still pass
+    rng = random.Random(30)
+    rebuild = fanforge.chains.chain_to_table
+    chains = [c for c in corpus if chain_to_table(c).size > 8][:12]
+    checked = broken = 0
+    for chain in chains + [E1, ladder(random.Random(1), 3, 4)]:
+        t = chain_to_table(chain)
+        iso = roundtrip_isomorphism(t)
+        r = rebuild(table_to_chain(t))
+        m = t.size
+        for _ in range(8):
+            cells = [(rng.randrange(3), rng.randrange(m)), (rng.randrange(m), m - 1),
+                     (rng.randrange(m), rng.randrange(m))]
+            edits = {cell: rng.choice(["same", "next", rng.randrange(m)])
+                     for cell in rng.sample(cells, 2)}
+            mul = [list(row) for row in r.mul]
+            for (x, y), value in edits.items():
+                if value != "same":
+                    mul[x][y] = (mul[x][y] + 1) % m if value == "next" else value
+            edited = TernaryTable(r.size, r.one_idx, r.zero_idx, r.minus_one_idx,
+                                  tuple(map(tuple, mul)))
+            want = oracle_certificate(t, edited, iso)
+            monkeypatch.setattr(fanforge.chains, "chain_to_table", lambda c: edited)
+            try:
+                assert roundtrip_isomorphism(t) == iso
+                got = None
+            except NotAFanError as exc:
+                assert str(exc) == "round-trip map does not preserve products"
+                got = exc.witness
+            monkeypatch.undo()
+            assert got == want, (chain, edits)
+            checked += 1
+            broken += want is not None
+    assert broken > checked // 2 and checked - broken > 0
+
+
 def test_table_to_chain_rejects_non_fans():
     square = product_table(sign3_table(), sign3_table())
     with pytest.raises(NotAFanError):
@@ -447,7 +498,12 @@ def test_slice_builders_match_per_cell_references(corpus):
     assert cardinalities(ladder)[0] == 129
     path = FanChain((1,) * 64, (1,) * 64, ((1,),) * 63)
     deficient = rank_deficient_chains(random.Random(68), 4)
-    for chain in list(corpus) + [E2, E1P, ladder, path] + deficient:
+    one_level = FanChain((8,), (0b10110101,), ())
+    # tau of rank 1: slice 1 pushes onto 0 and minus_2 only, so past the
+    # first two, every block of slice 2 in a slice-1 row is a memo hit
+    rank_one = FanChain((3, 3), (0b001, 0b011), ((0b001, 0b001, 0),))
+    assert gf2.rank(rank_one.taus[0]) == 1 and validate_chain(rank_one) == []
+    for chain in list(corpus) + [E2, E1P, ladder, path, one_level, rank_one] + deficient:
         elements = oracle_elements(chain)
         assert chain_elements(chain) == elements
         index = {el: i for i, el in enumerate(elements)}
@@ -480,17 +536,22 @@ def test_slice_builders_match_per_cell_references(corpus):
 
 
 def test_chain_to_table_working_memory():
-    # the pushed vectors of one slice at a time are all the working memory:
-    # the peak stays near the finished table, and the chain keeps no cache
-    # of composite transitions (a 256-level path: 513 elements, about 2 MB)
+    # the pushed vectors of one slice at a time and the memoized blocks of
+    # the deeper slices are all the working memory: the peak stays near
+    # the finished table, and the chain keeps no cache of composite
+    # transitions (513 elements on the 256-level path, about 2 MB, and
+    # 1025 on the one-level chain and the 4x8 ladder, about 8 MB)
     n = 256
-    chain = FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1))
-    tracemalloc.start()
-    try:
-        table = chain_to_table(chain)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert table.size == 2 * n + 1
-    assert peak <= 1.5 * held, (peak, held)
-    assert set(vars(chain)) == {"dims", "minus", "taus"}
+    for chain in [FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)),
+                  FanChain((10,), (0b1001110101,), ()),
+                  ladder(random.Random(0), 4, 8)]:
+        tracemalloc.start()
+        try:
+            table = chain_to_table(chain)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.size == 1 + sum(1 << k for k in chain.dims)
+        assert peak <= 1.5 * held, (chain.dims, peak, held)
+        assert set(vars(chain)) == {"dims", "minus", "taus"}
+        del table

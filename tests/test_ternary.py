@@ -56,6 +56,17 @@ def test_structurally_malformed_table_raises():
         TernaryTable(2, 0, 1, 1, ((0, 9), (1, 0)))
 
 
+@pytest.mark.parametrize("bad", [1.5, -1, 3])
+def test_table_refuses_first_entry_outside_its_indices(bad):
+    # 1.5 used to pass the range check and stop validate_table with a
+    # TypeError; the message names the first bad entry in row order,
+    # ahead of the 9 in a later row and an earlier column
+    with pytest.raises(StructuralError, match=rf"^product index {bad} out of range$"):
+        TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, bad, 2), (0, 2, 1)))
+    with pytest.raises(StructuralError, match=rf"^product index {bad} out of range$"):
+        TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, 1, bad), (9, 2, 1)))
+
+
 def test_chain_table_is_valid(corpus):
     assert validate_table(chain_to_table(E1)) == []
     for chain in corpus[:5]:
