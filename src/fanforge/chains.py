@@ -180,18 +180,6 @@ def chain_elements(c: FanChain) -> tuple[SliceElement, ...]:
                                     for v in _slice_vectors(c, d)])
 
 
-def multiply_elements(c: FanChain, a: SliceElement, b: SliceElement) -> SliceElement:
-    """Product in the fan: transport into the deeper slice and add there."""
-    if a == ZERO_ELEMENT or b == ZERO_ELEMENT:
-        return ZERO_ELEMENT
-    if a.depth > b.depth:
-        a, b = b, a
-    moved = a.vec
-    for tau in c.taus[a.depth - 1:b.depth - 1]:
-        moved = gf2.mat_vec(tau, moved)
-    return SliceElement(b.depth, moved ^ b.vec)
-
-
 def evaluate_element(c: FanChain, h: ChainChar, el: SliceElement) -> int:
     """Value of the character h at a fan element."""
     if el == ZERO_ELEMENT or el.depth > h.depth:
@@ -235,51 +223,46 @@ def chain_to_table(c: FanChain) -> TernaryTable:
     for vs in vecs:
         at.append([start + j for j in sorted(range(len(vs)), key=vs.__getitem__)])
         start += len(vs)
-
-    def shifted(f: int, u: int) -> tuple[int, ...]:
-        """Slice f's products with a factor whose vector, pushed into f, is u."""
-        where = at[f - 1]
-        return tuple([where[x ^ u] for x in vecs[f - 1]])
-
     # steps[d-1][x]: slice d's vector x pushed one tau into slice d + 1,
     # tabled as the XOR of the images of x's unit vectors
     steps = [gf2.pullback_table(tuple([gf2.mat_vec(tau, 1 << i) for i in range(k)]))
              for tau, k in zip(c.taus, c.dims)]
     # A product lives in the deeper slice of its factors, at the XOR of both
-    # factors pushed there, one tau at a time.  So row v of slice d is the
-    # zero element's 0, its products with slices 1..d (gathered from
-    # shifted(d, v)), then shifted(f, v pushed into f) for each deeper
-    # slice f.  Those blocks are memoized per slice: shallower rows fill
-    # slice f's memo, and slice f's own rows pop it empty.
-    memos: list[dict[int, tuple[int, ...]]] = [{} for _ in vecs]
-    mul = [(0,) * size]
+    # factors pushed there, one tau at a time.  Only the rows of vector 0
+    # and of the unit vectors of a slice d are built from that, in two parts:
+    # - the head, its columns up to the end of slice d: the zero element's 0,
+    #   then slice d's vectors XOR-translated, gathered at the pushed vectors
+    #   of slices 1..d;
+    # - the tail, every deeper column z: that of x*e, x's push into slice
+    #   d + 1, since slice d+1's vector 0, e, fixes z: x*z = x*(e*z) = (x*e)*z.
+    # Every other row composes, as the product is associative:
+    # row(a*b)[z] = a*(b*z) = row(a)[row(b)[z]], where vector v is its
+    # lowest bit XOR the rest, and both rows come before v's.
+    heads: list[list[tuple[int, ...]]] = []     # per slice, by bit length
     pushed: list[int] = []      # slices 1..d pushed into slice d, in table order
-    for d, vs in enumerate(vecs, start=1):
+    for d, (k, vs, where) in enumerate(zip(c.dims, vecs, at), start=1):
         if d > 1:
             step = steps[d - 2]
             pushed = [step[x] for x in pushed]
         pushed += vs
-        if d == 1:
-            # shifted(1, v) with the zero element's 0 in front: column
-            # len(vs) XORs past the slice's vectors, where 0 is read
-            where, cols = at[0] + [0] * len(vs), [len(vs), *vs]
-        else:
-            # slices 2.. list their vectors in order, so shifted(d, v)[x] is
-            # the product with the element whose vector pushed into d is x
-            own, gather = memos[d - 1], itemgetter(*pushed)
-        deeper = list(zip(steps[d - 1:], memos[d:], range(d + 1, c.n + 1)))
-        for v in vs:
-            if d > 1:
-                row = [0, *gather(own.pop(v, None) or shifted(d, v))]
-            else:
-                row = [where[x ^ v] for x in cols]
-            for push, memo, f in deeper:
-                v = push[v]
-                block = memo.get(v)
-                if block is None:
-                    block = memo[v] = shifted(f, v)
-                row += block
-            mul.append(tuple(row))
+        heads.append([(0, *[where[x ^ u] for x in pushed])
+                      for u in (0, *[1 << i for i in range(k)])])
+    slices: list[list[tuple[int, ...]]] = []    # deepest first
+    below: list[tuple[int, ...]] = []           # slice d + 1's rows, by vector
+    for d in range(c.n, 0, -1):
+        units, rows = heads.pop(), []
+        for v in range(1 << c.dims[d - 1]):
+            rest = v & (v - 1)
+            if rest:
+                rows.append(itemgetter(*rows[rest])(rows[v ^ rest]))
+            else:       # v is 0 or a unit vector
+                head = units[v.bit_length()]
+                rows.append(head + below[steps[d - 1][v]][len(head):] if below else head)
+        slices.append(rows)
+        below = rows
+    mul = [(0,) * size]
+    for vs, rows in zip(vecs, reversed(slices)):
+        mul += map(rows.__getitem__, vs)
     return TernaryTable(size=size, one_idx=1, zero_idx=0, minus_one_idx=2, mul=tuple(mul))
 
 

@@ -22,9 +22,10 @@ SIGNS = (1, 0, -1)
 #: The table is quadratic in it, and Light's test, which costs m^2 per
 #: generator (the m^3 scan runs only on a table that fails it), is the
 #: largest step: `fanforge validate` takes about 0.04 s at 513 elements,
-#: 0.19 s at 1025 and 1.1 s at 2049 (4-level ladders of seed 0, fastest
+#: 0.17 s at 1025 and 1.0 s at 2049 (4-level ladders of seed 0, fastest
 #: of three runs, on a 2-vCPU Xeon VM with Python 3.11.7), within 52 MB;
-#: the table itself, built and range-checked, takes 0.18 s of it at 2049.
+#: the table itself, built and range-checked, takes 0.18 s of it at 2049,
+#: half of that the range check.
 MAX_TABLE_ELEMENTS = 2049
 
 #: Most generators TernaryTable.closure_steps adds before it refuses the
@@ -71,6 +72,10 @@ class ClosureStep(NamedTuple):
 
 @dataclass(frozen=True)
 class TernaryTable:
+    """A multiplication table on the indices 0..size-1, each entry an int
+    (a bool acts as 0 or 1); another number equal to an index, such as
+    1.0, is refused."""
+
     size: int
     one_idx: int
     zero_idx: int
@@ -88,10 +93,18 @@ class TernaryTable:
         if len(self.mul) != m or any(len(row) != m for row in self.mul):
             raise StructuralError("mul table is not size x size")
         indices = set(range(m))
-        if not all(map(indices.issuperset, self.mul)):
+        try:
+            # the set check compares by value, so 1.0 passes it; a row of
+            # ints sums to an int, and any other number makes the sum not one
+            ok = (all(map(indices.issuperset, self.mul))
+                  and {*map(type, map(sum, self.mul))} == {int})
+        except TypeError:       # two kinds of number that do not add
+            ok = False
+        if not ok:
             # only now scan for the first bad entry in row order
-            bad = next(v for row in self.mul for v in row if v not in indices)
-            raise StructuralError(f"product index {bad} out of range")
+            bad = next(v for row in self.mul for v in row
+                       if v not in indices or not isinstance(v, int))
+            raise StructuralError(f"product index {bad!r} out of range")
 
     @cached_property
     def closure_steps(self) -> tuple[ClosureStep, ...]:

@@ -18,7 +18,6 @@ from fanforge.chains import (
     chain_to_table,
     evaluate_element,
     level_masks,
-    multiply_elements,
     roundtrip_isomorphism,
     table_to_chain,
     table_to_chain_with_map,
@@ -136,14 +135,21 @@ def test_cardinality_identity_holds_on_corpus(corpus):
 
 
 def test_element_arithmetic():
+    elements = chain_elements(E1)
+    index = {el: i for i, el in enumerate(elements)}
+    mul = chain_to_table(E1).mul
+
+    def times(a, b):
+        return elements[mul[index[a]][index[b]]]
+
     one = SliceElement(1, 0)
     minus = SliceElement(1, 1)
-    assert multiply_elements(E1, minus, minus) == one
-    assert multiply_elements(E1, ZERO_ELEMENT, minus) == ZERO_ELEMENT
+    assert times(minus, minus) == one
+    assert times(ZERO_ELEMENT, minus) == ZERO_ELEMENT
     deep = SliceElement(2, 2)
-    assert multiply_elements(E1, one, deep) == deep
+    assert times(one, deep) == deep
     # moving -1 into the deep slice adds the image of the minus class
-    assert multiply_elements(E1, minus, deep) == SliceElement(2, 3)
+    assert times(minus, deep) == SliceElement(2, 3)
 
 
 def test_evaluation_constants():
@@ -487,23 +493,48 @@ def rank_deficient_chains(rng, count):
     return out
 
 
+def oracle_product(moves):
+    """The product of two elements, each moved into the deeper slice by one
+    composite matrix of oracle_transitions: the per-cell oracle for
+    chain_to_table."""
+
+    def product(a, b):
+        if ZERO_ELEMENT in (a, b):
+            return ZERO_ELEMENT
+        deep = max(a.depth, b.depth)
+        return SliceElement(deep, gf2.mat_vec(moves[(a.depth, deep)], a.vec)
+                            ^ gf2.mat_vec(moves[(b.depth, deep)], b.vec))
+
+    return product
+
+
+def slowest_table_chain():
+    """The slowest table known within both table bounds: 2049 elements on
+    dims 10, 9, ..., 5 and then sixteen 1s, 63 generators."""
+    return mixed_chain(random.Random(0), (10, 9, 8, 7, 6, 5) + (1,) * 16)
+
+
 def test_slice_builders_match_per_cell_references(corpus):
-    # chain_to_table, chain_char_to_table_char, multiply_elements and
-    # evaluate_element all step one tau at a time; the reference moves
-    # each element by one composite matrix, one cell at a time
+    # chain_to_table, chain_char_to_table_char and evaluate_element all
+    # step one tau at a time; the reference moves each element by one
+    # composite matrix, one cell at a time
     rng = random.Random(129)
     minus = (6, 3, 7, 15)
     ladder = FanChain((5,) * 4, minus, tuple(
         random_transition(rng, 5, 5, minus[d], minus[d + 1]) for d in range(3)))
     assert cardinalities(ladder)[0] == 129
-    path = FanChain((1,) * 64, (1,) * 64, ((1,),) * 63)
+    paths = [FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)) for n in (62, 64)]
     deficient = rank_deficient_chains(random.Random(68), 4)
+    # many shallow levels of small dimension: each slice's rows end in the
+    # rows of slice d + 1 that their pushes pick, most of them shared
+    mixed = [mixed_chain(random.Random(seed), dims)
+             for dims in ((2,) * 31, (3,) * 20) for seed in range(3)]
     one_level = FanChain((8,), (0b10110101,), ())
-    # tau of rank 1: slice 1 pushes onto 0 and minus_2 only, so past the
-    # first two, every block of slice 2 in a slice-1 row is a memo hit
+    # tau of rank 1: slice 1 pushes onto 0 and minus_2 only, so every
+    # slice-1 row ends in one of those two rows of slice 2
     rank_one = FanChain((3, 3), (0b001, 0b011), ((0b001, 0b001, 0),))
     assert gf2.rank(rank_one.taus[0]) == 1 and validate_chain(rank_one) == []
-    for chain in list(corpus) + [E2, E1P, ladder, path, one_level, rank_one] + deficient:
+    for chain in list(corpus) + [E2, E1P, ladder, one_level, rank_one] + paths + deficient + mixed:
         elements = oracle_elements(chain)
         assert chain_elements(chain) == elements
         index = {el: i for i, el in enumerate(elements)}
@@ -512,17 +543,10 @@ def test_slice_builders_match_per_cell_references(corpus):
         def push(el, depth):
             return gf2.mat_vec(moves[(el.depth, depth)], el.vec)
 
-        def product(a, b):
-            if ZERO_ELEMENT in (a, b):
-                return ZERO_ELEMENT
-            deep = max(a.depth, b.depth)
-            return SliceElement(deep, push(a, deep) ^ push(b, deep))
-
+        product = oracle_product(moves)
         table = chain_to_table(chain)
-        want_mul = tuple(tuple(index[product(a, b)] for b in elements) for a in elements)
-        assert table.mul == want_mul
-        assert tuple(tuple(index[multiply_elements(chain, a, b)] for b in elements)
-                     for a in elements) == want_mul
+        assert table.mul == tuple(tuple(index[product(a, b)] for b in elements)
+                                  for a in elements)
         assert (table.zero_idx, table.one_idx, table.minus_one_idx) == (
             0, index[SliceElement(1, 0)], index[SliceElement(1, chain.minus[0])])
         for h in chain_characters(chain):
@@ -535,16 +559,39 @@ def test_slice_builders_match_per_cell_references(corpus):
             assert (got.support, got.neg) == (want.support, want.neg)
 
 
+def test_chain_to_table_at_the_bound_matches_per_cell_product():
+    # 2049 elements each: a seeded sample of 20,000 cells per table, the
+    # first row and column and the diagonal, against the per-cell oracle
+    rng = random.Random(2049)
+    for chain in [ladder(random.Random(0), 4, 9), FanChain((11,), (1,), ()),
+                  slowest_table_chain()]:
+        table = chain_to_table(chain)
+        assert table.size == MAX_TABLE_ELEMENTS
+        elements = oracle_elements(chain)
+        index = {el: i for i, el in enumerate(elements)}
+        product = oracle_product(oracle_transitions(chain))
+        m = table.size
+        cells = [(rng.randrange(m), rng.randrange(m)) for _ in range(20_000)]
+        cells += [(x, y) for x in range(m) for y in (0, 1, 2, x)]
+        cells += [(y, x) for x in range(m) for y in (0, 1, 2)]
+        for x, y in cells:
+            assert table.mul[x][y] == index[product(elements[x], elements[y])], (
+                chain.dims, x, y)
+
+
 def test_chain_to_table_working_memory():
-    # the pushed vectors of one slice at a time and the memoized blocks of
-    # the deeper slices are all the working memory: the peak stays near
-    # the finished table, and the chain keeps no cache of composite
-    # transitions (513 elements on the 256-level path, about 2 MB, and
-    # 1025 on the one-level chain and the 4x8 ladder, about 8 MB)
+    # the pushed vectors of one slice at a time and the head rows of vector
+    # 0 and the unit vectors of every slice, each slice's dropped as its
+    # rows are built, are all the working memory: the peak stays near the
+    # finished table, and the chain keeps no cache of composite transitions
+    # (513 elements on the 256-level path, about 2 MB, 1025 on the
+    # one-level chain and the 4x8 ladder, about 8 MB, and 2049 on the
+    # slowest known table, about 34 MB)
     n = 256
     for chain in [FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)),
                   FanChain((10,), (0b1001110101,), ()),
-                  ladder(random.Random(0), 4, 8)]:
+                  ladder(random.Random(0), 4, 8),
+                  slowest_table_chain()]:
         tracemalloc.start()
         try:
             table = chain_to_table(chain)

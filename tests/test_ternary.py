@@ -1,6 +1,9 @@
 import itertools
 import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 from operator import itemgetter, ne
 
 import pytest
@@ -56,15 +59,27 @@ def test_structurally_malformed_table_raises():
         TernaryTable(2, 0, 1, 1, ((0, 9), (1, 0)))
 
 
-@pytest.mark.parametrize("bad", [1.5, -1, 3])
+@pytest.mark.parametrize("bad", [1.5, -1, 3, 1.0, Fraction(1), Decimal(1), 1 + 0j])
 def test_table_refuses_first_entry_outside_its_indices(bad):
     # 1.5 used to pass the range check and stop validate_table with a
-    # TypeError; the message names the first bad entry in row order,
-    # ahead of the 9 in a later row and an earlier column
-    with pytest.raises(StructuralError, match=rf"^product index {bad} out of range$"):
+    # TypeError, and 1.0, Fraction(1), Decimal(1) and 1+0j, equal to the
+    # index 1 in value and hash, still did; the message names the first
+    # bad entry in row order, ahead of the 9 in a later row and an earlier
+    # column, and of a 2.0 later in its own row
+    message = rf"^product index {re.escape(repr(bad))} out of range$"
+    with pytest.raises(StructuralError, match=message):
         TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, bad, 2), (0, 2, 1)))
-    with pytest.raises(StructuralError, match=rf"^product index {bad} out of range$"):
+    with pytest.raises(StructuralError, match=message):
         TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, 1, bad), (9, 2, 1)))
+    with pytest.raises(StructuralError, match=message):
+        TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, bad, 2.0), (0, 2, 1)))
+
+
+def test_table_accepts_bool_entries_as_indices():
+    # a bool is an int: False and True act as the indices 0 and 1
+    table = TernaryTable(3, 1, 0, 2, ((0, False, 0), (0, True, 2), (0, 2, True)))
+    assert table.mul == sign3_table().mul
+    assert validate_table(table) == []
 
 
 def test_chain_table_is_valid(corpus):
