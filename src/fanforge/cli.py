@@ -22,7 +22,7 @@ from .chains import (
     validate_chain,
 )
 from .corpus import generate_corpus
-from .errors import NotAFanError, OrderMismatchError, ResourceLimitError, StructuralError
+from .errors import OrderMismatchError, ResourceLimitError
 from .formats import (
     NUMBER,
     FormatError,
@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, StructuralError, NotAFanError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # FormatError, StructuralError and NotAFanError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -419,7 +419,7 @@ def check_forest(forest: Forest) -> list[Violation]:
 
     if all(itertools.starmap(agree, itertools.combinations(reps.values(), 2))):
         return out
-    profiles = {s: forest.restrict(forest.components[a]).profile for s, a in reps.items()}
+    profiles = {s: forest.restrict(forest.descendants(roots[a])).profile for s, a in reps.items()}
     card = {(s, j, jp): sum(c for e, c in profiles[s][jp].items() if e >= j)  # card(S^jp_j)
             for s, a in reps.items() for j in range(1, lengths[a] + 1) for jp in range(1, j + 1)}
     for a, b in itertools.combinations(range(len(roots)), 2):

@@ -126,14 +126,6 @@ class Forest:
     def roots(self) -> tuple[int, ...]:
         return self._levels[0] if self._levels else ()
 
-    @cached_property
-    def root_of(self) -> tuple[int, ...]:
-        out = list(range(len(self)))
-        for d in range(2, self.length + 1):
-            for i in self.level(d):
-                out[i] = out[self.parents[i]]
-        return tuple(out)
-
     def ancestor(self, i: int, depth: int) -> int:
         """The unique node above i (or i itself) at the given depth."""
         if not 1 <= depth <= self.depths[i]:
@@ -191,22 +183,17 @@ class Forest:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Classes of the common-upper-bound relation, grouped by root."""
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self)):
-            by_root.setdefault(self.root_of[i], []).append(i)
-        return tuple(tuple(by_root[r]) for r in self.roots)
+        """Classes of the common-upper-bound relation: each root with its
+        descendants, in root order."""
+        return tuple(map(self.descendants, self.roots))
 
     def truncate(self, max_depth: int) -> Forest:
         """Delete every node deeper than max_depth, keeping node order."""
-        keep = [i for i, d in enumerate(self.depths) if d <= max_depth]
-        renum = {old: new for new, old in enumerate(keep)}
-        return Forest(
-            tuple(self.depths[i] for i in keep),
-            tuple(None if self.parents[i] is None else renum[self.parents[i]] for i in keep))
+        return self.restrict(tuple(i for i, d in enumerate(self.depths) if d <= max_depth))
 
     def restrict(self, nodes: tuple[int, ...]) -> Forest:
-        """Sub-forest on a downward-closed-from-above node set (e.g. a component)."""
+        """Sub-forest on a node set holding each member's parent (a
+        component, or every node down to a depth), in node order."""
         keep = sorted(nodes)
         renum = {old: new for new, old in enumerate(keep)}
         parents = []
@@ -231,7 +218,6 @@ class FanSpace:
         self.chain = chain
         self.masks = masks = level_masks(chain)
         depths: list[int] = []
-        end = [0]
         # per level, the mask -> node list (None off the level)
         self._index = index = []
         for d, level in enumerate(masks, start=1):
@@ -240,12 +226,10 @@ class FanSpace:
                 pos[m] = i
             index.append(pos)
             depths += [d] * len(level)
-            end.append(len(depths))
-        self._level_end = end
         # A parent is its functional pulled back along the transition into
         # its depth: one pullback table per transition, read through the
         # mask -> node list of the level above.
-        parents: list[int | None] = [None] * end[1]
+        parents: list[int | None] = [None] * len(masks[0])
         for d in range(2, chain.n + 1):
             pb = gf2.pullback_table(chain.taus[d - 2])
             above = list(map(index[d - 2].__getitem__, map(pb.__getitem__, masks[d - 1])))
@@ -287,7 +271,7 @@ class FanSpace:
         return self.chain.n
 
     def __len__(self) -> int:
-        return self._level_end[-1]
+        return len(self.forest)
 
     def _depth_index(self, d: int) -> int:
         if not 1 <= d <= len(self.chain.dims):
@@ -314,7 +298,9 @@ class FanSpace:
         raise KeyError(h)
 
     def level(self, d: int) -> tuple[ChainChar, ...]:
-        return self.chars[self._level_end[self._depth_index(d)]:self._level_end[d]]
+        self._depth_index(d)
+        nodes = self.forest.level(d)
+        return self.chars[nodes[0]:nodes[-1] + 1]
 
     def levels(self) -> list[tuple[ChainChar, ...]]:
         return [self.level(d) for d in range(1, self.length + 1)]

@@ -72,9 +72,9 @@ class ClosureStep(NamedTuple):
 
 @dataclass(frozen=True)
 class TernaryTable:
-    """A multiplication table on the indices 0..size-1, each entry an int
-    (a bool acts as 0 or 1); another number equal to an index, such as
-    1.0, is refused."""
+    """A multiplication table on the indices 0..size-1, each entry and
+    each constant an int (a bool acts as 0 or 1); another number equal to
+    an index, such as 1.0, is refused, and so is a size that is not an int."""
 
     size: int
     one_idx: int
@@ -84,12 +84,12 @@ class TernaryTable:
 
     def __post_init__(self):
         m = self.size
-        if m <= 0:
+        if not isinstance(m, int) or m <= 0:
             raise StructuralError("table size must be positive")
         for name in ("one_idx", "zero_idx", "minus_one_idx"):
             idx = getattr(self, name)
-            if not 0 <= idx < m:
-                raise StructuralError(f"{name}={idx} out of range for size {m}")
+            if not isinstance(idx, int) or not 0 <= idx < m:
+                raise StructuralError(f"{name}={idx!r} out of range for size {m}")
         if len(self.mul) != m or any(len(row) != m for row in self.mul):
             raise StructuralError("mul table is not size x size")
         indices = set(range(m))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import fanforge.levels
-from fanforge import gf2
+from fanforge import gf2, isomorphism
 from fanforge.chains import ChainChar, FanChain
 from fanforge.corpus import generate_corpus, random_transition
 from fanforge.formats import parse_forest
@@ -73,6 +73,31 @@ def forked_paths(n: int) -> Forest:
     path = [None] + list(range(n - 1))          # node d - 1 sits at depth d
     parents = path + [None if p is None else p + n for p in path] + [2 * n - 2]
     return Forest(tuple(range(1, n + 1)) * 2 + (n,), tuple(parents))
+
+
+def fan_types(n: int, k: int):
+    """Every fan of n levels of dimension at most k, once up to isomorphism:
+    the direct sum of interval chains for each multiset of intervals (i, j),
+    1 <= i <= j <= n, that holds (1, n) and covers each level at most k
+    times.  The multisets are listed in order, each interval at or after
+    the one before it."""
+    intervals = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+    def grow(rest, start, cover):
+        yield isomorphism._interval_chain(n, [(1, n)] + rest)
+        for t in range(start, len(intervals)):
+            i, j = intervals[t]
+            if max(cover[i - 1:j]) < k:
+                yield from grow(rest + [(i, j)], t,
+                                cover[:i - 1] + [c + 1 for c in cover[i - 1:j]] + cover[j:])
+
+    yield from grow([], 0, [1] * n)
+
+
+@pytest.fixture(scope="session")
+def census_spaces():
+    """The spaces of every fan type of at most 4 levels of dimension at most 4."""
+    return [FanSpace(c) for n in range(1, 5) for c in fan_types(n, 4)]
 
 
 @pytest.fixture(scope="session")

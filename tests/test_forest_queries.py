@@ -2,10 +2,12 @@
 
 The oracle functions below are the original definitions: descendants by
 sorting every node, levels, children, reaches and profiles by one pass
-over the nodes, strata and predecessor sets by scanning, the forest
-check node by node, and the component conditions RC3/RC4 recomputed for
-every pair.  The library groups the nodes by depth once, reads one node
-per subtree shape and one component per root shape instead; every
+over the nodes, strata and predecessor sets by scanning, components by a
+per-node root table, truncation by its own renumbering, the forest check
+node by node, and the component conditions RC3/RC4 recomputed for every
+pair.  The library groups the nodes by depth once, reads one node per
+subtree shape and one component per root shape instead, takes each
+component as a root's descendants and truncates by restriction; every
 answer, every refusal message and every ordered violation list must
 agree.
 """
@@ -96,6 +98,32 @@ def oracle_pred_nodes(f: Forest, h: int, j1: int, j2: int, kind: str) -> tuple[i
     return tuple(out)
 
 
+def oracle_components(f: Forest) -> tuple[tuple[int, ...], ...]:
+    """Forest.components as first written: each node's root from its
+    parent's, depth by depth, then the nodes grouped by root."""
+    root_of = list(range(len(f)))
+    for d in range(2, f.length + 1):
+        for i in f.level(d):
+            root_of[i] = root_of[f.parents[i]]
+    by_root: dict[int, list[int]] = {}
+    for i in range(len(f)):
+        by_root.setdefault(root_of[i], []).append(i)
+    return tuple(tuple(by_root[r]) for r in f.roots)
+
+
+def oracle_subforest(f: Forest, keep: list[int]) -> Forest:
+    """Forest.truncate's renumbering as first written, on any node list in
+    index order that holds the parent of each of its nodes."""
+    renum = {old: new for new, old in enumerate(keep)}
+    return Forest(
+        tuple(f.depths[i] for i in keep),
+        tuple(None if f.parents[i] is None else renum[f.parents[i]] for i in keep))
+
+
+def oracle_truncate(f: Forest, max_depth: int) -> Forest:
+    return oracle_subforest(f, [i for i, d in enumerate(f.depths) if d <= max_depth])
+
+
 def oracle_fault(depths, parents) -> str | None:
     """Forest's per-node check as first written: the first bad node's
     message, or None for a forest."""
@@ -140,7 +168,7 @@ def oracle_check_forest(forest: Forest) -> list[Violation]:
                                 f"{stratum_kind}^{k}_{j} takes values "
                                 f"{counts[lo]} and {counts[hi]}",
                                 (kind, k, j, j1, j2, counts[lo], counts[hi])))
-    comps = [forest.restrict(comp) for comp in forest.components]
+    comps = [oracle_subforest(forest, list(comp)) for comp in oracle_components(forest)]
     for a, b in itertools.combinations(range(len(comps)), 2):
         ka, kb = comps[a], comps[b]
         la, lb = oracle_length(ka), oracle_length(kb)
@@ -157,7 +185,7 @@ def oracle_check_forest(forest: Forest) -> list[Violation]:
                         (jp, j, a + 1, b + 1, ca, cb)))
         shallow, deep_idx = (a, b) if la <= lb else (b, a)
         cut = oracle_length(comps[shallow])
-        if forest_canonical(comps[shallow]) != forest_canonical(comps[deep_idx].truncate(cut)):
+        if forest_canonical(comps[shallow]) != forest_canonical(oracle_truncate(comps[deep_idx], cut)):
             out.append(Violation(
                 "RC4",
                 f"RC4 violated: K{shallow + 1} is not order-isomorphic to "
@@ -317,10 +345,33 @@ def test_shape_ids_match_subtree_codes(corpus_spaces):
     assert merged > 1000        # many nodes share a shape, across depths too
 
 
+def test_sub_forests_match_renumbering(impossible_forests, corpus_spaces, census_spaces):
+    # components as root descendants and truncation as a restriction,
+    # against the root table and the renumbering they replaced
+    rng = random.Random(20170306)
+    forests = [random_forest(rng) for _ in range(200)]      # node order shuffled
+    forests += [repeated_forest(rng) for _ in range(100)]
+    forests += list(impossible_forests.values())
+    forests += [space.forest for space in corpus_spaces + census_spaces]
+    for f in forests:
+        comps = oracle_components(f)
+        assert f.components == comps
+        for m in range(0, f.length + 2):
+            assert f.truncate(m) == oracle_truncate(f, m)
+        for c in comps:
+            assert f.restrict(c) == oracle_subforest(f, list(c))
+    assert sum(len(f.roots) > 1 for f in forests) > 300
+
+
 def test_space_levels_are_the_depth_blocks(corpus_spaces):
-    for space in corpus_spaces:
+    ladders = [FanSpace(ladder(random.Random(s), 6, dim)) for s in range(3) for dim in (8, 10)]
+    for space in corpus_spaces + ladders:
+        assert len(space) == len(space.chars) == sum(1 << (k - 1) for k in space.chain.dims)
         for d in range(1, space.length + 1):
             assert space.level(d) == tuple(h for h in space.chars if h.depth == d)
+        for d in (0, space.length + 1):
+            with pytest.raises(ValueError, match=f"^depth {d} out of range 1..{space.length}$"):
+                space.level(d)
 
 
 def test_check_forest_runs_at_3072_nodes():

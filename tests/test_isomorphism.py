@@ -28,7 +28,7 @@ from fanforge.isomorphism import (
 from fanforge.generators import standard_generating_system
 from fanforge.spectral import FanSpace, Forest
 
-from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV
+from conftest import CHAIN3, E1, E1P, E2, EA, EB, TRIV, fan_types
 
 R = ChainChar(1, 1)
 C1 = ChainChar(2, 1)
@@ -698,6 +698,26 @@ def test_normal_form_realizes_corpus_forests(corpus_spaces):
         assert chain is not None
         assert chain.dims == space.chain.dims and set(chain.minus) == {1}
         assert forest_canonical(FanSpace(chain).forest) == forest_canonical(space.forest)
+
+
+def test_census_counts():
+    # fan types of n levels (rows) of dimension at most k (columns)
+    counts = [[sum(1 for _ in fan_types(n, k)) for k in range(1, 5)] for n in range(1, 5)]
+    assert counts == [[1, 2, 3, 4], [1, 5, 14, 30], [1, 13, 74, 280], [1, 34, 405, 2821]]
+
+
+def test_main_theorem_over_the_census(census_spaces):
+    # every fan type of at most 4 levels of dimension at most 4: the
+    # forest tells the types apart, passes every necessary condition, and
+    # its normal form is a chain with the same forest
+    assert len(census_spaces) == 3135
+    codes = [forest_canonical(space.forest) for space in census_spaces]
+    assert len(set(codes)) == len(codes)
+    for space, code in zip(census_spaces, codes):
+        assert check_forest(space.forest) == []
+        chain = normal_form_chain(space.forest)
+        assert chain is not None and chain.dims == space.chain.dims
+        assert forest_canonical(FanSpace(chain).forest) == code
 
 
 def test_normal_form_agrees_with_search_oracle(corpus_spaces, impossible_forests):

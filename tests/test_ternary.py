@@ -75,6 +75,26 @@ def test_table_refuses_first_entry_outside_its_indices(bad):
         TernaryTable(3, 1, 0, 2, ((0, 0, 0), (0, bad, 2.0), (0, 2, 1)))
 
 
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), Decimal(1), 1 + 0j])
+@pytest.mark.parametrize("name", ["one_idx", "zero_idx", "minus_one_idx"])
+def test_table_refuses_constants_that_are_not_ints(name, bad):
+    # a constant equal to an index in value passed the range check and
+    # stopped validate_table with a TypeError; it is refused as the
+    # entries are, and a bool still counts
+    constants = {"one_idx": 1, "zero_idx": 0, "minus_one_idx": 2}
+    rows = ((0, 0, 0), (0, 1, 2), (0, 2, 1))
+    message = rf"^{name}={re.escape(repr(bad))} out of range for size 3$"
+    with pytest.raises(StructuralError, match=message):
+        TernaryTable(3, **{**constants, name: bad}, mul=rows)
+    assert validate_table(TernaryTable(3, True, False, 2, rows)) == []
+
+
+def test_table_refuses_a_size_that_is_not_an_int():
+    # range(3.0) raised a bare TypeError
+    with pytest.raises(StructuralError, match="^table size must be positive$"):
+        TernaryTable(3.0, 1, 0, 2, ((0, 0, 0), (0, 1, 2), (0, 2, 1)))
+
+
 def test_table_accepts_bool_entries_as_indices():
     # a bool is an int: False and True act as the indices 0 and 1
     table = TernaryTable(3, 1, 0, 2, ((0, False, 0), (0, True, 2), (0, 2, True)))
