@@ -12,6 +12,7 @@ import functools
 import re
 import shutil
 import sys
+from itertools import compress
 from pathlib import Path
 
 from .chains import (
@@ -117,19 +118,29 @@ def _cmd_strata(args) -> int:
         raise ResourceLimitError(
             f"strata output has {entries} lines and member labels, "
             f"bound is {MAX_STRATA_ENTRIES}")
-    # one read of each level's reaches: C^k_j is the bucket of reach j,
-    # S^k_j the members reaching j or deeper, both in node order
+    # one pass per level buckets its positions by reach: C^k_j is the bucket
+    # of reach j, and S^k_j, the members reaching j or deeper, is the union
+    # of the buckets marked so far as j walks up from n; both in node order
+    first = 0       # the nodes of a level follow those of the level above
     for k, labels in enumerate(chain_labels(space.chain, space.masks), start=1):
-        reaches = list(map(forest.deep.__getitem__, forest.level(k)))
-        exact: dict[int, list[str]] = {}
-        for reach, label in zip(reaches, labels):
-            exact.setdefault(reach, []).append(label)
-        lines = []
-        for j in range(k, n + 1):
-            deeper = [label for reach, label in zip(reaches, labels) if reach >= j]
-            lines.append(f"S^{k}_{j} card={len(deeper)}: {' '.join(deeper)}")
-            c = exact.get(j, [])
-            lines.append(f"C^{k}_{j} card={len(c)}: {' '.join(c)}")
+        reaches = forest.deep[first:first + len(labels)]
+        first += len(labels)
+        buckets: dict[int, list[int]] = {r: [] for r in set(reaches)}
+        for pos, reach in enumerate(reaches):
+            buckets[reach].append(pos)
+        marks = bytearray(len(labels))
+        card, deeper, lines = 0, "", []
+        for j in range(n, k - 1, -1):
+            bucket = buckets.get(j, ())
+            if bucket:      # S^k_j is S^k_(j+1) unless some member reaches j
+                for pos in bucket:
+                    marks[pos] = 1
+                card += len(bucket)
+                deeper = " ".join(compress(labels, marks))
+            exact = " ".join(map(labels.__getitem__, bucket))
+            lines.append(f"C^{k}_{j} card={len(bucket)}: {exact}")
+            lines.append(f"S^{k}_{j} card={card}: {deeper}")
+        lines.reverse()
         print("\n".join(lines))
     return 0
 
@@ -188,6 +199,11 @@ def _cmd_represent(args) -> int:
         if sign not in SIGNS:
             raise FormatError(f"value line {ln!r} has value {sign}, not 1, 0 or -1")
         h = ChainChar(h_depth, h_mask)
+        try:
+            space.node(h)
+        except KeyError:
+            raise FormatError(f"value line {ln!r} names {label}, "
+                              f"which is not a character of the chain") from None
         if h in f:
             raise FormatError(f"value line {ln!r} repeats character {label}")
         f[h] = sign

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import compress, groupby, pairwise
 
 from . import gf2
 from .chains import ChainChar
-from .levels import PropertyReport, extend_basis
+from .levels import PropertyReport
 from .spectral import FanSpace
 
 
@@ -74,15 +74,44 @@ def fiber_tower_basis(space: FanSpace, h0: ChainChar | None, level: int,
     depth j form a basis of that part of the fiber.  The fiber is scanned
     once, deepest reach first (a stable sort, so members of equal reach
     keep the policy's order): every prefix of that scan ending at a reach
-    boundary is one such part, and a greedy pass keeps a basis of each
-    prefix.
+    boundary is one such part, and a greedy pass over the homogenized
+    masks (m | 2^dim, independent exactly when no member is an odd
+    product of others) keeps a basis of each prefix.
+
+    Each reach band stops at its dimension.  The fiber is affine: the
+    level is, and so is the preimage of h0 under the transition, a coset
+    of its kernel.  S^level_r, the image of level r under the composite
+    pullback, is affine too, so the prefix ending with the band of reach
+    r, the fiber's members in S^level_r, is their intersection, an affine
+    set of `end` = 2^(s-1) members spanning s = end.bit_length() <= dim
+    dimensions.  Every member kept so far lies in it, so once s are kept
+    the rest of the band is dependent and is skipped.  A band whose `end`
+    is no power of two is scanned in full.  The pass stops at the level's
+    dimension, and a ChainChar is made only for a kept member.
     """
     forest = space.forest
+    deep = forest.deep
     fiber = forest.level(level) if h0 is None else forest.children[space.node(h0)]
-    scan = sorted(policy.order(fiber), key=forest.deep.__getitem__, reverse=True)
+    scan = sorted(policy.order(fiber), key=deep.__getitem__, reverse=True)
     masks, first = space.masks[level - 1], forest.level(level)[0]
+    dim = space.dim(level)
+    top = 1 << dim
+    add = gf2.Span().add
+    kept: list[int] = []
+    end = 0
+    for _, band in groupby(scan, deep.__getitem__):
+        band = list(band)
+        end += len(band)
+        stop = end.bit_length() if end & (end - 1) == 0 else dim
+        for i in band:
+            if len(kept) == stop:
+                break
+            if add(masks[i - first] | top):
+                kept.append(i)
+        if len(kept) == dim:
+            break
     new = tuple.__new__     # ChainChar(level, m) without a Python-level call
-    return extend_basis(space, (), [new(ChainChar, (level, masks[i - first])) for i in scan])
+    return tuple([new(ChainChar, (level, masks[i - first])) for i in kept])
 
 
 def standard_generating_system(space: FanSpace, seed: int | None = None) -> GeneratingSystem:
@@ -94,7 +123,7 @@ def standard_generating_system(space: FanSpace, seed: int | None = None) -> Gene
     character, so on isomorphic spaces the systems built with one seed
     have the same reach, the same role and the same draw at each basis
     position.  Reaches and fibers are read off the forest by node index;
-    a ChainChar is made only for a tower's scan and for each lift.
+    a ChainChar is made only for each kept tower member and each lift.
     """
     policy = _Policy(seed)
     n = space.length

@@ -27,6 +27,7 @@ from .chains import (
     evaluate_element,
 )
 from .errors import OrderMismatchError, ResourceLimitError
+from .formats import char_label
 from .generators import standard_generating_system
 from .spectral import FanSpace, Forest
 from .ternary import SIGNS, Violation
@@ -54,8 +55,16 @@ class RepresentResult:
 
 
 def _check_values(space: FanSpace, f: dict[ChainChar, int]) -> None:
-    if set(f) != set(space.chars):
-        raise ValueError("map must be defined on exactly the characters of the space")
+    """Refuse a map unless it is defined on exactly the characters of the
+    space with values in SIGNS.  A refusal names the first missing
+    character in space order, or else the first key that is none."""
+    missing = next((h for h in space.chars if h not in f), None)
+    if missing is not None:
+        raise ValueError(f"map has no value for character {char_label(space.chain, missing)}")
+    if len(f) != len(space):
+        chars = set(space.chars)
+        extra = next(h for h in f if h not in chars)
+        raise ValueError(f"map is defined on {extra!r}, which is not a character of the space")
     if any(v not in SIGNS for v in f.values()):
         raise ValueError("map values must be +1, 0 or -1")
 

@@ -14,7 +14,9 @@ import fanforge.cli
 from fanforge.chains import MAX_CHARACTERS, FanChain
 from fanforge.cli import MAX_STRATA_ENTRIES, main
 from fanforge.corpus import MAX_CORPUS_CHAINS, MAX_CORPUS_DIM, MAX_CORPUS_LEVELS, generate_corpus
-from fanforge.formats import parse_chain, parse_forest, serialize_chain, serialize_forest
+from fanforge.formats import (
+    chain_labels, parse_chain, parse_forest, serialize_chain, serialize_forest,
+)
 from fanforge.generators import standard_generating_system
 from fanforge.gf2 import identity_rows
 from fanforge.isomorphism import forest_canonical
@@ -99,6 +101,41 @@ def test_strata(files, capsys):
     out = capsys.readouterr().out
     assert "S^1_2 card=1" in out
     assert "C^1_1 card=1" in out
+
+
+def oracle_strata_text(space):
+    """`strata` as it was with one comprehension per (k, j): each level's
+    reaches read once, C^k_j its bucket of reach j and S^k_j the members
+    reaching j or deeper, both in node order.  The oracle for the output
+    built by marking each bucket once."""
+    forest, n = space.forest, space.length
+    out = []
+    for k, labels in enumerate(chain_labels(space.chain, space.masks), start=1):
+        reaches = list(map(forest.deep.__getitem__, forest.level(k)))
+        exact = {}
+        for reach, label in zip(reaches, labels):
+            exact.setdefault(reach, []).append(label)
+        lines = []
+        for j in range(k, n + 1):
+            deeper = [label for reach, label in zip(reaches, labels) if reach >= j]
+            lines.append(f"S^{k}_{j} card={len(deeper)}: {' '.join(deeper)}")
+            c = exact.get(j, [])
+            lines.append(f"C^{k}_{j} card={len(c)}: {' '.join(c)}")
+        out.append("\n".join(lines) + "\n")
+    return "".join(out)
+
+
+def test_strata_matches_oracle(corpus_spaces, census_spaces, tmp_path, capsys):
+    # the corpus, every census type of at most 3 levels, a 6x10 ladder and
+    # the 835-level path, which sits at MAX_STRATA_ENTRIES
+    spaces = (corpus_spaces + [s for s in census_spaces if s.length <= 3]
+              + [FanSpace(ladder(random.Random(0), 6, 10)), FanSpace(_path_chain(835))])
+    path = tmp_path / "chain.fan"
+    for space in spaces:
+        path.write_text(serialize_chain(space.chain))
+        assert main(["strata", str(path)]) == 0
+        assert capsys.readouterr() == (oracle_strata_text(space), "")
+    assert len(spaces) == 200 + 314 + 2
 
 
 def test_sgs(files, capsys):
@@ -223,6 +260,26 @@ def test_represent_rejects_repeated_character(files, tmp_path, capsys):
     values.write_text("d1:1 1\nd2:10 1\nd2:11 1\nd2:10 -1\n")
     assert main(["represent", files["e1"], str(values)]) == 2
     assert "value line 'd2:10 -1' repeats character d2:10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["d1:0", "d2:00", "d2:01"])
+def test_represent_names_a_label_that_is_no_character(files, tmp_path, capsys, label):
+    # E1's levels have minus 1 and 10: mask 0, and mask 10 at depth 2 has
+    # even parity with minus, so these label no character
+    values = tmp_path / "map.txt"
+    values.write_text(f"d1:1 1\nd2:10 1\n{label} 1\nd2:11 1\n")
+    assert main(["represent", files["e1"], str(values)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: value line '{label} 1' names {label}, which is not a character of the chain\n")
+
+
+def test_represent_names_the_first_missing_character(files, tmp_path, capsys):
+    values = tmp_path / "map.txt"
+    for text, missing in (("d1:1 1\nd2:11 1\n", "d2:10"), ("d2:11 1\n", "d1:1"), ("", "d1:1"),
+                          ("d2:11 1\nd2:10 1\n", "d1:1"), ("d1:1 1\nd2:10 1\n", "d2:11")):
+        values.write_text(text)
+        assert main(["represent", files["e1"], str(values)]) == 2
+        assert capsys.readouterr() == ("", f"error: map has no value for character {missing}\n")
 
 
 @pytest.mark.parametrize("label", ["d0:11", "d-1:1", "d3:11", "dd1:1", "1:1"])

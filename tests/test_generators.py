@@ -105,6 +105,19 @@ def test_fiber_tower_matches_staged_oracle(corpus_spaces):
     assert len(big) == 3072 and fibers > 5000
 
 
+def test_tower_bands_stop_at_their_dimension(monkeypatch):
+    # a 6x10 ladder keeps 60 members; offering every candidate of each
+    # reach band to the span took 267 adds, the band stop about two dozen
+    space = FanSpace(ladder(random.Random(6), 6, 10))
+    adds = []
+    add = gf2.Span.add
+    monkeypatch.setattr(gf2.Span, "add", lambda *args: adds.append(1) or add(*args))
+    for seed in (None, 5):
+        adds.clear()
+        gs = standard_generating_system(space, seed)
+        assert len(gs.members()) == 60 and 0 < len(adds) <= 40, (seed, len(adds))
+
+
 def full_scan_extend_basis(space, indep, target):
     """extend_basis as first written, scanning every candidate: the oracle
     for its early stop at the level's dimension."""
@@ -127,6 +140,33 @@ def oracle_fiber_tower_basis(space, h0, level, policy):
         fiber = [space.chars[i] for i in space.forest.children[space.node(h0)]]
     scan = sorted(policy.order(fiber), key=space.deep, reverse=True)
     return full_scan_extend_basis(space, (), scan)
+
+
+def test_seeded_fiber_towers_match_full_scan_oracle(census_spaces):
+    # every fiber of every census type and of 6x8 and 6x10 ladders, under
+    # one fresh policy pair per space and seed, so a draw that differed
+    # once would shift every later one
+    ladders = [FanSpace(ladder(random.Random(s), 6, dim)) for s in range(3) for dim in (8, 10)]
+    fibers = 0
+    for space in census_spaces + ladders:
+        for seed in (None, 0, 5):
+            got, want = _Policy(seed), _Policy(seed)
+            assert (fiber_tower_basis(space, None, 1, got)
+                    == oracle_fiber_tower_basis(space, None, 1, want))
+            for h0 in space.chars:
+                if h0.depth < space.length:
+                    assert (fiber_tower_basis(space, h0, h0.depth + 1, got)
+                            == oracle_fiber_tower_basis(space, h0, h0.depth + 1, want))
+                    fibers += 1
+    assert len(census_spaces) == 3135 and fibers > 100000
+
+
+def test_seeded_sgs_matches_oracle_over_the_census(census_spaces):
+    for space in census_spaces:
+        for seed in (None, 0, 5):
+            gs = standard_generating_system(space, seed)
+            want = oracle_standard_generating_system(space, seed)
+            assert (gs.bases, gs.provenance) == (want.bases, want.provenance)
 
 
 def oracle_standard_generating_system(space, seed=None):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from fanforge import generators, isomorphism
+from fanforge import generators, gf2, isomorphism
 from fanforge.chains import MAX_CHARACTERS, ChainChar, FanChain, SliceElement, chain_elements
 from fanforge.corpus import generate_corpus, random_chain
 from fanforge.errors import OrderMismatchError, ResourceLimitError
@@ -59,6 +59,22 @@ def test_represent_constant_one_is_identity():
     s = FanSpace(E1)
     result = represent(s, {h: 1 for h in s.chars})
     assert result.element == SliceElement(1, 0)
+
+
+@pytest.mark.parametrize("check", [represent, representation_witness, preserves_triple_products])
+def test_value_map_refusals_name_the_character(check):
+    # E1's characters in space order are d1:1 (R), d2:10 (C1), d2:11 (C2)
+    s = FanSpace(E1)
+    for f, message in (({R: 1, C2: 1}, "map has no value for character d2:10"),
+                       ({C1: 1}, "map has no value for character d1:1"),
+                       ({}, "map has no value for character d1:1"),
+                       ({R: 1, C1: 1, C2: 1, ChainChar(1, 0): 1},
+                        "map is defined on ChainChar(depth=1, mask=0), "
+                        "which is not a character of the space"),
+                       ({R: 1, C1: 2, C2: 1}, "map values must be +1, 0 or -1")):
+        with pytest.raises(ValueError) as info:
+            check(s, f)
+        assert str(info.value) == message
 
 
 def test_representability_three_way_equivalence():
@@ -330,16 +346,18 @@ def test_self_isomorphism_is_identity(corpus_spaces):
             assert build_isomorphism(s, s, seed) == {h: h for h in s.chars}
 
 
-def test_path_chain_builds_with_linear_extend_calls(monkeypatch):
-    # one greedy pass per fiber: a path has one fiber per level and space
+def test_path_chain_builds_with_linear_tower_calls(monkeypatch):
+    # one greedy pass per fiber: a path has one fiber per level and space,
+    # and each pass offers the span its one candidate
     n = 512
-    calls = []
-    extend = generators.extend_basis
-    monkeypatch.setattr(generators, "extend_basis",
-                        lambda *args, **kw: calls.append(1) or extend(*args, **kw))
     s = FanSpace(FanChain((1,) * n, (1,) * n, ((1,),) * (n - 1)))
+    towers, adds = [], []
+    tower, add = generators.fiber_tower_basis, gf2.Span.add
+    monkeypatch.setattr(generators, "fiber_tower_basis",
+                        lambda *args, **kw: towers.append(1) or tower(*args, **kw))
+    monkeypatch.setattr(gf2.Span, "add", lambda *args: adds.append(1) or add(*args))
     assert build_isomorphism(s, s) == {h: h for h in s.chars}
-    assert len(s) == n and 0 < len(calls) <= 2 * n
+    assert len(s) == n and 0 < len(towers) <= 2 * n and 0 < len(adds) <= 2 * n
 
 
 def _certificate_accepts(s1, s2, mapping) -> bool:
