@@ -39,6 +39,7 @@ from .levels import (
     dimension,
     extend_basis,
     involution_failures,
+    involutions_hold,
     is_dependent,
     verify_involution,
 )

@@ -262,21 +262,46 @@ def chain_to_table(c: FanChain) -> TernaryTable:
     return TernaryTable(size=size, one_idx=1, zero_idx=0, minus_one_idx=2, mul=tuple(mul))
 
 
+def _parities(lam: int, k: int) -> int:
+    """Bit v set when <lam, v> = 1, for every v of the k-bit space: each
+    coordinate b doubles the pattern, the upper half flipped when lam has
+    bit b, as level_masks does on bytes."""
+    p = 0
+    for b in range(k):
+        w = 1 << b
+        p |= (p ^ ((1 << w) - 1) if lam >> b & 1 else p) << w
+    return p
+
+
 def chain_char_to_table_char(c: FanChain, t: TernaryTable, h: ChainChar) -> Character:
     """A chain character as a character of the table built by chain_to_table:
     nonzero on slices 1..depth, a contiguous index range, and -1 where its
-    functional, pulled back to the element's slice, is 1."""
+    functional, pulled back to the element's slice, is 1.
+
+    Each slice's neg bits are the parity pattern of the pulled-back
+    functional over the slice's vectors in ascending order (_parities);
+    slice 1's pattern then moves the bit of minus_1 down to follow the
+    bit of 0, as _slice_vectors orders that slice.  Raises ValueError
+    for a table of another size, and for an h that is not a character
+    of the chain: a depth off 1..n, a mask off the level's functionals,
+    or a functional that does not send minus to 1.
+    """
     if t.size != 1 + sum(1 << k for k in c.dims):
         raise ValueError(f"table has {t.size} elements, not the fan's")
-    lams = [h.mask]         # the functional pulled back to depths h.depth, ..., 1
-    for tau in reversed(c.taus[:h.depth - 1]):
-        lams.append(gf2.pullback(lams[-1], tau))
-    neg, i = 0, 1
-    for e, lam in enumerate(reversed(lams), start=1):
-        for v in _slice_vectors(c, e):
-            neg |= gf2.dot(lam, v) << i
-            i += 1
-    return Character(t, (1 << i) - 2, neg)
+    d, lam = h
+    if not (1 <= d <= c.n and 0 <= lam < 1 << c.dims[d - 1]
+            and (lam & c.minus[d - 1]).bit_count() & 1):
+        raise ValueError(f"{h} is not a character of the chain")
+    # slices depth, ..., 1, deepest first, each pattern above the next
+    neg, width = _parities(lam, c.dims[d - 1]), 1 << c.dims[d - 1]
+    for tau, k in zip(reversed(c.taus[:d - 1]), reversed(c.dims[:d - 1])):
+        lam = gf2.pullback(lam, tau)
+        neg = neg << (1 << k) | _parities(lam, k)
+        width += 1 << k
+    # slice 1 in table order: bit m = minus_1 moves to 1, bits 1..m - 1 up by one
+    m = c.minus[0]
+    neg = neg & ~((2 << m) - 2) | (neg >> m & 1) << 1 | (neg & (1 << m) - 2) << 1
+    return Character(t, (2 << width) - 2, neg << 1)
 
 
 def table_to_chain(t: TernaryTable, chars: tuple[Character, ...] | None = None) -> FanChain:

@@ -14,7 +14,8 @@ reads only the tuple of shifts over levels 1..dmin, and many pairs
 share a tuple, so involution_failures, which sweeps every pair of a
 space, checks each distinct tuple once and adds each pair's own two
 comparisons.  Both read a pair's shifts off the space's successor-mask
-table, one row per character.
+table, one row per character.  involutions_hold decides whether the
+whole family holds from the tuples of a basis of each shift group.
 """
 
 from __future__ import annotations
@@ -246,3 +247,51 @@ def involution_failures(space: FanSpace) -> Iterator[tuple[ChainChar, ChainChar,
             for check in _report_checks(space, g1, g2, shifts, checks):
                 if not check.passed:
                     yield g1, g2, check
+
+
+def involutions_hold(space: FanSpace) -> bool:
+    """True exactly when involution_failures(space) yields nothing.
+
+    Per level d, _shift_checks runs only on the tuples of a basis: the
+    members h whose h.mask ^ h0.mask, h0 the level's first member, one
+    Span pass keeps, each tuple read as the XOR of the successor-mask
+    rows of h and h0.  The level's masks all send minus_d to 1, so
+    their differences lie in a subspace of dimension dim(d) - 1 and the
+    pass stops once it keeps that many.
+
+    Why this decides the family.  A pair's own checks always pass:
+    each level's shift is the XOR of the pair's successors there, so
+    successor transport holds, and a common successor makes the shift
+    0.  So the family holds exactly when every pair's shift tuple
+    passes _shift_checks.  Fix dmin, the smaller depth of a pair.
+    - The tuples of length dmin that pass form a subgroup.  The
+      self-inverse check always holds.  The automorphism and every S/C
+      stratum check ask that a translation map a set into itself, which
+      for a finite set is onto itself: the stabiliser of a set under
+      translations is a subgroup.  The parent-edge check asks that
+      parent(m ^ s_d) = parent(m) ^ s_(d-1) for every member m of level
+      d; if two tuples pass, applying one after the other shows that
+      their XOR passes, and the zero tuple passes.
+    - A pair's tuple is L(a1.mask ^ a2.mask), where a1 and a2 are the
+      pair's successors at dmin and L sends a depth-dmin functional to
+      its composite pullbacks to depths 1..dmin, which is linear (a
+      parent is the pullback along one transition).  a1.mask ^ a2.mask
+      is (a1.mask ^ h0.mask) ^ (a2.mask ^ h0.mask), in the span of the
+      kept differences, so every pair's tuple is an XOR of basis
+      tuples, and it passes when they all do.  Conversely each basis
+      tuple is the tuple of the pair (h, h0).
+    """
+    up = space.successor_masks
+    for d in range(1, space.length + 1):
+        h0, *rest = space.level(d)
+        base = up[h0]
+        need = space.dim(d) - 1
+        span = gf2.Span()
+        for h in rest:
+            if need == 0:
+                break
+            if span.add(h.mask ^ h0.mask):
+                need -= 1
+                if not _shift_checks(space, tuple(map(xor, up[h], base)))[2]:
+                    return False
+    return True

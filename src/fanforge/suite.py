@@ -26,7 +26,7 @@ from .chains import (
 from .formats import parse_chain, serialize_chain
 from .generators import standard_generating_system, verify_sgs
 from .isomorphism import build_isomorphism, check_forest
-from .levels import involution_failures
+from .levels import involution_failures, involutions_hold
 from .spectral import FanSpace
 from .ternary import Character, TernaryTable
 
@@ -157,7 +157,11 @@ def check_forest_regularity(model: FanModel) -> list[str]:
 
 
 def check_involutions(model: FanModel) -> list[str]:
-    """Full involution property suite for every pair of characters."""
+    """Full involution property suite for every pair of characters,
+    decided on a basis of each shift group (levels.involutions_hold);
+    only a space that fails walks every pair for its report."""
+    if involutions_hold(model.space):
+        return []
     return [f"handle ({g1}, {g2}): {bad.name} fails"
             for g1, g2, bad in involution_failures(model.space)]
 

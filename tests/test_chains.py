@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -39,7 +40,7 @@ from fanforge.ternary import (
 )
 
 from conftest import (
-    CHAIN3, E1, E1P, E2, EA, EB, TRIV, ladder, mixed_chain, oracle_characters)
+    CHAIN3, E1, E1P, E2, EA, EB, TRIV, fan_types, ladder, mixed_chain, oracle_characters)
 from test_ternary import corrupted_copies, product_table
 
 
@@ -450,6 +451,57 @@ def test_chain_triple_product_matches_table(corpus_spaces):
                     got = as_table[space.triple(a, b, c)].values
                     want = pointwise_product((as_table[a], as_table[b], as_table[c]))
                     assert got == want
+
+
+def oracle_chain_char_to_table_char(c, t, h):
+    """(support, neg) of h's table character, one dot product per element
+    in table order: how chain_char_to_table_char was first written, the
+    oracle for its parity patterns."""
+    lams = [h.mask]
+    for tau in reversed(c.taus[:h.depth - 1]):
+        lams.append(gf2.pullback(lams[-1], tau))
+    neg, i = 0, 1
+    for e, lam in enumerate(reversed(lams), start=1):
+        for v in fanforge.chains._slice_vectors(c, e):
+            neg |= gf2.dot(lam, v) << i
+            i += 1
+    return (1 << i) - 2, neg
+
+
+def test_chain_char_to_table_char_matches_per_element_oracle():
+    census = [c for n in range(1, 4) for c in fan_types(n, 3)]
+    deeper = [c for seed in range(4) for c in generate_corpus(seed, count=60, max_levels=5)]
+    ladders = [ladder(random.Random(seed), 4, 7) for seed in range(3)]
+    path = FanChain((1,) * 62, (1,) * 62, ((1,),) * 61)
+    # slice 1's minus at bit 0, at the top bit and all ones, alone and
+    # over a deeper level
+    rng = random.Random(34)
+    tops = []
+    for minus in (1, 1 << 4, 0b11111):
+        tops += [FanChain((5,), (minus,), ()),
+                 FanChain((5, 3), (minus, 0b110), (random_transition(rng, 5, 3, minus, 0b110),))]
+    checked = 0
+    for chain in census + deeper + ladders + [path] + tops:
+        table = chain_to_table(chain)
+        for h in chain_characters(chain):
+            got = chain_char_to_table_char(chain, table, h)
+            assert (got.support, got.neg) == oracle_chain_char_to_table_char(chain, table, h), (
+                chain, h)
+            checked += 1
+    assert len(census) == 91 and checked > 3000, checked
+
+
+def test_chain_char_to_table_char_refuses_non_characters():
+    chain = FanChain((2, 2), (1, 1), ((1, 2),))
+    table = chain_to_table(chain)
+    # a depth off the chain, a mask even against minus, a negative mask
+    # and a mask past the level's functionals
+    for h in (ChainChar(3, 1), ChainChar(0, 1), ChainChar(1, 2), ChainChar(1, -1),
+              ChainChar(2, 7)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(h))} is not a character"):
+            chain_char_to_table_char(chain, table, h)
+    with pytest.raises(ValueError, match="table has 7 elements"):
+        chain_char_to_table_char(chain, chain_to_table(E1), ChainChar(1, 1))
 
 
 def test_canonical_element_order():

@@ -1,9 +1,11 @@
 import itertools
 import random
+from operator import xor
 
 import pytest
 
 import fanforge.levels
+from fanforge import suite
 from fanforge.chains import ChainChar
 from fanforge.corpus import generate_corpus
 from fanforge.levels import (
@@ -13,6 +15,7 @@ from fanforge.levels import (
     dimension,
     extend_basis,
     involution_failures,
+    involutions_hold,
     is_dependent,
     verify_involution,
 )
@@ -265,6 +268,92 @@ def test_involution_failures_reports_a_failing_tuple_of_real_handles(monkeypatch
     pairs = [(h1, h2) for h1, h2, _ in failures]
     assert (g1, g2) in pairs and len(pairs) >= 2
     assert {bad.name for _, _, bad in failures} == {"automorphism(level 1)"}
+
+
+def suite_corpora():
+    """The corpora of `suite --seed 0`, `suite --seed 5 --count 60
+    --levels 5` and `suite --seed 11 --count 12 --levels 6 --maxdim 6`."""
+    return (generate_corpus(0, count=60) + generate_corpus(5, count=60, max_levels=5)
+            + generate_corpus(11, count=12, max_levels=6, max_dim=6))
+
+
+def test_involutions_hold_matches_involution_failures(census_spaces):
+    ladders = [FanSpace(ladder(random.Random(seed), 6, 8)) for seed in (1, 2)]
+    spaces = census_spaces + [FanSpace(c) for c in suite_corpora()] + ladders
+    for space in spaces:
+        assert involutions_hold(space), space.chain
+        assert next(involution_failures(space), None) is None, space.chain
+    assert len(census_spaces) == 3135
+
+
+def test_shift_checks_passing_tuples_are_closed_under_xor(corpus_spaces):
+    # the lemma involutions_hold rests on, on tuples of real pairs (which
+    # pass) and random tuples of level differences (which often fail):
+    # when t1 passes, t2 passes exactly when t1 ^ t2 does
+    rng = random.Random(34)
+    seen = {(True, True): 0, (True, False): 0}
+
+    def draw(space, dmin):
+        if rng.random() < 0.5:
+            g1, g2 = (rng.choice([g for g in space.chars if g.depth >= dmin]) for _ in "12")
+            return fanforge.levels._shifts(space, g1, g2)[:dmin]
+        return tuple(rng.choice(space.level(d)).mask ^ rng.choice(space.level(d)).mask
+                     for d in range(1, dmin + 1))
+
+    def passes(space, shifts):
+        return fanforge.levels._shift_checks(space, shifts)[2]
+
+    for space in corpus_spaces:
+        for _ in range(40):
+            dmin = rng.randint(1, space.length)
+            t1, t2 = draw(space, dmin), draw(space, dmin)
+            if passes(space, t1):
+                both = passes(space, t2)
+                assert passes(space, tuple(map(xor, t1, t2))) == both, (space.chain, t1, t2)
+                seen[True, both] += 1
+    assert min(seen.values()) >= 500, seen
+
+
+def test_involutions_hold_refuses_a_subgroup_of_failing_tuples(corpus_spaces, monkeypatch):
+    # every tuple whose level-1 shift is nonzero fails, a subgroup-consistent
+    # verdict: the basis decision agrees with the per-pair report, and the
+    # section returns exactly that report's lines
+    shift_checks = fanforge.levels._shift_checks
+
+    def failing(space, shifts):
+        levels, witness, passed = shift_checks(space, shifts)
+        if not shifts[0]:
+            return levels, witness, passed
+        (_, involution, strata), *deeper = levels
+        return [(False, involution, strata)] + deeper, witness, False
+
+    monkeypatch.setattr(fanforge.levels, "_shift_checks", failing)
+    outcomes = {True: 0, False: 0}
+    for space in corpus_spaces:
+        failures = list(involution_failures(space))
+        held = involutions_hold(space)
+        assert held == (not failures) == (space.dim(1) == 1), space.chain
+        assert suite.check_involutions(suite.FanModel(None, space, {}, ())) == [
+            f"handle ({g1}, {g2}): {bad.name} fails" for g1, g2, bad in failures]
+        outcomes[held] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_involutions_hold_checks_a_basis_of_each_shift_group(monkeypatch):
+    calls = []
+    shift_checks = fanforge.levels._shift_checks
+
+    def counted(space, shifts):
+        calls.append(shifts)
+        return shift_checks(space, shifts)
+
+    monkeypatch.setattr(fanforge.levels, "_shift_checks", counted)
+    dims = 0
+    for chain in generate_corpus(0, count=60):   # the corpus of `suite --seed 0`
+        assert involutions_hold(FanSpace(chain))
+        dims += sum(chain.dims) - chain.n
+    # dim(d) - 1 tuples per level d, against 587 distinct tuples of 8,829 pairs
+    assert (len(calls), dims) == (232, 232)
 
 
 def test_successor_mask_rows_match_successors(corpus_spaces):
